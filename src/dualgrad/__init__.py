@@ -25,6 +25,7 @@ from .drivers import (
     EvalCounter,
     GradientResult,
     HessianResult,
+    ImpureTargetError,
     JacobianResult,
     default_chunk,
     derivative,
@@ -44,7 +45,7 @@ from .testfns import (
     rosenbrock,
     rosenbrock_grad_analytic,
 )
-from .vector import DualVector
+from .vector import DualVector, NestedDualVector
 
 __version__ = "0.1.0"
 
@@ -52,6 +53,7 @@ __all__ = [
     "Dual",
     "Partials",
     "DualVector",
+    "NestedDualVector",
     "seed_unit",
     "extract",
     "value_of",
@@ -68,6 +70,7 @@ __all__ = [
     "JacobianResult",
     "HessianResult",
     "EvalCounter",
+    "ImpureTargetError",
     "default_chunk",
     "derivative",
     "second_derivative",

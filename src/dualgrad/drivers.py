@@ -9,26 +9,33 @@ partial derivatives of the seeded components.  A trailing chunk narrower
 than N seeds only the remaining components.  Lanes propagate independently,
 so the assembled gradient is identical, bit for bit, for every chunk size.
 
-Higher-order drivers nest duals: the Hessian runs the gradient machinery
-over inputs that are themselves duals (forward-over-forward), filling a
-k x k matrix in ceil(k/M) * ceil(k/N) passes, and the third-order tensor
-adds one more nesting level.
+Higher-order drivers nest duals (forward-over-forward).  For a Hessian
+each pass seeds a block of M components on the float64 lanes of a
+DualVector and a block of N components on the lanes of a NestedDualVector
+wrapped around it, so one pass fills an M x N block of the k x k matrix
+and ceil(k/M) * ceil(k/N) passes fill all of it; the third-order tensor
+adds one more nesting level.  Every level is float64 arrays, and one pass
+loop and one seeding helper serve all orders.
 
-All drivers require a pure target function: same input, same output.  The
-threaded scheduler additionally requires f to be safely callable from
-several threads at once; each worker owns a disjoint slice of the output,
-so no locking is needed on the hot path.
+All drivers require a pure target function: same input, same output.
+Every pass's value channel is compared with the first pass's, and a
+difference raises ImpureTargetError.  The threaded scheduler additionally
+requires f to be safely callable from several threads at once; each
+worker owns a disjoint slice of the output, so no locking is needed on the
+hot path.
 """
 
 from __future__ import annotations
 
+import itertools
+import numbers
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import Dual, Partials, base_value
-from .vector import DualVector
+from .dual import Dual, base_value
+from .vector import DualVector, NestedDualVector
 
 __all__ = [
     "ChunkConfig",
@@ -36,6 +43,7 @@ __all__ = [
     "JacobianResult",
     "HessianResult",
     "EvalCounter",
+    "ImpureTargetError",
     "default_chunk",
     "derivative",
     "second_derivative",
@@ -56,6 +64,20 @@ def default_chunk(k):
     return min(k, DEFAULT_CHUNK_LIMIT)
 
 
+def _check_count(name, value):
+    """``value`` as an int >= 1; anything else (floats, bools, < 1) raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def _resolve(name, value, k):
+    """Lanes per pass: ``value`` clamped to k, or ``default_chunk(k)`` for None."""
+    if value is None:
+        return default_chunk(k)
+    return min(_check_count(name, value), k)
+
+
 @dataclass(frozen=True)
 class ChunkConfig:
     """Runtime tuning for gradient passes.
@@ -69,14 +91,12 @@ class ChunkConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        if self.chunk_size is not None:
+            _check_count("chunk_size", self.chunk_size)
+        _check_count("threads", self.threads)
 
     def resolve(self, k):
-        n = self.chunk_size if self.chunk_size is not None else default_chunk(k)
-        return min(n, k)
+        return _resolve("chunk_size", self.chunk_size, k)
 
 
 @dataclass(frozen=True)
@@ -102,6 +122,15 @@ class HessianResult:
     entries: np.ndarray
     gradient: np.ndarray
     f_value: float
+
+
+class ImpureTargetError(AssertionError):
+    """The target function's value changed between passes.
+
+    It subclasses AssertionError, the type the purity check raised when it
+    was an ``assert`` (which ``python -O`` removed), so existing handlers
+    keep working.
+    """
 
 
 class EvalCounter:
@@ -158,63 +187,135 @@ def _lane(v, i):
 
 
 # ----------------------------------------------------------------------
-# chunked gradient core
+# the pass machinery shared by every chunked driver
 # ----------------------------------------------------------------------
 
-
-def _seeded(x, lo, hi):
-    """Input batch for one pass: unit lanes on [lo, hi), zeros elsewhere."""
-    width = hi - lo
-    if x.dtype == object:
-        lanes = np.zeros((width, x.shape[0]), dtype=object)
-    else:
-        lanes = np.zeros((width, x.shape[0]))
-    for j in range(width):
-        lanes[j, lo + j] = 1.0
-    return DualVector(x, lanes)
+_VECTORS = (DualVector, NestedDualVector)
 
 
-def _scalar_output(y, width):
-    """(value, lane sequence) of a scalar target-function result."""
-    if isinstance(y, Dual):
-        if len(y.partials) != width:
-            raise ValueError(
-                f"target function returned {len(y.partials)} lanes, expected {width}"
+def _vector(values, partials):
+    return (DualVector if isinstance(values, np.ndarray) else NestedDualVector)(values, partials)
+
+
+def _constant(values, widths):
+    """Float array ``values`` as duals with zero lanes of the given widths."""
+    if not widths:
+        return values
+    *inner, width = widths
+    zeros = np.zeros((width,) + values.shape)
+    return _vector(_constant(values, inner), _constant(zeros, inner))
+
+
+def _seeded(x, blocks):
+    """Input of one pass: x with unit lanes on the components in blocks[d] at level d.
+
+    Level 0 is a float64 DualVector; every further level wraps the one
+    below in a NestedDualVector whose unit lanes are constants of the
+    levels below.
+    """
+    out = x
+    widths = []
+    for block in blocks:
+        width = block.stop - block.start
+        out = _vector(out, _constant(np.eye(width, x.shape[0], block.start), widths))
+        widths.append(width)
+    return out
+
+
+def _base(v):
+    """Innermost float (or float array) of a possibly nested dual."""
+    while isinstance(v, _VECTORS):
+        v = v.values
+    return base_value(v)
+
+
+def _scalar_output(y, widths):
+    """(f value, outermost first-order lanes, highest-order lane block) of a result."""
+    if isinstance(y, _VECTORS) and y.ndim:
+        raise TypeError("target function must return a scalar, got a vector")
+    if not isinstance(y, (Dual, NestedDualVector)):  # constant: every lane is zero
+        return y, np.zeros(widths[-1]), np.zeros(widths)
+    top = y
+    for _ in widths:
+        top = top.partials
+    top = np.asarray(top, dtype=np.float64)
+    if top.shape != widths:
+        raise ValueError(f"target function returned lanes of shape {top.shape}, expected {widths}")
+    first = top if len(widths) == 1 else _base(y.partials)
+    return _base(y), first, top
+
+
+def _blocks(k, chunk):
+    """Component slices of the passes at one level: chunk wide, the last one narrower."""
+    return [slice(lo, min(lo + chunk, k)) for lo in range(0, k, chunk)]
+
+
+def _check_pure(f_values):
+    """Raise ImpureTargetError unless every pass gave pass 0's f value."""
+    first = f_values[0]
+    for p, value in enumerate(f_values):
+        if not (value == first or (value != value and first != first)):
+            raise ImpureTargetError(
+                f"target function is impure: value channel changed between passes "
+                f"(pass 0 gave {first}, pass {p} gave {value})"
             )
-        return y.value, y.partials
-    if isinstance(y, DualVector):
-        raise TypeError("gradient target must return a scalar, got a vector")
-    return y, (0.0,) * width
 
 
-def _same_value(a, b):
-    a, b = base_value(a), base_value(b)
-    return a == b or (a != a and b != b)
+def _run_threaded(run, n_passes, threads):
+    """run(p) for every pass, split into contiguous blocks over worker threads.
+
+    The calling thread works the first block; failures surface after the
+    join barrier.
+    """
+    n_workers = max(1, min(threads, n_passes))
+    blocks = np.array_split(range(n_passes), n_workers)
+    failures = []
+
+    def work(block):
+        try:
+            for p in block:
+                run(p)
+        except BaseException as exc:  # re-raised after the join barrier
+            failures.append(exc)
+
+    workers = [threading.Thread(target=work, args=(block,)) for block in blocks[1:]]
+    for w in workers:
+        w.start()
+    work(blocks[0])
+    for w in workers:
+        w.join()
+    if failures:
+        raise failures[0]
 
 
-def _gradient_passes(f, x, chunk):
-    """Chunked passes over a 1-D input of any element kind.
+def _passes(f, x, chunks, threads=1):
+    """One pass through f per combination of lane blocks, one block per level.
 
-    Returns (per-component lane coefficients, f value, pass count).  The
-    coefficients have the input's element kind: floats for a float64 input,
-    duals when the input components are duals (nested differentiation).
+    chunks holds the lanes per pass at each nesting level, level 0 first.
+    Returns (derivative tensor of shape (k,) * len(chunks), gradient from
+    the outermost level's first-order lanes, f value).
     """
     k = x.shape[0]
-    out = np.empty(k, dtype=x.dtype)
-    f_value = None
-    passes = 0
-    for lo in range(0, k, chunk):
-        hi = min(lo + chunk, k)
-        value, lanes = _scalar_output(f(_seeded(x, lo, hi)), hi - lo)
-        passes += 1
-        if f_value is None:
-            f_value = value
-        else:
-            assert _same_value(value, f_value), (
-                "target function is impure: value channel changed between passes"
-            )
-        out[lo:hi] = lanes[: hi - lo]
-    return out, f_value, passes
+    combos = list(itertools.product(*(_blocks(k, c) for c in chunks)))
+    entries = np.empty((k,) * len(chunks))
+    grad = np.empty(k)
+    f_values = [None] * len(combos)
+
+    def run(p):
+        blocks = combos[p]
+        widths = tuple(b.stop - b.start for b in blocks)
+        value, first, top = _scalar_output(f(_seeded(x, blocks)), widths)
+        f_values[p] = value
+        grad[blocks[-1]] = first
+        entries[blocks] = top
+
+    if threads > 1:
+        _run_threaded(run, len(combos), threads)
+    else:
+        for p in range(len(combos)):
+            run(p)
+    _check_pure(f_values)
+    return entries, grad, f_values[0]
 
 
 def _as_input_vector(x):
@@ -235,11 +336,9 @@ def gradient(f, x, cfg=None):
     identical results.
     """
     cfg = cfg if cfg is not None else ChunkConfig()
-    if cfg.threads > 1:
-        return gradient_threaded(f, x, cfg)
     x = _as_input_vector(x)
-    values, f_value, _ = _gradient_passes(f, x, cfg.resolve(x.shape[0]))
-    return GradientResult(values.astype(np.float64, copy=False), float(f_value))
+    values, _, f_value = _passes(f, x, (cfg.resolve(x.shape[0]),), cfg.threads)
+    return GradientResult(values, float(f_value))
 
 
 def gradient_threaded(f, x, cfg=None):
@@ -251,43 +350,7 @@ def gradient_threaded(f, x, cfg=None):
     per chunk, the result equals the serial gradient bitwise.  The target
     function must tolerate concurrent calls.
     """
-    cfg = cfg if cfg is not None else ChunkConfig()
-    x = _as_input_vector(x)
-    k = x.shape[0]
-    n = cfg.resolve(k)
-    starts = list(range(0, k, n))
-    n_workers = max(1, min(cfg.threads, len(starts)))
-    out = np.empty(k)
-    f_values = [None] * len(starts)
-    failures = []
-
-    def run_block(block):
-        try:
-            for p in block:
-                lo = starts[p]
-                hi = min(lo + n, k)
-                value, lanes = _scalar_output(f(_seeded(x, lo, hi)), hi - lo)
-                out[lo:hi] = lanes[: hi - lo]
-                f_values[p] = value
-        except BaseException as exc:  # surfaced after the join barrier
-            failures.append(exc)
-
-    blocks = [list(b) for b in np.array_split(range(len(starts)), n_workers)]
-    workers = [
-        threading.Thread(target=run_block, args=(block,)) for block in blocks[1:]
-    ]
-    for w in workers:
-        w.start()
-    run_block(blocks[0])
-    for w in workers:
-        w.join()
-    if failures:
-        raise failures[0]
-
-    assert all(_same_value(v, f_values[0]) for v in f_values), (
-        "target function is impure: value channel changed between passes"
-    )
-    return GradientResult(out, float(f_values[0]))
+    return gradient(f, x, cfg)
 
 
 # ----------------------------------------------------------------------
@@ -315,12 +378,11 @@ def jacobian(f, x, cfg=None):
     cfg = cfg if cfg is not None else ChunkConfig()
     x = _as_input_vector(x)
     k = x.shape[0]
-    n = cfg.resolve(k)
     entries = None
     f_value = None
-    for lo in range(0, k, n):
-        hi = min(lo + n, k)
-        values, lanes = _vector_output(f(_seeded(x, lo, hi)), hi - lo)
+    for block in _blocks(k, cfg.resolve(k)):
+        width = block.stop - block.start
+        values, lanes = _vector_output(f(_seeded(x, [block])), width)
         if entries is None:
             entries = np.empty((values.shape[0], k))
             f_value = values
@@ -329,7 +391,7 @@ def jacobian(f, x, cfg=None):
                 f"target function changed output length between passes: "
                 f"{entries.shape[0]} then {values.shape[0]}"
             )
-        entries[:, lo:hi] = lanes[: hi - lo].T
+        entries[:, block] = lanes[:width].T
     return JacobianResult(entries, f_value)
 
 
@@ -341,39 +403,16 @@ def jacobian(f, x, cfg=None):
 def hessian(f, x, outer_chunk=None, inner_chunk=None):
     """Dense Hessian by forward-over-forward differentiation.
 
-    The components are lifted to duals carrying M outer lanes and the
-    gradient machinery runs over those dual inputs with inner chunk N,
-    filling the k x k matrix in ceil(k/M) * ceil(k/N) passes through f.
-    The first-order gradient and f(x) come from the same evaluations.
+    Each pass seeds M = outer_chunk components on the float64 lanes and
+    N = inner_chunk components on the nested lanes, filling the k x k
+    matrix in ceil(k/M) * ceil(k/N) passes through f.  The first-order
+    gradient and f(x) come from the same evaluations.
     """
     x = _as_input_vector(x)
     k = x.shape[0]
-    m = min(outer_chunk if outer_chunk is not None else default_chunk(k), k)
-    n = min(inner_chunk if inner_chunk is not None else default_chunk(k), k)
-    if m < 1 or n < 1:
-        raise ValueError("chunk sizes must be >= 1")
-
-    entries = np.empty((k, k))
-    grad = None
-    f_value = None
-    for olo in range(0, k, m):
-        ohi = min(olo + m, k)
-        width = ohi - olo
-        lifted = np.empty(k, dtype=object)
-        for c in range(k):
-            lanes = [0.0] * width
-            if olo <= c < ohi:
-                lanes[c - olo] = 1.0
-            lifted[c] = Dual(float(x[c]), Partials(lanes))
-        inner, inner_f, _ = _gradient_passes(f, lifted, n)
-        for j in range(k):
-            g = inner[j]
-            for i in range(width):
-                entries[olo + i, j] = float(base_value(_lane(g, i)))
-        if grad is None:
-            grad = np.array([float(base_value(g)) for g in inner])
-            f_value = float(base_value(inner_f))
-    return HessianResult(entries, grad, f_value)
+    chunks = (_resolve("outer_chunk", outer_chunk, k), _resolve("inner_chunk", inner_chunk, k))
+    entries, grad, f_value = _passes(f, x, chunks)
+    return HessianResult(entries, grad, float(f_value))
 
 
 THIRD_ORDER_DIM_LIMIT = 8
@@ -396,29 +435,8 @@ def third_order_tensor(f, x, chunks=None, dim_limit=THIRD_ORDER_DIM_LIMIT):
         )
     if chunks is None:
         chunks = (k, k, k)
-    ca, cb, cc = (min(max(int(c), 1), k) for c in chunks)
-
-    tensor = np.empty((k, k, k))
-    for alo in range(0, k, ca):
-        ahi = min(alo + ca, k)
-        aw = ahi - alo
-        for blo in range(0, k, cb):
-            bhi = min(blo + cb, k)
-            bw = bhi - blo
-            lifted = np.empty(k, dtype=object)
-            for c in range(k):
-                a_lanes = [0.0] * aw
-                if alo <= c < ahi:
-                    a_lanes[c - alo] = 1.0
-                b_lanes = [0.0] * bw
-                if blo <= c < bhi:
-                    b_lanes[c - blo] = 1.0
-                lifted[c] = Dual(Dual(float(x[c]), Partials(a_lanes)), Partials(b_lanes))
-            inner, _, _ = _gradient_passes(f, lifted, cc)
-            for j in range(k):
-                g = inner[j]
-                for b in range(bw):
-                    gb = _lane(g, b)
-                    for a in range(aw):
-                        tensor[alo + a, blo + b, j] = float(base_value(_lane(gb, a)))
+    if not isinstance(chunks, (tuple, list)) or len(chunks) != 3:
+        raise ValueError(f"chunks must be a (first, second, third) triple, got {chunks!r}")
+    widths = tuple(_resolve(f"chunks[{i}]", c, k) for i, c in enumerate(chunks))
+    tensor, _, _ = _passes(f, x, widths)
     return tensor

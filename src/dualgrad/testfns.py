@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vector import DualVector
+from .vector import DualVector, NestedDualVector
 
 __all__ = [
     "AckleyParams",
@@ -44,7 +44,7 @@ DEFAULT_ACKLEY = AckleyParams()
 
 
 def _as_vector(x):
-    if isinstance(x, DualVector):
+    if isinstance(x, (DualVector, NestedDualVector)):
         return x
     return np.asarray(x)
 

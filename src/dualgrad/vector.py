@@ -1,18 +1,25 @@
-"""Batched dual numbers: one value vector plus a shared block of lanes.
+"""Batched dual numbers: one value array plus a shared block of lanes.
 
-``DualVector`` holds k dual numbers in struct-of-arrays form: ``values``
-with shape ``(k,)`` and ``partials`` with shape ``(n_lanes, k)``.  Keeping
-lanes contiguous per row means every lane is computed by exactly the same
-arithmetic regardless of how many other lanes are present, so chunked
-gradients agree bitwise across chunk sizes.
+``DualVector`` holds dual numbers in struct-of-arrays form: ``values``
+with a component shape ``S`` (rank 1 or more) and ``partials`` with shape
+``(n_lanes,) + S``, lane axis first.  The drivers hand target functions
+vectors with ``S = (k,)``; wider component shapes arise inside nested
+vectors.  Keeping lanes contiguous per row means every lane is computed by
+exactly the same arithmetic regardless of how many other lanes are
+present, so chunked gradients agree bitwise across chunk sizes.
 
-The gradient drivers hand instances of this type to target functions.  A
-DualVector behaves like a sequence of scalar ``Dual`` values (len, index,
-iterate) and supports numpy-style elementwise math, so code written the
-way one writes plain numpy (slicing, ufuncs, ``sum``/``mean``) runs on it
-unchanged.  With float64 storage this is the fast path; with object
-storage the entries may be scalar duals themselves, which is how nested
-(higher-order) differentiation reuses the same machinery.
+A DualVector behaves like a sequence of scalar ``Dual`` values (len,
+index, iterate) and supports numpy-style elementwise math, so code written
+the way one writes plain numpy (slicing, ufuncs, ``sum``/``mean``) runs on
+it unchanged.
+
+``NestedDualVector`` is the higher-order form: its ``values`` and
+``partials`` are themselves DualVectors, or NestedDualVectors one level
+further down, so forward-over-forward differentiation runs on float64
+arrays at every nesting level.  It has no rules of its own: every
+operation runs the DualVector rule of the same name, and each rule builds
+its result with ``type(self)`` and combines its fields with the same
+operators whatever dual kind they hold.
 
 Instances are immutable by convention; operations never write to their
 operands, so values and lane blocks may be freely shared across results
@@ -29,7 +36,7 @@ import numpy as np
 
 from .dual import Dual, Partials
 
-__all__ = ["DualVector"]
+__all__ = ["DualVector", "NestedDualVector"]
 
 _PLAIN = (int, float, np.integer, np.floating)
 
@@ -45,61 +52,101 @@ def _quiet(fn):
     return wrapper
 
 
+def _widen(lanes, gap):
+    """Lane block with ``gap`` singleton component axes after the lane axis."""
+    return lanes.reshape(lanes.shape[:1] + (1,) * gap + lanes.shape[1:])
+
+
 class DualVector:
     __slots__ = ("values", "partials")
 
     def __init__(self, values, partials):
-        if values.ndim != 1 or partials.ndim != 2:
-            raise ValueError("values must be 1-D and partials 2-D")
-        if partials.shape[1] != values.shape[0]:
+        if values.ndim < 1 or partials.shape[1:] != values.shape:
             raise ValueError(
-                f"partials shape {partials.shape} does not match {values.shape[0]} components"
+                f"partials shape {partials.shape} does not match values shape "
+                f"{values.shape}: expected (lanes,) + values shape, at least 1-D values"
             )
         self.values = values
         self.partials = partials
 
     @property
+    def shape(self):
+        """Component shape: the partials' shape without the lane axis."""
+        return self.partials.shape[1:]
+
+    @property
+    def ndim(self):
+        return len(self.shape)
+
+    @property
     def n_lanes(self):
         return self.partials.shape[0]
 
+    def _scalar(self, values, partials):
+        """Result with no component axis left: a scalar dual."""
+        return Dual(values, Partials(partials))
+
+    def _part(self, values, partials):
+        """Index or reduction result: a vector, or a scalar without component axes."""
+        if partials.ndim == 1:
+            return self._scalar(values, partials)
+        return type(self)(values, partials)
+
+    def reshape(self, shape):
+        """The same duals with component shape ``shape``; lanes stay first."""
+        shape = tuple(shape)
+        return type(self)(
+            self.values.reshape(shape),
+            self.partials.reshape(self.partials.shape[:1] + shape),
+        )
+
     def __len__(self):
-        return self.values.shape[0]
+        return self.shape[0]
 
     def __getitem__(self, idx):
-        if isinstance(idx, (int, np.integer)):
-            return Dual(self.values[idx], Partials(self.partials[:, idx]))
-        return DualVector(self.values[idx], self.partials[:, idx])
+        lanes = (slice(None),) + (idx if isinstance(idx, tuple) else (idx,))
+        return self._part(self.values[idx], self.partials[lanes])
 
     def __iter__(self):
         for i in range(len(self)):
             yield self[i]
 
     def __repr__(self):
-        return (
-            f"DualVector(k={len(self)}, lanes={self.n_lanes}, "
-            f"dtype={self.values.dtype})"
-        )
+        return f"{type(self).__name__}(shape={self.shape}, lanes={self.n_lanes})"
 
     # ------------------------------------------------------------------
     # operand handling: dual-like operands contribute lanes, anything
     # else (scalars, plain arrays) is a constant with zero lanes
     # ------------------------------------------------------------------
 
-    def _lanes_of(self, other):
-        if isinstance(other, DualVector):
-            if other.n_lanes != self.n_lanes:
-                raise ValueError(
-                    f"lane count mismatch: {self.n_lanes} vs {other.n_lanes}"
-                )
-            return other.values, other.partials
-        if isinstance(other, Dual):
-            if len(other.partials) != self.n_lanes:
-                raise ValueError(
-                    f"lane count mismatch: {self.n_lanes} vs {len(other.partials)}"
-                )
-            col = np.asarray(other.partials, dtype=self.partials.dtype)
-            return other.value, col[:, None]
-        return other, None
+    def _operands(self, other):
+        """(own lanes, other's values, other's lanes) for a binary rule.
+
+        Other's lanes are None for a constant.  Lane blocks of different
+        component rank get singleton axes after the lane axis, so that
+        (M, N, k) lanes combine with (M, k) lanes as (M, 1, k).  Scalar
+        ``Dual`` operands join first-order vectors only.
+        """
+        sp = self.partials
+        if type(other) is type(self):
+            ov, op = other.values, other.partials
+        elif isinstance(other, Dual) and type(self) is DualVector:
+            ov, op = other.value, np.asarray(other.partials, dtype=sp.dtype)
+        elif isinstance(other, (Dual, DualVector, NestedDualVector)):
+            raise TypeError(
+                f"cannot combine {type(self).__name__} with {type(other).__name__}: "
+                "operands of different nesting depth"
+            )
+        else:
+            return sp, other, None
+        if op.shape[0] != sp.shape[0]:
+            raise ValueError(f"lane count mismatch: {sp.shape[0]} vs {op.shape[0]}")
+        gap = sp.ndim - op.ndim
+        if gap > 0:
+            op = _widen(op, gap)
+        elif gap < 0:
+            sp = _widen(sp, -gap)
+        return sp, ov, op
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -107,99 +154,85 @@ class DualVector:
 
     @_quiet
     def __add__(self, other):
-        ov, op = self._lanes_of(other)
+        sp, ov, op = self._operands(other)
         if op is None:
-            return DualVector(self.values + ov, self.partials)
-        return DualVector(self.values + ov, self.partials + op)
+            return type(self)(self.values + ov, sp)
+        return type(self)(self.values + ov, sp + op)
 
     __radd__ = __add__
 
     @_quiet
     def __sub__(self, other):
-        ov, op = self._lanes_of(other)
+        sp, ov, op = self._operands(other)
         if op is None:
-            return DualVector(self.values - ov, self.partials)
-        return DualVector(self.values - ov, self.partials - op)
+            return type(self)(self.values - ov, sp)
+        return type(self)(self.values - ov, sp - op)
 
     @_quiet
     def __rsub__(self, other):
-        ov, op = self._lanes_of(other)
+        sp, ov, op = self._operands(other)
         if op is None:
-            return DualVector(ov - self.values, -self.partials)
-        return DualVector(ov - self.values, op - self.partials)
+            return type(self)(ov - self.values, -sp)
+        return type(self)(ov - self.values, op - sp)
 
     @_quiet
     def __mul__(self, other):
-        ov, op = self._lanes_of(other)
+        sp, ov, op = self._operands(other)
         if op is None:
-            return DualVector(self.values * ov, self.partials * ov)
-        return DualVector(
-            self.values * ov, self.partials * ov + op * self.values
-        )
+            return type(self)(self.values * ov, sp * ov)
+        return type(self)(self.values * ov, sp * ov + op * self.values)
 
     __rmul__ = __mul__
 
     @_quiet
     def __truediv__(self, other):
-        ov, op = self._lanes_of(other)
+        sp, ov, op = self._operands(other)
         if op is None:
-            return DualVector(
-                np.true_divide(self.values, ov),
-                np.true_divide(self.partials, ov),
-            )
-        num = self.partials * ov - op * self.values
-        return DualVector(
-            np.true_divide(self.values, ov),
-            np.true_divide(num, ov * ov),
-        )
+            return type(self)(np.true_divide(self.values, ov), np.true_divide(sp, ov))
+        num = sp * ov - op * self.values
+        return type(self)(np.true_divide(self.values, ov), np.true_divide(num, ov * ov))
 
     @_quiet
     def __rtruediv__(self, other):
-        ov, op = self._lanes_of(other)
+        sp, ov, op = self._operands(other)
+        vv = self.values * self.values
         if op is None:
-            vv = self.values * self.values
-            return DualVector(
-                np.true_divide(ov, self.values),
-                np.true_divide(self.partials * (-ov), vv),
-            )
-        num = op * self.values - self.partials * ov
-        return DualVector(
-            np.true_divide(ov, self.values),
-            np.true_divide(num, self.values * self.values),
-        )
+            return type(self)(np.true_divide(ov, self.values), np.true_divide(sp * (-ov), vv))
+        num = op * self.values - sp * ov
+        return type(self)(np.true_divide(ov, self.values), np.true_divide(num, vv))
 
     def __neg__(self):
-        return DualVector(-self.values, -self.partials)
+        return type(self)(-self.values, -self.partials)
 
     def __pos__(self):
         return self
 
     @_quiet
     def __pow__(self, p):
-        if isinstance(p, (Dual, DualVector)):
+        if isinstance(p, (Dual, DualVector, NestedDualVector)):
             raise TypeError(
                 "dual exponents are not supported; the exponent must be a plain scalar"
             )
         if not isinstance(p, _PLAIN):
             return NotImplemented
         if p == 0:
-            return DualVector(self.values**0, 0.0 * self.partials)
+            return type(self)(self.values**0, 0.0 * self.partials)
         if p == 1:
             return self
         if p == 2:
             return self.square()
         coeff = p * np.power(self.values, p - 1)
-        return DualVector(np.power(self.values, p), self.partials * coeff)
+        return type(self)(np.power(self.values, p), self.partials * coeff)
 
     def __rpow__(self, base):
         return NotImplemented
 
     @_quiet
     def __abs__(self):
-        return DualVector(np.abs(self.values), self.partials * np.sign(self.values))
+        return type(self)(np.abs(self.values), self.partials * np.sign(self.values))
 
     def sign(self):
-        return DualVector(np.sign(self.values), 0.0 * self.partials)
+        return type(self)(np.sign(self.values), 0.0 * self.partials)
 
     # ------------------------------------------------------------------
     # elementary functions: value = f(x), lanes scaled by f'(x)
@@ -207,63 +240,66 @@ class DualVector:
 
     @_quiet
     def sin(self):
-        return DualVector(np.sin(self.values), self.partials * np.cos(self.values))
+        return type(self)(np.sin(self.values), self.partials * np.cos(self.values))
 
     @_quiet
     def cos(self):
-        return DualVector(np.cos(self.values), self.partials * (-np.sin(self.values)))
+        return type(self)(np.cos(self.values), self.partials * (-np.sin(self.values)))
 
     @_quiet
     def tan(self):
         c = np.cos(self.values)
         coeff = np.true_divide(1.0, c * c)
-        return DualVector(np.tan(self.values), self.partials * coeff)
+        return type(self)(np.tan(self.values), self.partials * coeff)
 
     @_quiet
     def exp(self):
         e = np.exp(self.values)
-        return DualVector(e, self.partials * e)
+        return type(self)(e, self.partials * e)
 
     @_quiet
     def log(self):
         v = np.log(self.values)
-        coeff = np.true_divide(1.0, self.values)
-        # negative inputs: keep the lanes non-finite, not just the value
-        coeff = np.where(self.values < 0, np.nan, coeff)
-        return DualVector(v, self.partials * coeff)
+        # negative inputs: keep the lanes non-finite, not just the value.  The
+        # NaN/1.0 factor leaves other entries bitwise unchanged and scales a
+        # coefficient of any dual kind; [()] turns a scalar's 0-d mask into
+        # a numpy scalar, which scalar duals accept.
+        coeff = np.true_divide(1.0, self.values) * np.where(self.values < 0, np.nan, 1.0)[()]
+        return type(self)(v, self.partials * coeff)
 
     @_quiet
     def sqrt(self):
         s = np.sqrt(self.values)
         coeff = np.true_divide(0.5, s)
-        return DualVector(s, self.partials * coeff)
+        return type(self)(s, self.partials * coeff)
 
     @_quiet
     def square(self):
-        return DualVector(self.values * self.values, self.partials * (2.0 * self.values))
+        return type(self)(self.values * self.values, self.partials * (2.0 * self.values))
 
     # ------------------------------------------------------------------
-    # reductions (collapse the component axis, keep the lanes)
+    # reductions: collapse the last component axis, keep the lanes; a
+    # vector with one component axis reduces to a scalar
     # ------------------------------------------------------------------
 
     @_quiet
     def sum(self, axis=None, dtype=None, out=None, **kwargs):
-        if axis is not None or out is not None:
-            raise ValueError("DualVector.sum reduces all components; axis/out unsupported")
-        return Dual(self.values.sum(), Partials(self.partials.sum(axis=1)))
+        if axis not in (None, -1) or out is not None:
+            raise ValueError("DualVector.sum reduces the last component axis; axis/out unsupported")
+        return self._part(self.values.sum(axis=-1), self.partials.sum(axis=-1))
 
     @_quiet
     def mean(self, axis=None, dtype=None, out=None, **kwargs):
-        if axis is not None or out is not None:
-            raise ValueError("DualVector.mean reduces all components; axis/out unsupported")
-        return Dual(self.values.mean(), Partials(self.partials.mean(axis=1)))
+        if axis not in (None, -1) or out is not None:
+            raise ValueError("DualVector.mean reduces the last component axis; axis/out unsupported")
+        return self._part(self.values.mean(axis=-1), self.partials.mean(axis=-1))
 
     # ------------------------------------------------------------------
     # comparisons: value channel only, elementwise
     # ------------------------------------------------------------------
 
     def _cmp_values(self, other):
-        if isinstance(other, DualVector):
+        if isinstance(other, (DualVector, NestedDualVector)):
             return other.values
         if isinstance(other, Dual):
             return other.value
@@ -282,12 +318,12 @@ class DualVector:
         return self.values >= self._cmp_values(other)
 
     def __eq__(self, other):
-        if not isinstance(other, (DualVector, Dual) + _PLAIN + (np.ndarray,)):
+        if not isinstance(other, _COMPARABLE):
             return NotImplemented
         return self.values == self._cmp_values(other)
 
     def __ne__(self, other):
-        if not isinstance(other, (DualVector, Dual) + _PLAIN + (np.ndarray,)):
+        if not isinstance(other, _COMPARABLE):
             return NotImplemented
         return self.values != self._cmp_values(other)
 
@@ -308,6 +344,44 @@ class DualVector:
             return getattr(self, rev)(a)
         return NotImplemented
 
+
+class NestedDualVector:
+    """Higher-order DualVector whose ``values`` and ``partials`` are duals.
+
+    ``values`` is a vector one nesting level down with component shape
+    ``S``, and ``partials`` one with component shape ``(n_lanes,) + S``.
+    A NestedDualVector without component axes (``S == ()``, from indexing
+    or a full reduction) is the nested scalar: its ``values`` is a scalar
+    of the level below.  The drivers build these inputs; target functions
+    use them exactly like DualVectors.
+    """
+
+    __slots__ = ("values", "partials")
+
+    def __init__(self, values, partials):
+        self.values = values
+        self.partials = partials
+
+    def _scalar(self, values, partials):
+        return NestedDualVector(values, partials)
+
+
+def _shared(name):
+    # Looked up on every call, so that a wrapper installed on a DualVector
+    # method (a profiler or an op counter) also sees the nested calls.
+    def rule(self, *args, **kwargs):
+        return getattr(DualVector, name)(self, *args, **kwargs)
+
+    rule.__name__ = rule.__qualname__ = name
+    return rule
+
+
+for _name, _attr in list(vars(DualVector).items()):
+    if _name not in vars(NestedDualVector):
+        setattr(NestedDualVector, _name, _shared(_name) if callable(_attr) else _attr)
+del _name, _attr
+
+_COMPARABLE = (DualVector, NestedDualVector, Dual, np.ndarray) + _PLAIN
 
 _UNARY_UFUNCS = {
     np.sin: "sin",

@@ -2,20 +2,27 @@
 Hessians, third-order tensors, threading."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 import checks
+import dualgrad
 from dualgrad import (
     ChunkConfig,
     Dual,
     EvalCounter,
+    ImpureTargetError,
     ackley,
     cos,
     derivative,
     exp,
     fd_gradient,
+    log,
     gradient,
     gradient_threaded,
     hessian,
@@ -66,6 +73,26 @@ def test_chunk_config_validation():
     assert ChunkConfig().resolve(20) == 8  # default heuristic min(k, 8)
     assert ChunkConfig().resolve(3) == 3
     assert ChunkConfig(100).resolve(10) == 10  # oversized chunks clamp to k
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ChunkConfig(chunk_size=2.5),
+        lambda: ChunkConfig(chunk_size=True),
+        lambda: ChunkConfig(threads=1.5),
+        lambda: ChunkConfig(threads=0),
+        lambda: hessian(rosenbrock, np.ones(3), outer_chunk=2.5),
+        lambda: hessian(rosenbrock, np.ones(3), outer_chunk=0),
+        lambda: hessian(rosenbrock, np.ones(3), inner_chunk="2"),
+        lambda: third_order_tensor(rosenbrock, np.ones(3), chunks=(0, 0, 0)),
+        lambda: third_order_tensor(rosenbrock, np.ones(3), chunks=(1, 2)),
+        lambda: third_order_tensor(rosenbrock, np.ones(3), chunks=(1, 2.0, 1)),
+    ],
+)
+def test_bad_chunk_and_thread_arguments_raise_value_error(call):
+    with pytest.raises(ValueError, match="must be"):
+        call()
 
 
 def test_empty_input_is_an_error():
@@ -120,8 +147,49 @@ def test_impure_target_function_is_caught():
         calls.append(1)
         return np.sum(x**2) + len(calls)  # value channel drifts between passes
 
-    with pytest.raises(AssertionError, match="impure"):
+    with pytest.raises(ImpureTargetError, match="pass 0 gave 5.0, pass 1 gave 6.0"):
         gradient(impure, np.ones(4), ChunkConfig(2))
+
+
+def test_hessian_purity_check_covers_every_pass():
+    calls = []
+
+    def impure(x):
+        calls.append(1)
+        return np.sum(x**2) + len(calls)
+
+    # one pass per outer block: only a check across blocks can see the drift
+    with pytest.raises(ImpureTargetError, match="pass 1"):
+        hessian(impure, np.ones(3), outer_chunk=1, inner_chunk=3)
+
+
+def test_purity_check_runs_under_python_O():
+    script = textwrap.dedent(
+        """
+        import numpy as np
+        from dualgrad import ChunkConfig, ImpureTargetError, gradient, hessian
+
+        for run in (lambda f: gradient(f, np.ones(4), ChunkConfig(2)),
+                    lambda f: hessian(f, np.ones(3), 1, 3)):
+            calls = []
+            def impure(x):
+                calls.append(1)
+                return np.sum(x**2) + len(calls)
+            try:
+                run(impure)
+            except ImpureTargetError as exc:
+                print("caught:", exc)
+            else:
+                raise SystemExit("impure target went undetected")
+        """
+    )
+    src = os.path.dirname(os.path.dirname(dualgrad.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.count("caught:") == 2
 
 
 def test_loop_style_target_functions_work():
@@ -256,6 +324,19 @@ def test_hessian_with_constant_couplings():
     res = hessian(lambda x: x[0] * x[1] + x[1], [3.0, 4.0], outer_chunk=1, inner_chunk=1)
     assert res.entries.tolist() == [[0.0, 1.0], [1.0, 0.0]]
     assert res.gradient.tolist() == [4.0, 4.0]
+
+
+def test_hessian_of_vector_minus_its_mean():
+    # a vector combined with a reduction of itself: f = sum((x - mean x)^2)
+    x = np.array([0.3, -1.2, 2.5, 0.9])
+    res = hessian(lambda v: np.sum((v - v.mean()) ** 2), x, outer_chunk=3, inner_chunk=2)
+    want = 2.0 * (np.eye(4) - np.ones((4, 4)) / 4)
+    assert np.max(np.abs(res.entries - want)) <= 1e-14
+
+
+def test_hessian_out_of_domain_entry_is_nonfinite():
+    res = hessian(lambda v: np.sum(log(v)), [0.3, -0.7, 1.1])
+    assert not math.isfinite(res.entries[1, 1])
 
 
 def test_hessian_of_transcendental_product():

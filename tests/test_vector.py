@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dualgrad import Dual, DualVector, Partials, seed_unit
+from dualgrad import Dual, DualVector, NestedDualVector, Partials, seed_unit
 
 
 def seeded(values, n=None):
@@ -184,3 +184,109 @@ def test_powers_and_edge_exponents():
     assert half.partials[1, 1] == 0.25
     with pytest.raises(TypeError):
         dv ** Dual(1.0, (1.0, 0.0))
+
+
+# ----------------------------------------------------------------------
+# component shapes of any rank, and the nested vector
+# ----------------------------------------------------------------------
+
+
+def test_lane_blocks_of_different_rank_align_after_the_lane_axis():
+    rng = np.random.default_rng(2)
+    wide = DualVector(rng.uniform(1, 2, (3, 5)), rng.uniform(-1, 1, (2, 3, 5)))
+    flat = DualVector(rng.uniform(1, 2, 5), rng.uniform(-1, 1, (2, 5)))
+    for out in (wide * flat, flat * wide):
+        assert out.shape == (3, 5) and out.partials.shape == (2, 3, 5)
+        for r in range(3):
+            row = DualVector(wide.values[r], wide.partials[:, r])
+            want = row * flat
+            assert np.array_equal(out.values[r], want.values)
+            assert np.array_equal(out.partials[:, r], want.partials)
+
+
+def test_reductions_collapse_the_last_component_axis():
+    dv = DualVector(np.arange(6.0).reshape(2, 3), np.ones((4, 2, 3)))
+    total = dv.sum()
+    assert isinstance(total, DualVector) and total.shape == (2,)
+    assert total.values.tolist() == [3.0, 12.0]
+    assert total.partials.shape == (4, 2)
+    assert isinstance(total.sum(), Dual)
+    assert isinstance(dv[0], DualVector) and dv[0].shape == (3,)
+
+
+def nested_seeded(x):
+    """x with unit lanes at both levels: NestedDualVector and scalar-Dual forms."""
+    k = len(x)
+    eye = np.eye(k)
+    nested = NestedDualVector(DualVector(x, eye), DualVector(eye, np.zeros((k, k, k))))
+    scalars = [
+        Dual(Dual(float(x[i]), eye[i]), [Dual(eye[j, i], np.zeros(k)) for j in range(k)])
+        for i in range(k)
+    ]
+    return nested, scalars
+
+
+def same_as_scalar(nested, scalar):
+    """Every channel of a nested scalar equals that of a nested scalar Dual."""
+    assert isinstance(nested, NestedDualVector) and nested.shape == ()
+    assert nested.values.value == scalar.value.value
+    assert tuple(nested.values.partials) == tuple(scalar.value.partials)
+    assert nested.partials.values.tolist() == [p.value for p in scalar.partials]
+    second = [[p.partials[m] for p in scalar.partials] for m in range(len(scalar.partials))]
+    assert nested.partials.partials.tolist() == second
+
+
+UNARY = {
+    "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp, "log": np.log,
+    "sqrt": np.sqrt, "square": np.square, "abs": abs, "neg": lambda a: -a,
+    "cube": lambda a: a**3, "root": lambda a: a**0.5, "rdiv": lambda a: 2.0 / a,
+    "affine": lambda a: 1.0 - 3.0 * a,
+}
+BINARY = {
+    "add": lambda a, b: a + b, "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b, "div": lambda a, b: a / b,
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNARY))
+def test_nested_vector_unary_rules_match_nested_scalar_duals(name):
+    rule = UNARY[name]
+    nested, scalars = nested_seeded(np.array([0.4, 1.3, 0.7]))
+    out = rule(nested)
+    for i, d in enumerate(scalars):
+        same_as_scalar(out[i], rule(d))
+
+
+@pytest.mark.parametrize("name", sorted(BINARY))
+def test_nested_vector_binary_rules_match_nested_scalar_duals(name):
+    rule = BINARY[name]
+    nested, scalars = nested_seeded(np.array([0.4, 1.3, 0.7]))
+    left, right = rule(nested, nested[1]), rule(nested[1], nested)
+    both = rule(nested, nested[::-1])
+    for i, d in enumerate(scalars):
+        same_as_scalar(left[i], rule(d, scalars[1]))
+        same_as_scalar(right[i], rule(scalars[1], d))
+        same_as_scalar(both[i], rule(d, scalars[2 - i]))
+
+
+def test_nested_reductions_and_indexing_give_nested_scalars():
+    nested, scalars = nested_seeded(np.array([0.4, 1.3, 0.7]))
+    same_as_scalar(nested[1], scalars[1])
+    same_as_scalar(nested.sum(), sum(scalars[1:], scalars[0]))
+    centred = np.sum((nested - nested.mean()) ** 2)
+    want = 2.0 * (np.eye(3) - 1.0 / 3.0)
+    assert np.max(np.abs(centred.partials.partials - want)) <= 1e-15
+
+
+def test_nested_vector_reuses_the_dualvector_rules(monkeypatch):
+    calls = []
+    original = DualVector.sin
+
+    def counted(self):
+        calls.append(type(self))
+        return original(self)
+
+    monkeypatch.setattr(DualVector, "sin", counted)
+    nested, _ = nested_seeded(np.array([0.4, 1.3]))
+    np.sin(nested)
+    assert calls[0] is NestedDualVector and DualVector in calls[1:]
