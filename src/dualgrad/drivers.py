@@ -17,6 +17,12 @@ and ceil(k/M) * ceil(k/N) passes fill all of it; the third-order tensor
 adds one more nesting level.  Every level is float64 arrays, and one pass
 loop and one seeding helper serve all orders.
 
+Every evaluation of the target runs under ``np.errstate(all="ignore")``:
+out-of-domain points give inf/nan derivatives and never warn, in worker
+threads too (numpy's error state is per thread, so each pass enters its
+own).  Outside a driver, dual arithmetic follows numpy's current error
+state like ndarray arithmetic does.
+
 All drivers require a pure target function: same input, same output.
 Every pass's value channel is compared with the first pass's, and a
 difference raises ImpureTargetError.  The threaded scheduler additionally
@@ -54,8 +60,11 @@ __all__ = [
     "third_order_tensor",
 ]
 
-# Gains from wider chunks flatten after a handful of lanes while the
-# per-dual footprint keeps growing, so the default stays small.
+# Wider chunks mean fewer passes, but the lane block of every
+# intermediate grows with them, and where widening stops paying depends on
+# the target.  On a 2-CPU x86 host, Ackley at k=1000 ran 1.6x faster at
+# N=16 than at N=8 (and slower again at N=32), while Rosenbrock at k=12000
+# ran 10% slower at N=8 than at N=4.  8 is a middle value, not an optimum.
 DEFAULT_CHUNK_LIMIT = 8
 
 
@@ -162,7 +171,8 @@ class EvalCounter:
 
 def derivative(f, x):
     """First derivative of a scalar function at x via a single-lane dual."""
-    y = f(Dual(x, (1.0,)))
+    with np.errstate(all="ignore"):
+        y = f(Dual(x, (1.0,)))
     if isinstance(y, Dual):
         return float(base_value(y.partials[0]))
     return 0.0
@@ -175,7 +185,8 @@ def second_derivative(f, x):
     partial-of-partial of the result.
     """
     d = Dual(Dual(x, (1.0,)), (Dual(1.0, (0.0,)),))
-    y = f(d)
+    with np.errstate(all="ignore"):
+        y = f(d)
     return float(base_value(_lane(_lane(y, 0), 0)))
 
 
@@ -304,7 +315,9 @@ def _passes(f, x, chunks, threads=1):
     def run(p):
         blocks = combos[p]
         widths = tuple(b.stop - b.start for b in blocks)
-        value, first, top = _scalar_output(f(_seeded(x, blocks)), widths)
+        # numpy's error state is per thread, so each worker enters its own
+        with np.errstate(all="ignore"):
+            value, first, top = _scalar_output(f(_seeded(x, blocks)), widths)
         f_values[p] = value
         grad[blocks[-1]] = first
         entries[blocks] = top
@@ -358,9 +371,16 @@ def gradient_threaded(f, x, cfg=None):
 # ----------------------------------------------------------------------
 
 
+def _check_lanes(n_lanes, width):
+    """Raise ValueError unless a result carries the ``width`` lanes its pass seeded."""
+    if n_lanes != width:
+        raise ValueError(f"target function returned {n_lanes} lanes, expected {width}")
+
+
 def _vector_output(y, width):
     """(values, lane rows) of a vector-valued target-function result."""
     if isinstance(y, DualVector):
+        _check_lanes(y.n_lanes, width)
         return np.asarray(y.values, dtype=np.float64), np.asarray(
             y.partials, dtype=np.float64
         )
@@ -369,6 +389,7 @@ def _vector_output(y, width):
     lanes = np.zeros((width, len(comps)))
     for i, c in enumerate(comps):
         if isinstance(c, Dual):
+            _check_lanes(len(c.partials), width)
             lanes[:, i] = np.asarray(c.partials, dtype=np.float64)
     return values, lanes
 
@@ -382,7 +403,8 @@ def jacobian(f, x, cfg=None):
     f_value = None
     for block in _blocks(k, cfg.resolve(k)):
         width = block.stop - block.start
-        values, lanes = _vector_output(f(_seeded(x, [block])), width)
+        with np.errstate(all="ignore"):
+            values, lanes = _vector_output(f(_seeded(x, [block])), width)
         if entries is None:
             entries = np.empty((values.shape[0], k))
             f_value = values
@@ -391,7 +413,7 @@ def jacobian(f, x, cfg=None):
                 f"target function changed output length between passes: "
                 f"{entries.shape[0]} then {values.shape[0]}"
             )
-        entries[:, block] = lanes[:width].T
+        entries[:, block] = lanes.T
     return JacobianResult(entries, f_value)
 
 

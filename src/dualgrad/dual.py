@@ -10,12 +10,14 @@ The element scalar is generic: a lane entry or a value may itself be a
 (hyper-dual behaviour).  Float leaves follow IEEE semantics throughout:
 division by zero, log of a negative number and similar domain violations
 produce inf/nan instead of raising, so out-of-domain derivatives are
-visibly non-finite rather than silently wrong.
+visibly non-finite rather than silently wrong.  Whether they also warn is
+up to numpy's current error state, as for ``ndarray`` arithmetic: the
+rules set none of their own.  The drivers set it to ignore around each
+evaluation of the target, so they never warn.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -40,26 +42,12 @@ __all__ = [
 _PLAIN = (int, float, np.integer, np.floating)
 
 
-def _quiet(fn):
-    """Run an operation with IEEE warnings suppressed; inf/nan still flow."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        with np.errstate(all="ignore"):
-            return fn(*args, **kwargs)
-
-    return wrapper
-
-
 def _ieee_div(a, b):
-    """Leaf division that yields inf/nan instead of ZeroDivisionError."""
-    if isinstance(a, Dual) or isinstance(b, Dual):
+    """Division that yields inf/nan instead of ZeroDivisionError (raised only by float leaves)."""
+    try:
         return a / b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        try:
-            return a / b
-        except ZeroDivisionError:
-            return np.divide(np.float64(a), np.float64(b))
+    except ZeroDivisionError:
+        return np.divide(np.float64(a), np.float64(b))
 
 
 class Partials(tuple):
@@ -131,7 +119,6 @@ class Dual:
     # arithmetic
     # ------------------------------------------------------------------
 
-    @_quiet
     def __add__(self, other):
         if isinstance(other, Dual):
             return Dual(self.value + other.value, self.partials + other.partials)
@@ -141,7 +128,6 @@ class Dual:
 
     __radd__ = __add__
 
-    @_quiet
     def __sub__(self, other):
         if isinstance(other, Dual):
             return Dual(self.value - other.value, self.partials - other.partials)
@@ -149,13 +135,11 @@ class Dual:
             return Dual(self.value - other, self.partials)
         return NotImplemented
 
-    @_quiet
     def __rsub__(self, other):
         if isinstance(other, _PLAIN):
             return Dual(other - self.value, -self.partials)
         return NotImplemented
 
-    @_quiet
     def __mul__(self, other):
         if isinstance(other, Dual):
             return Dual(
@@ -168,7 +152,6 @@ class Dual:
 
     __rmul__ = __mul__
 
-    @_quiet
     def __truediv__(self, other):
         if isinstance(other, Dual):
             num = other.value * self.partials - self.value * other.partials
@@ -180,7 +163,6 @@ class Dual:
             return Dual(_ieee_div(self.value, other), self.partials / other)
         return NotImplemented
 
-    @_quiet
     def __rtruediv__(self, other):
         if isinstance(other, _PLAIN):
             return Dual(
@@ -195,7 +177,6 @@ class Dual:
     def __pos__(self):
         return self
 
-    @_quiet
     def __pow__(self, p):
         if isinstance(p, Dual):
             raise TypeError(
@@ -215,7 +196,6 @@ class Dual:
     def __rpow__(self, base):
         return NotImplemented
 
-    @_quiet
     def __abs__(self):
         # Derivative convention at exactly 0: subgradient 0, keeping results
         # finite for kinked functions evaluated at the kink.
@@ -232,26 +212,21 @@ class Dual:
     # elementary-function rules: value = f(x), lanes scaled by f'(x)
     # ------------------------------------------------------------------
 
-    @_quiet
     def sin(self):
         return Dual(sin(self.value), cos(self.value) * self.partials)
 
-    @_quiet
     def cos(self):
         return Dual(cos(self.value), (-sin(self.value)) * self.partials)
 
-    @_quiet
     def tan(self):
         c = cos(self.value)
         coeff = _ieee_div(1.0, c * c)
         return Dual(tan(self.value), coeff * self.partials)
 
-    @_quiet
     def exp(self):
         e = exp(self.value)
         return Dual(e, e * self.partials)
 
-    @_quiet
     def log(self):
         v = log(self.value)
         if base_value(self.value) < 0.0:
@@ -259,14 +234,12 @@ class Dual:
             return Dual(v, math.nan * self.partials)
         return Dual(v, _ieee_div(1.0, self.value) * self.partials)
 
-    @_quiet
     def sqrt(self):
         s = sqrt(self.value)
         if base_value(self.value) < 0.0:
             return Dual(s, math.nan * self.partials)
         return Dual(s, _ieee_div(0.5, s) * self.partials)
 
-    @_quiet
     def square(self):
         return Dual(self.value * self.value, (2.0 * self.value) * self.partials)
 
@@ -393,7 +366,7 @@ def base_value(x):
 #
 # These dispatch on the argument: dual kinds (scalar Dual or the vector
 # batch type) go through their propagation rules, everything else falls
-# through to numpy with floating-point warnings suppressed.  Target code
+# through to numpy under the caller's error state.  Target code
 # written against these runs unchanged on plain floats, numpy arrays and
 # duals.
 # ----------------------------------------------------------------------
@@ -424,24 +397,21 @@ def exp(x):
     m = getattr(x, "exp", None)
     if m is not None:
         return m()
-    with np.errstate(over="ignore"):
-        return np.exp(x)
+    return np.exp(x)
 
 
 def log(x):
     m = getattr(x, "log", None)
     if m is not None:
         return m()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.log(x)
+    return np.log(x)
 
 
 def sqrt(x):
     m = getattr(x, "sqrt", None)
     if m is not None:
         return m()
-    with np.errstate(invalid="ignore"):
-        return np.sqrt(x)
+    return np.sqrt(x)
 
 
 def square(x):
@@ -454,8 +424,7 @@ def square(x):
 def _pow(x, p):
     if isinstance(x, Dual):
         return x**p
-    with np.errstate(all="ignore"):
-        return np.power(np.float64(x), p)
+    return np.power(np.float64(x), p)
 
 
 def _sign(x):

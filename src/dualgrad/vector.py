@@ -24,13 +24,12 @@ operators whatever dual kind they hold.
 Instances are immutable by convention; operations never write to their
 operands, so values and lane blocks may be freely shared across results
 and across threads.  Floating-point trouble (division by zero, domain
-violations, overflow) silently propagates inf/nan, matching the scalar
-Dual semantics.
+violations, overflow) propagates inf/nan, matching the scalar Dual
+semantics; whether it also warns follows numpy's current error state,
+which the drivers set to ignore around each pass.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -39,17 +38,6 @@ from .dual import Dual, Partials
 __all__ = ["DualVector", "NestedDualVector"]
 
 _PLAIN = (int, float, np.integer, np.floating)
-
-
-def _quiet(fn):
-    """Run an operation with IEEE warnings suppressed; inf/nan still flow."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        with np.errstate(all="ignore"):
-            return fn(*args, **kwargs)
-
-    return wrapper
 
 
 def _widen(lanes, gap):
@@ -152,7 +140,6 @@ class DualVector:
     # arithmetic
     # ------------------------------------------------------------------
 
-    @_quiet
     def __add__(self, other):
         sp, ov, op = self._operands(other)
         if op is None:
@@ -161,21 +148,18 @@ class DualVector:
 
     __radd__ = __add__
 
-    @_quiet
     def __sub__(self, other):
         sp, ov, op = self._operands(other)
         if op is None:
             return type(self)(self.values - ov, sp)
         return type(self)(self.values - ov, sp - op)
 
-    @_quiet
     def __rsub__(self, other):
         sp, ov, op = self._operands(other)
         if op is None:
             return type(self)(ov - self.values, -sp)
         return type(self)(ov - self.values, op - sp)
 
-    @_quiet
     def __mul__(self, other):
         sp, ov, op = self._operands(other)
         if op is None:
@@ -184,7 +168,6 @@ class DualVector:
 
     __rmul__ = __mul__
 
-    @_quiet
     def __truediv__(self, other):
         sp, ov, op = self._operands(other)
         if op is None:
@@ -192,7 +175,6 @@ class DualVector:
         num = sp * ov - op * self.values
         return type(self)(np.true_divide(self.values, ov), np.true_divide(num, ov * ov))
 
-    @_quiet
     def __rtruediv__(self, other):
         sp, ov, op = self._operands(other)
         vv = self.values * self.values
@@ -207,7 +189,6 @@ class DualVector:
     def __pos__(self):
         return self
 
-    @_quiet
     def __pow__(self, p):
         if isinstance(p, (Dual, DualVector, NestedDualVector)):
             raise TypeError(
@@ -227,7 +208,6 @@ class DualVector:
     def __rpow__(self, base):
         return NotImplemented
 
-    @_quiet
     def __abs__(self):
         return type(self)(np.abs(self.values), self.partials * np.sign(self.values))
 
@@ -238,26 +218,21 @@ class DualVector:
     # elementary functions: value = f(x), lanes scaled by f'(x)
     # ------------------------------------------------------------------
 
-    @_quiet
     def sin(self):
         return type(self)(np.sin(self.values), self.partials * np.cos(self.values))
 
-    @_quiet
     def cos(self):
         return type(self)(np.cos(self.values), self.partials * (-np.sin(self.values)))
 
-    @_quiet
     def tan(self):
         c = np.cos(self.values)
         coeff = np.true_divide(1.0, c * c)
         return type(self)(np.tan(self.values), self.partials * coeff)
 
-    @_quiet
     def exp(self):
         e = np.exp(self.values)
         return type(self)(e, self.partials * e)
 
-    @_quiet
     def log(self):
         v = np.log(self.values)
         # negative inputs: keep the lanes non-finite, not just the value.  The
@@ -267,13 +242,11 @@ class DualVector:
         coeff = np.true_divide(1.0, self.values) * np.where(self.values < 0, np.nan, 1.0)[()]
         return type(self)(v, self.partials * coeff)
 
-    @_quiet
     def sqrt(self):
         s = np.sqrt(self.values)
         coeff = np.true_divide(0.5, s)
         return type(self)(s, self.partials * coeff)
 
-    @_quiet
     def square(self):
         return type(self)(self.values * self.values, self.partials * (2.0 * self.values))
 
@@ -282,17 +255,17 @@ class DualVector:
     # vector with one component axis reduces to a scalar
     # ------------------------------------------------------------------
 
-    @_quiet
     def sum(self, axis=None, dtype=None, out=None, **kwargs):
         if axis not in (None, -1) or out is not None:
             raise ValueError("DualVector.sum reduces the last component axis; axis/out unsupported")
         return self._part(self.values.sum(axis=-1), self.partials.sum(axis=-1))
 
-    @_quiet
     def mean(self, axis=None, dtype=None, out=None, **kwargs):
         if axis not in (None, -1) or out is not None:
             raise ValueError("DualVector.mean reduces the last component axis; axis/out unsupported")
-        return self._part(self.values.mean(axis=-1), self.partials.mean(axis=-1))
+        # what numpy's mean computes for float64, bit for bit, without its wrapper
+        n = self.shape[-1]
+        return self._part(self.values.sum(axis=-1) / n, self.partials.sum(axis=-1) / n)
 
     # ------------------------------------------------------------------
     # comparisons: value channel only, elementwise

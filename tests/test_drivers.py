@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import dualgrad
 from dualgrad import (
     ChunkConfig,
     Dual,
+    DualVector,
     EvalCounter,
     ImpureTargetError,
     ackley,
@@ -30,6 +32,7 @@ from dualgrad import (
     rosenbrock,
     second_derivative,
     sin,
+    sqrt,
     square,
     third_order_tensor,
 )
@@ -248,6 +251,19 @@ def test_jacobian_of_constant_map_is_zero():
     assert np.array_equal(res.f_value, np.array([2.0, 3.0]))
 
 
+@pytest.mark.parametrize(
+    "target, actual",
+    [
+        (lambda v: DualVector(v.values, np.concatenate([v.partials, v.partials])), 6),
+        (lambda v: DualVector(v.values, v.partials[:1]), 1),
+    ],
+    ids=["too_many", "too_few"],
+)
+def test_jacobian_rejects_wrong_lane_count(target, actual):
+    with pytest.raises(ValueError, match=f"returned {actual} lanes, expected 3"):
+        jacobian(target, np.ones(4), ChunkConfig(3))
+
+
 def test_jacobian_rejects_inconsistent_output_length():
     calls = []
 
@@ -437,6 +453,104 @@ def test_third_order_matches_symbolic_polynomial_oracle():
 def test_third_order_dimension_cap():
     with pytest.raises(ValueError, match="batch"):
         third_order_tensor(lambda x: np.sum(x**3), np.ones(9))
+
+
+# ----------------------------------------------------------------------
+# IEEE error state: drivers evaluate out-of-domain points silently
+# ----------------------------------------------------------------------
+
+
+def _root_sum(v):
+    return np.sum(np.sqrt(v))
+
+
+_inf, _nan = math.inf, math.nan
+
+
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        (lambda: derivative(log, 0.0), _inf),
+        (lambda: second_derivative(sqrt, -1.0), _nan),
+        (lambda: gradient(_root_sum, [0.0, 1.0, 4.0]).values, [_inf, _nan, _nan]),
+        # three passes over two workers: the last one runs in a worker thread
+        (lambda: gradient(_root_sum, [0.0, 1.0, 4.0], ChunkConfig(1, 2)).values, [_inf, _nan, _nan]),
+        (
+            lambda: jacobian(np.sqrt, [0.0, 1.0, 4.0], ChunkConfig(2)).entries,
+            [[_inf, _nan, _nan], [0.0, 0.5, 0.0], [0.0, 0.0, 0.25]],
+        ),
+        (lambda: hessian(lambda v: np.sum(log(v)), [0.3, -0.7, 1.1]).entries, np.full((3, 3), _nan)),
+        (lambda: hessian(lambda v: np.sum(1.0 / v), [0.0, 2.0]).entries, np.full((2, 2), _nan)),
+        (lambda: third_order_tensor(_root_sum, [0.0, 1.0]), np.full((2, 2, 2), _nan)),
+        (
+            lambda: third_order_tensor(lambda v: np.sum(np.exp(v * v)), [30.0, 1.0], (1, 1, 1)),
+            np.full((2, 2, 2), _nan),
+        ),
+    ],
+    ids=[
+        "derivative",
+        "second_derivative",
+        "gradient",
+        "gradient_threads2",
+        "jacobian",
+        "hessian_log",
+        "hessian_reciprocal",
+        "third_order_sqrt",
+        "third_order_overflow",
+    ],
+)
+def test_drivers_never_warn_at_out_of_domain_points(call, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = call()
+    np.testing.assert_array_equal(got, want)
+
+
+def test_dual_arithmetic_outside_drivers_follows_numpy_error_state():
+    zero = DualVector(np.zeros(2), np.eye(2))
+    with np.errstate(divide="raise"):
+        with pytest.raises(FloatingPointError):
+            1.0 / zero
+    with np.errstate(all="ignore"):
+        assert np.all(np.isinf((1.0 / zero).values))
+
+
+# ----------------------------------------------------------------------
+# object-array fallback: np.asarray on the input runs scalar Dual rules
+# ----------------------------------------------------------------------
+
+
+def _object_target(v):
+    a = np.asarray(v)
+    assert a.dtype == object
+    return np.sum(np.sin(a) * a**2)
+
+
+def _vector_target(v):
+    return np.sum(np.sin(v) * v**2)
+
+
+# k < 8, so numpy sums the float64 lanes in order, as the object loop does
+_FALLBACK_X = np.array([0.3, -1.2, 2.5, 0.9, 1.7, -0.4])
+
+
+@pytest.mark.parametrize("cfg", [ChunkConfig(), ChunkConfig(4), ChunkConfig(1, 2)])
+def test_object_array_fallback_gradient_is_bitwise_equal(cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slow = gradient(_object_target, _FALLBACK_X, cfg)
+    fast = gradient(_vector_target, _FALLBACK_X, cfg)
+    assert slow.values.tobytes() == fast.values.tobytes()
+    assert slow.f_value == fast.f_value
+
+
+def test_object_array_fallback_hessian_is_bitwise_equal():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slow = hessian(_object_target, _FALLBACK_X, 2, 3)
+    fast = hessian(_vector_target, _FALLBACK_X, 2, 3)
+    assert slow.entries.tobytes() == fast.entries.tobytes()
+    assert slow.gradient.tobytes() == fast.gradient.tobytes()
 
 
 # ----------------------------------------------------------------------
