@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
 import math
 import sys
 import time
@@ -108,31 +107,6 @@ class VerifyReport:
         )
 
 
-_allocator_tuned = False
-
-
-def tune_allocator():
-    """Keep big lane buffers inside the malloc arena instead of mmap.
-
-    Gradient passes churn through partials blocks of a few hundred KB; with
-    glibc's default mmap threshold every one of them is a fresh mapping that
-    must be page-faulted in, which dwarfs the arithmetic being timed.  Raising
-    the threshold lets those buffers be recycled.  No-op where unavailable.
-    """
-    global _allocator_tuned
-    if _allocator_tuned:
-        return
-    _allocator_tuned = True
-    try:
-        libc = ctypes.CDLL("libc.so.6")
-        m_trim_threshold = -1
-        m_mmap_threshold = -3
-        libc.mallopt(m_mmap_threshold, 64 * 1024 * 1024)
-        libc.mallopt(m_trim_threshold, 128 * 1024 * 1024)
-    except Exception:
-        pass
-
-
 def input_vector(function, k, seed=DEFAULT_SEED):
     """Seed-stable pseudo-random evaluation point for a target function."""
     lo, hi = _FUNCTIONS[function][2]
@@ -158,7 +132,6 @@ def run_chunk_sweep(function, k, chunks, reps, seed=DEFAULT_SEED, threads=1):
         raise ValueError(f"k must be >= 2, got {k}")
     if any(n < 1 for n in chunks):
         raise ValueError("chunk sizes must be >= 1")
-    tune_allocator()
     f = _FUNCTIONS[function][0]
     x = input_vector(function, k, seed)
     records = []
@@ -176,7 +149,6 @@ def run_size_sweep(function, sizes, chunk, threads, reps, seed=DEFAULT_SEED):
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     if any(k < 2 for k in sizes):
         raise ValueError("sizes must be >= 2")
-    tune_allocator()
     f = _FUNCTIONS[function][0]
     records = []
     for k in sizes:

@@ -23,6 +23,12 @@ threads too (numpy's error state is per thread, so each pass enters its
 own).  Outside a driver, dual arithmetic follows numpy's current error
 state like ndarray arithmetic does.
 
+Each driver call also runs its passes inside a ``pool.lane_pool`` (one
+per worker thread): float64 rule results of at least 64 KiB go into
+buffers reused from earlier passes of the same call, once nothing refers
+to their old contents, instead of fresh allocations that glibc returns to
+the OS and the next pass page-faults in again.
+
 All drivers require a pure target function: same input, same output.
 Every pass's value channel is compared with the first pass's, and a
 difference raises ImpureTargetError.  The threaded scheduler additionally
@@ -41,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import Dual, base_value
+from .pool import lane_pool, pooled_zeros
 from .vector import DualVector, NestedDualVector
 
 __all__ = [
@@ -63,8 +70,12 @@ __all__ = [
 # Wider chunks mean fewer passes, but the lane block of every
 # intermediate grows with them, and where widening stops paying depends on
 # the target.  On a 2-CPU x86 host, Ackley at k=1000 ran 1.6x faster at
-# N=16 than at N=8 (and slower again at N=32), while Rosenbrock at k=12000
-# ran 10% slower at N=8 than at N=4.  8 is a middle value, not an optimum.
+# N=16 than at N=8 (and slower again at N=32).  Rosenbrock at k=12000
+# takes 1.14 s at both N=4 and N=8: its 768 KB lane blocks at N=8 cost no
+# more per lane, because large buffers are reused within a call.  (When
+# every pass page-faulted fresh blocks in, 967 minor faults per pass at
+# N=8 against 343 at N=4 made N=8 14% slower; cache size was not the
+# cause.)  8 is a middle value, not an optimum.
 DEFAULT_CHUNK_LIMIT = 8
 
 
@@ -213,7 +224,7 @@ def _constant(values, widths):
     if not widths:
         return values
     *inner, width = widths
-    zeros = np.zeros((width,) + values.shape)
+    zeros = pooled_zeros((width,) + values.shape)
     return _vector(_constant(values, inner), _constant(zeros, inner))
 
 
@@ -228,7 +239,10 @@ def _seeded(x, blocks):
     widths = []
     for block in blocks:
         width = block.stop - block.start
-        out = _vector(out, _constant(np.eye(width, x.shape[0], block.start), widths))
+        # np.eye(width, k, block.start): ones at (i, block.start + i)
+        unit = pooled_zeros((width, x.shape[0]))
+        unit.reshape(-1)[block.start :: x.shape[0] + 1] = 1.0
+        out = _vector(out, _constant(unit, widths))
         widths.append(width)
     return out
 
@@ -284,8 +298,9 @@ def _run_threaded(run, n_passes, threads):
 
     def work(block):
         try:
-            for p in block:
-                run(p)
+            with lane_pool():
+                for p in block:
+                    run(p)
         except BaseException as exc:  # re-raised after the join barrier
             failures.append(exc)
 
@@ -325,8 +340,9 @@ def _passes(f, x, chunks, threads=1):
     if threads > 1:
         _run_threaded(run, len(combos), threads)
     else:
-        for p in range(len(combos)):
-            run(p)
+        with lane_pool():
+            for p in range(len(combos)):
+                run(p)
     _check_pure(f_values)
     return entries, grad, f_values[0]
 
@@ -401,19 +417,20 @@ def jacobian(f, x, cfg=None):
     k = x.shape[0]
     entries = None
     f_value = None
-    for block in _blocks(k, cfg.resolve(k)):
-        width = block.stop - block.start
-        with np.errstate(all="ignore"):
-            values, lanes = _vector_output(f(_seeded(x, [block])), width)
-        if entries is None:
-            entries = np.empty((values.shape[0], k))
-            f_value = values
-        elif values.shape[0] != entries.shape[0]:
-            raise ValueError(
-                f"target function changed output length between passes: "
-                f"{entries.shape[0]} then {values.shape[0]}"
-            )
-        entries[:, block] = lanes.T
+    with lane_pool():
+        for block in _blocks(k, cfg.resolve(k)):
+            width = block.stop - block.start
+            with np.errstate(all="ignore"):
+                values, lanes = _vector_output(f(_seeded(x, [block])), width)
+            if entries is None:
+                entries = np.empty((values.shape[0], k))
+                f_value = values
+            elif values.shape[0] != entries.shape[0]:
+                raise ValueError(
+                    f"target function changed output length between passes: "
+                    f"{entries.shape[0]} then {values.shape[0]}"
+                )
+            entries[:, block] = lanes.T
     return JacobianResult(entries, f_value)
 
 

@@ -1,0 +1,153 @@
+"""Per-thread pool of large float64 buffers, reused within one driver call.
+
+A gradient pass allocates a fresh lane block for every intermediate.
+Blocks of ``POOL_MIN_BYTES`` and more are the ones glibc hands back to the
+OS when they are freed, so without reuse the next pass page-faults them
+in again: a 3000-component Rosenbrock gradient at chunk 8 took about 140
+minor faults per pass.  The drivers therefore run their passes inside
+``lane_pool()``, and the ``DualVector`` rules write results that large
+through ``pooled``, which hands out a buffer of the same shape that
+nothing outside the pool refers to any more.  ``out=`` gives the same
+values as a fresh ufunc result, so pooling never changes a number.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+import threading
+
+import numpy as np
+
+__all__ = ["POOL_MIN_BYTES", "lane_pool", "pooled", "pooled_zeros"]
+
+# glibc's free() consolidates blocks of this size and larger and trims
+# the heap back to the OS.  Smaller results keep numpy's own allocation.
+POOL_MIN_BYTES = 64 * 1024
+
+# Operands that leave a ufunc on float64 arrays with a float64 result.
+_FLOAT64 = np.dtype(np.float64)
+_POOL_SCALARS = (float, int, np.float64)
+
+
+class _Pool:
+    """One thread's large float64 buffers, handed out again by shape.
+
+    A buffer is reused only when the pool holds the only reference to it,
+    so a result, view or operand that anything else still refers to (a
+    target that stashed it, the interpreter stack mid-expression) is never
+    overwritten.  numpy's temporary elision relies on the same test.
+    """
+
+    def __init__(self, sole):
+        # the count sys.getrefcount reads in take() for a buffer that only
+        # the pool holds
+        self.sole = sole
+        self.buffers = {}
+
+    def take(self, shape):
+        same = self.buffers.get(shape)
+        if same is None:
+            same = self.buffers[shape] = []
+        for buf in same:
+            if sys.getrefcount(buf) == self.sole:
+                return buf
+        buf = np.empty(shape)
+        same.append(buf)
+        return buf
+
+
+def _sole_refcount():
+    """The count ``_Pool.take`` reads for a buffer that only the pool holds.
+
+    Probed through ``take`` itself rather than assumed, so that it matches
+    this interpreter's reference counting.  None, which disables reuse,
+    when the count does not also tell a buffer held elsewhere from a free
+    one, or when threads run without the GIL.
+    """
+    if not getattr(sys, "_is_gil_enabled", lambda: True)():
+        return None
+    for count in range(1, 16):
+        pool = _Pool(count)
+        first = pool.take((1,))
+        del first
+        if pool.take((1,)) is pool.buffers[(1,)][0]:
+            break
+    else:
+        return None
+    held = pool.buffers[(1,)][0]
+    if pool.take((1,)) is held:
+        return None
+    return count
+
+
+_SOLE = _sole_refcount()
+
+
+class _Active(threading.local):
+    pool = None
+
+
+_active = _Active()
+
+
+class lane_pool:
+    """Reuse large float64 buffers in the calling thread until the block exits.
+
+    The drivers enter one per driver call (one per worker thread in the
+    threaded scheduler).  Rule results of at least ``POOL_MIN_BYTES`` are
+    then written into buffers whose earlier results nothing refers to any
+    more; the values are the same as without the pool, bit for bit.  Until
+    the block exits the pool keeps, for each shape, as many buffers as
+    were in use at once.
+    """
+
+    __slots__ = ("outer",)
+
+    def __enter__(self):
+        self.outer = _active.pool
+        _active.pool = None if _SOLE is None else _Pool(_SOLE)
+
+    def __exit__(self, *exc):
+        _active.pool = self.outer
+
+
+def _out_shape(args):
+    """Shape of a large float64 ``ufunc(*args)`` that its first array operand has.
+
+    None (no pooling) unless the first array operand has at least
+    ``POOL_MIN_BYTES``, every array operand is native float64 and shaped
+    like trailing axes of the first, and every other operand is a Python or
+    float64 scalar.
+    """
+    shape = None
+    for a in args:
+        if type(a) is np.ndarray:
+            if shape is None:
+                if a.nbytes < POOL_MIN_BYTES or a.dtype is not _FLOAT64:
+                    return None
+                shape = a.shape
+            elif a.dtype is not _FLOAT64 or a.shape != shape[len(shape) - a.ndim :]:
+                return None
+        elif type(a) not in _POOL_SCALARS:
+            return None
+    return shape
+
+
+def pooled(ufunc, *args):
+    """``ufunc(*args)``, written into a pooled buffer when a pool is active and it is large."""
+    pool = _active.pool
+    shape = None if pool is None else _out_shape(args)
+    if shape is None:
+        return ufunc(*args)
+    return ufunc(*args, out=pool.take(shape))
+
+
+def pooled_zeros(shape):
+    """``np.zeros(shape)``, in a pooled buffer when a pool is active and it is large."""
+    pool = None if math.prod(shape) * 8 < POOL_MIN_BYTES else _active.pool
+    if pool is None:
+        return np.zeros(shape)
+    buf = pool.take(shape)
+    buf.fill(0.0)
+    return buf

@@ -23,7 +23,10 @@ operators whatever dual kind they hold.
 
 Instances are immutable by convention; operations never write to their
 operands, so values and lane blocks may be freely shared across results
-and across threads.  Floating-point trouble (division by zero, domain
+and across threads.  Inside a driver call, float64 rule results of at
+least ``pool.POOL_MIN_BYTES`` go into reused buffers; a buffer is reused
+only when nothing but the pool refers to it, so arrays a target keeps
+are never overwritten.  Floating-point trouble (division by zero, domain
 violations, overflow) propagates inf/nan, matching the scalar Dual
 semantics; whether it also warns follows numpy's current error state,
 which the drivers set to ignore around each pass.
@@ -34,10 +37,14 @@ from __future__ import annotations
 import numpy as np
 
 from .dual import Dual, Partials
+from .pool import POOL_MIN_BYTES, pooled
 
 __all__ = ["DualVector", "NestedDualVector"]
 
 _PLAIN = (int, float, np.integer, np.floating)
+
+# The lanes of first-order vectors; a nested vector's lanes are duals.
+_ndarray = np.ndarray
 
 
 def _widen(lanes, gap):
@@ -64,7 +71,7 @@ class DualVector:
 
     @property
     def ndim(self):
-        return len(self.shape)
+        return self.partials.ndim - 1
 
     @property
     def n_lanes(self):
@@ -127,9 +134,11 @@ class DualVector:
             )
         else:
             return sp, other, None
-        if op.shape[0] != sp.shape[0]:
-            raise ValueError(f"lane count mismatch: {sp.shape[0]} vs {op.shape[0]}")
-        gap = sp.ndim - op.ndim
+        # nested lanes are duals, whose shape is a property: read it once
+        sp_shape, op_shape = sp.shape, op.shape
+        if op_shape[0] != sp_shape[0]:
+            raise ValueError(f"lane count mismatch: {sp_shape[0]} vs {op_shape[0]}")
+        gap = len(sp_shape) - len(op_shape)
         if gap > 0:
             op = _widen(op, gap)
         elif gap < 0:
@@ -137,11 +146,21 @@ class DualVector:
         return sp, ov, op
 
     # ------------------------------------------------------------------
-    # arithmetic
+    # arithmetic.  Each rule has one branch for float64 lane blocks of at
+    # least POOL_MIN_BYTES, which writes its results through pooled(), and
+    # keeps plain operators for smaller and nested lanes, so those pay no
+    # extra call.  Both branches do the same arithmetic in the same order.
     # ------------------------------------------------------------------
+
+    def _chain(self, values, coeff):
+        """Result of a unary rule on large lanes: the lanes scaled by f'(x)."""
+        return type(self)(values, pooled(np.multiply, self.partials, coeff))
 
     def __add__(self, other):
         sp, ov, op = self._operands(other)
+        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
+            lanes = sp if op is None else pooled(np.add, sp, op)
+            return type(self)(pooled(np.add, self.values, ov), lanes)
         if op is None:
             return type(self)(self.values + ov, sp)
         return type(self)(self.values + ov, sp + op)
@@ -150,41 +169,74 @@ class DualVector:
 
     def __sub__(self, other):
         sp, ov, op = self._operands(other)
+        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
+            lanes = sp if op is None else pooled(np.subtract, sp, op)
+            return type(self)(pooled(np.subtract, self.values, ov), lanes)
         if op is None:
             return type(self)(self.values - ov, sp)
         return type(self)(self.values - ov, sp - op)
 
     def __rsub__(self, other):
         sp, ov, op = self._operands(other)
+        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
+            lanes = pooled(np.negative, sp) if op is None else pooled(np.subtract, op, sp)
+            return type(self)(pooled(np.subtract, ov, self.values), lanes)
         if op is None:
             return type(self)(ov - self.values, -sp)
         return type(self)(ov - self.values, op - sp)
 
     def __mul__(self, other):
         sp, ov, op = self._operands(other)
+        v = self.values
+        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
+            lanes = pooled(np.multiply, sp, ov)
+            if op is not None:
+                lanes = pooled(np.add, lanes, pooled(np.multiply, op, v))
+            return type(self)(pooled(np.multiply, v, ov), lanes)
         if op is None:
-            return type(self)(self.values * ov, sp * ov)
-        return type(self)(self.values * ov, sp * ov + op * self.values)
+            return type(self)(v * ov, sp * ov)
+        return type(self)(v * ov, sp * ov + op * v)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         sp, ov, op = self._operands(other)
+        v = self.values
+        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
+            if op is None:
+                lanes = pooled(np.true_divide, sp, ov)
+            else:
+                prods = pooled(np.multiply, sp, ov), pooled(np.multiply, op, v)
+                num = pooled(np.subtract, *prods)
+                lanes = pooled(np.true_divide, num, pooled(np.multiply, ov, ov))
+            return type(self)(pooled(np.true_divide, v, ov), lanes)
         if op is None:
-            return type(self)(np.true_divide(self.values, ov), np.true_divide(sp, ov))
-        num = sp * ov - op * self.values
-        return type(self)(np.true_divide(self.values, ov), np.true_divide(num, ov * ov))
+            return type(self)(np.true_divide(v, ov), np.true_divide(sp, ov))
+        num = sp * ov - op * v
+        return type(self)(np.true_divide(v, ov), np.true_divide(num, ov * ov))
 
     def __rtruediv__(self, other):
         sp, ov, op = self._operands(other)
-        vv = self.values * self.values
+        v = self.values
+        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
+            if op is None:
+                num = pooled(np.multiply, sp, -ov)
+            else:
+                prods = pooled(np.multiply, op, v), pooled(np.multiply, sp, ov)
+                num = pooled(np.subtract, *prods)
+            lanes = pooled(np.true_divide, num, pooled(np.multiply, v, v))
+            return type(self)(pooled(np.true_divide, ov, v), lanes)
+        vv = v * v
         if op is None:
-            return type(self)(np.true_divide(ov, self.values), np.true_divide(sp * (-ov), vv))
-        num = op * self.values - sp * ov
-        return type(self)(np.true_divide(ov, self.values), np.true_divide(num, vv))
+            return type(self)(np.true_divide(ov, v), np.true_divide(sp * (-ov), vv))
+        num = op * v - sp * ov
+        return type(self)(np.true_divide(ov, v), np.true_divide(num, vv))
 
     def __neg__(self):
-        return type(self)(-self.values, -self.partials)
+        sp = self.partials
+        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
+            return type(self)(pooled(np.negative, self.values), pooled(np.negative, sp))
+        return type(self)(-self.values, -sp)
 
     def __pos__(self):
         return self
@@ -197,58 +249,96 @@ class DualVector:
         if not isinstance(p, _PLAIN):
             return NotImplemented
         if p == 0:
-            return type(self)(self.values**0, 0.0 * self.partials)
+            return type(self)(self.values**0, self.sign().partials)
         if p == 1:
             return self
         if p == 2:
             return self.square()
-        coeff = p * np.power(self.values, p - 1)
-        return type(self)(np.power(self.values, p), self.partials * coeff)
+        v, sp = self.values, self.partials
+        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
+            coeff = pooled(np.multiply, p, pooled(np.power, v, p - 1))
+            return self._chain(pooled(np.power, v, p), coeff)
+        coeff = p * np.power(v, p - 1)
+        return type(self)(np.power(v, p), sp * coeff)
 
     def __rpow__(self, base):
         return NotImplemented
 
     def __abs__(self):
-        return type(self)(np.abs(self.values), self.partials * np.sign(self.values))
+        v, sp = self.values, self.partials
+        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
+            return self._chain(pooled(np.absolute, v), pooled(np.sign, v))
+        return type(self)(np.abs(v), sp * np.sign(v))
 
     def sign(self):
-        return type(self)(np.sign(self.values), 0.0 * self.partials)
+        sp = self.partials
+        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
+            return type(self)(pooled(np.sign, self.values), pooled(np.multiply, 0.0, sp))
+        return type(self)(np.sign(self.values), 0.0 * sp)
 
     # ------------------------------------------------------------------
     # elementary functions: value = f(x), lanes scaled by f'(x)
     # ------------------------------------------------------------------
 
     def sin(self):
-        return type(self)(np.sin(self.values), self.partials * np.cos(self.values))
+        v, sp = self.values, self.partials
+        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
+            return self._chain(pooled(np.sin, v), pooled(np.cos, v))
+        return type(self)(np.sin(v), sp * np.cos(v))
 
     def cos(self):
-        return type(self)(np.cos(self.values), self.partials * (-np.sin(self.values)))
+        v, sp = self.values, self.partials
+        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
+            coeff = pooled(np.negative, pooled(np.sin, v))
+            return self._chain(pooled(np.cos, v), coeff)
+        return type(self)(np.cos(v), sp * (-np.sin(v)))
 
     def tan(self):
-        c = np.cos(self.values)
+        v, sp = self.values, self.partials
+        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
+            c = pooled(np.cos, v)
+            coeff = pooled(np.true_divide, 1.0, pooled(np.multiply, c, c))
+            return self._chain(pooled(np.tan, v), coeff)
+        c = np.cos(v)
         coeff = np.true_divide(1.0, c * c)
-        return type(self)(np.tan(self.values), self.partials * coeff)
+        return type(self)(np.tan(v), sp * coeff)
 
     def exp(self):
+        sp = self.partials
+        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
+            e = pooled(np.exp, self.values)
+            return self._chain(e, e)
         e = np.exp(self.values)
-        return type(self)(e, self.partials * e)
+        return type(self)(e, sp * e)
 
     def log(self):
-        v = np.log(self.values)
+        v = self.values
         # negative inputs: keep the lanes non-finite, not just the value.  The
         # NaN/1.0 factor leaves other entries bitwise unchanged and scales a
         # coefficient of any dual kind; [()] turns a scalar's 0-d mask into
         # a numpy scalar, which scalar duals accept.
-        coeff = np.true_divide(1.0, self.values) * np.where(self.values < 0, np.nan, 1.0)[()]
-        return type(self)(v, self.partials * coeff)
+        mask = np.where(v < 0, np.nan, 1.0)[()]
+        sp = self.partials
+        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
+            coeff = pooled(np.multiply, pooled(np.true_divide, 1.0, v), mask)
+            return self._chain(pooled(np.log, v), coeff)
+        coeff = np.true_divide(1.0, v) * mask
+        return type(self)(np.log(v), sp * coeff)
 
     def sqrt(self):
+        sp = self.partials
+        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
+            s = pooled(np.sqrt, self.values)
+            return self._chain(s, pooled(np.true_divide, 0.5, s))
         s = np.sqrt(self.values)
         coeff = np.true_divide(0.5, s)
-        return type(self)(s, self.partials * coeff)
+        return type(self)(s, sp * coeff)
 
     def square(self):
-        return type(self)(self.values * self.values, self.partials * (2.0 * self.values))
+        v, sp = self.values, self.partials
+        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
+            return self._chain(pooled(np.multiply, v, v), pooled(np.multiply, 2.0, v))
+        return type(self)(v * v, sp * (2.0 * v))
 
     # ------------------------------------------------------------------
     # reductions: collapse the last component axis, keep the lanes; a

@@ -27,7 +27,7 @@ from dualgrad import (
     second_derivative,
     sin,
 )
-from dualgrad.bench import run_chunk_sweep, tune_allocator
+from dualgrad.bench import run_chunk_sweep
 
 
 @contextlib.contextmanager
@@ -124,7 +124,6 @@ def test_c6_chunk_trend_at_scale():
         "C6",
         "chunk-size trend at k=12000: N=4 vs N=1 timing ratios",
     ):
-        tune_allocator()
         ratios = {}
         for function, bound in (("ackley", 0.6), ("rosenbrock", 0.9)):
             records = {
@@ -149,7 +148,6 @@ def test_c7_threading_trend_at_scale():
         "C7",
         "4-thread gradient at k=10000, N=10: <= 0.75x serial, bitwise equal",
     ):
-        tune_allocator()
         rng = np.random.default_rng(17)
         x = rng.uniform(-1.0, 1.0, 10000)
 

@@ -1,0 +1,184 @@
+"""Buffer pool of the drivers: large lane blocks reused within one call.
+
+Reuse must never overwrite an array that anything still refers to, and a
+pooled result must equal the unpooled one bit for bit.  The unpooled
+reference runs with reuse switched off (``_SOLE = None``), which is
+what an interpreter whose reference counts cannot be trusted gets.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+
+import numpy as np
+import pytest
+
+import dualgrad
+from dualgrad import ChunkConfig, gradient, hessian, jacobian
+from dualgrad import pool
+from dualgrad.testfns import ackley, rosenbrock
+from dualgrad.pool import POOL_MIN_BYTES, lane_pool
+
+K = 3000  # 8 lanes x 3000 float64 = 192 KB per lane block, above POOL_MIN_BYTES
+
+
+def _point(k, seed=3):
+    return np.random.default_rng(seed).uniform(-2.0, 2.0, k)
+
+
+def _mixed(x):
+    """Every rule with a pooled branch, at out-of-domain points too."""
+    a = np.sin(x) * np.cos(x) + np.tan(x) / (1.5 + x * x) - np.exp(-x)
+    b = np.sqrt(np.abs(x)) + np.log(x) + x**3 + x**0 * np.sign(x) + x**0.5
+    c = 2.0 / (x - 0.3) - x / 2.0 + (1.0 - x) * 3.0 - (-x) ** 2
+    return np.sum(a + b) + np.mean(c * x[::-1]) + np.sum(x / x[::-1])
+
+
+def _unpooled(monkeypatch, call):
+    with monkeypatch.context() as m:
+        m.setattr(pool, "_SOLE", None)
+        return call()
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_stashed_lanes_views_and_intermediates_are_never_overwritten():
+    stash = []
+
+    def stashing(x):
+        head = x[:-1]
+        inner = x[1:] - head * head
+        for arr in (x.partials, head.partials, inner.partials):
+            stash.append((arr, arr.copy()))
+        return rosenbrock(x) + np.sum(inner * 0.0)
+
+    x = _point(K)
+    cfg = ChunkConfig(8)
+    got = gradient(stashing, x, cfg)
+    want = gradient(lambda v: rosenbrock(v) + np.sum((v[1:] - v[:-1] * v[:-1]) * 0.0), x, cfg)
+    assert len(stash) == 3 * (K // 8)
+    assert all(np.array_equal(arr, copy) for arr, copy in stash)
+    assert _same(got.values, want.values) and got.f_value == want.f_value
+
+
+@pytest.mark.parametrize("f", [rosenbrock, ackley, _mixed], ids=["rosenbrock", "ackley", "mixed"])
+def test_pooled_gradients_equal_unpooled_serial_and_threaded(monkeypatch, f):
+    x = _point(K)
+    want = _unpooled(monkeypatch, lambda: gradient(f, x, ChunkConfig(8)))
+    for cfg in (ChunkConfig(8), ChunkConfig(8, 2), ChunkConfig(24, 2)):
+        got = gradient(f, x, cfg)
+        assert _same(got.values, want.values), cfg
+        assert _same(got.f_value, want.f_value)
+
+
+def test_threaded_pools_under_frequent_thread_switches():
+    # more workers than this host has cores, switching threads every few
+    # bytecodes: each worker's pool must only ever see its own buffers
+    x = _point(K)
+    want = gradient(_mixed, x, ChunkConfig(8))
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = gradient(_mixed, x, ChunkConfig(8, 4))
+    finally:
+        sys.setswitchinterval(old)
+    assert _same(got.values, want.values) and _same(got.f_value, want.f_value)
+
+
+def test_pooled_jacobian_equals_unpooled_and_the_gradient(monkeypatch):
+    x = _point(K)
+
+    def vec(v):
+        return np.sin(v) * v[::-1] + np.exp(v) / (2.0 + v) - 1.0 / v
+
+    got = jacobian(vec, x, ChunkConfig(8))
+    want = _unpooled(monkeypatch, lambda: jacobian(vec, x, ChunkConfig(8)))
+    assert _same(got.entries, want.entries) and _same(got.f_value, want.f_value)
+    row = jacobian(lambda v: [rosenbrock(v)], x, ChunkConfig(8)).entries[0]
+    assert _same(row, gradient(rosenbrock, x, ChunkConfig(8)).values)
+
+
+@pytest.mark.parametrize("f", [rosenbrock, ackley], ids=["rosenbrock", "ackley"])
+def test_pooled_hessian_equals_unpooled_and_the_gradient(monkeypatch, f):
+    # 30 x 300 float64 inner lanes (72 KB) and 30 x 30 x 300 nested lanes
+    x = _point(300)
+    got = hessian(f, x, 30, 30)
+    want = _unpooled(monkeypatch, lambda: hessian(f, x, 30, 30))
+    assert _same(got.entries, want.entries)
+    assert _same(got.gradient, gradient(f, x, ChunkConfig(30)).values)
+
+
+def test_a_large_jacobian_value_survives_the_call():
+    # the m = 9000 value array is a pooled buffer that the result keeps
+    x = _point(9000)
+    res = jacobian(lambda v: v * 2.0 + v[::-1], x, ChunkConfig(8))
+    assert np.array_equal(res.f_value, x * 2.0 + x[::-1])
+
+
+def test_sole_refcount_is_probed_through_take():
+    assert pool._sole_refcount() == pool._SOLE is not None
+    buffers = pool._Pool(pool._SOLE)
+    held = buffers.take((POOL_MIN_BYTES,))
+    assert buffers.take((POOL_MIN_BYTES,)) is not held
+    del held
+    assert buffers.take((POOL_MIN_BYTES,)) is buffers.buffers[(POOL_MIN_BYTES,)][0]
+
+
+def test_untrustworthy_refcounts_disable_reuse(monkeypatch):
+    # a refcount that no longer counts the caller's reference must not
+    # let a held buffer look free
+    monkeypatch.setattr(pool.sys, "getrefcount", lambda obj: 2)
+    sole = pool._sole_refcount()
+    monkeypatch.undo()
+    assert sole is None
+    monkeypatch.setattr(pool, "_SOLE", sole)
+    with lane_pool():
+        assert pool._active.pool is None
+
+
+def test_nested_driver_calls_restore_the_outer_pool():
+    x = _point(K)
+    seen = []
+
+    def f(v):
+        seen.append(pool._active.pool)
+        if len(seen) == 1:
+            gradient(rosenbrock, x[:10])
+            seen.append(pool._active.pool)
+        return rosenbrock(v)
+
+    gradient(f, x, ChunkConfig(8))
+    assert seen[0] is not None and seen[1] is seen[0]
+    assert pool._active.pool is None
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc page-fault counts")
+def test_rosenbrock_gradient_does_not_page_fault_every_pass():
+    # a fresh interpreter: frees of large blocks earlier in this process
+    # raise glibc's trim threshold and would hide the faults
+    script = textwrap.dedent(
+        f"""
+        import resource
+        import numpy as np
+        from dualgrad import ChunkConfig, gradient
+        from dualgrad.testfns import rosenbrock
+
+        x = np.random.default_rng(3).uniform(-2.0, 2.0, {K})
+        gradient(rosenbrock, x, ChunkConfig(8))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        gradient(rosenbrock, x, ChunkConfig(8))
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(dualgrad.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    faults, passes = int(done.stdout), -(-K // 8)
+    assert faults / passes < 10, f"{faults} minor faults in {passes} passes"

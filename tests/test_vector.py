@@ -76,7 +76,8 @@ def test_unary_rules_match_scalar(name):
 
 def test_log_rule_matches_scalar_and_guards_domain():
     x = np.array([2.0, -1.0, 0.0])
-    out = np.log(seeded(x))
+    with pytest.warns(RuntimeWarning):  # outside a driver: numpy's error state
+        out = np.log(seeded(x))
     assert out.values[0] == math.log(2.0) and out.partials[0, 0] == 0.5
     assert math.isnan(out.values[1]) and math.isnan(out.partials[1, 1])
     assert math.isinf(out.values[2]) and math.isinf(out.partials[2, 2])
@@ -93,7 +94,8 @@ def test_abs_sign_convention():
 def test_division_by_zero_propagates():
     num = seeded([1.0, 0.0])
     den = DualVector(np.array([0.0, 0.0]), np.zeros((2, 2)))
-    out = num / den
+    with pytest.warns(RuntimeWarning):  # outside a driver: numpy's error state
+        out = num / den
     assert math.isinf(out.values[0]) and math.isnan(out.values[1])
 
 
