@@ -32,9 +32,9 @@ the OS and the next pass page-faults in again.
 All drivers require a pure target function: same input, same output.
 Every pass's value channel is compared with the first pass's, and a
 difference raises ImpureTargetError.  The threaded scheduler additionally
-requires f to be safely callable from several threads at once; each
-worker owns a disjoint slice of the output, so no locking is needed on the
-hot path.
+requires f to be safely callable from several threads at once.  It runs
+pass 0 on the caller and hands the rest of a worker's block back to it
+when the worker runs below break-even; passes write disjoint slices.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from __future__ import annotations
 import itertools
 import numbers
 import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,29 +288,49 @@ def _check_pure(f_values):
 
 
 def _run_threaded(run, n_passes, threads):
-    """run(p) for every pass, split into contiguous blocks over worker threads.
+    """run(p) for every pass: pass 0 on the caller, the rest in static blocks.
 
-    The calling thread works the first block; failures surface after the
-    join barrier.
+    A worker whose passes, timed from the fan-out, average over threads *
+    t(pass 0) hands its block's rest back for the caller to run after the
+    join: all threads together then finish fewer passes per second than
+    the caller alone would.  Passes stop at the first failure, re-raised.
     """
-    n_workers = max(1, min(threads, n_passes))
-    blocks = np.array_split(range(n_passes), n_workers)
-    failures = []
+    start = time.perf_counter()
+    run(0)
+    t0 = time.perf_counter() - start
+    blocks = np.array_split(range(1, n_passes), max(1, min(threads, n_passes - 1)))
+    failures, handed_back = [], []
+    go = threading.Event()
 
-    def work(block):
+    def work(block, budget=float("inf")):
         try:
-            with lane_pool():
-                for p in block:
-                    run(p)
+            for i, p in enumerate(block):
+                if failures:
+                    return
+                run(p)
+                if time.perf_counter() - fanned_out > (i + 1) * budget:
+                    handed_back.append(block[i + 1 :])
+                    return
         except BaseException as exc:  # re-raised after the join barrier
             failures.append(exc)
 
-    workers = [threading.Thread(target=work, args=(block,)) for block in blocks[1:]]
-    for w in workers:
-        w.start()
+    def worker(block):
+        go.wait()  # the caller starts its block first
+        with lane_pool():
+            work(block, len(blocks) * t0)
+
+    workers = [threading.Thread(target=worker, args=(block,)) for block in blocks[1:]]
+    try:
+        for w in workers:
+            w.start()
+    finally:  # if a start fails, the workers already started must not wait forever
+        fanned_out = time.perf_counter()
+        go.set()
     work(blocks[0])
     for w in workers:
         w.join()
+    for tail in handed_back:
+        work(tail)
     if failures:
         raise failures[0]
 
@@ -337,10 +358,10 @@ def _passes(f, x, chunks, threads=1):
         grad[blocks[-1]] = first
         entries[blocks] = top
 
-    if threads > 1:
-        _run_threaded(run, len(combos), threads)
-    else:
-        with lane_pool():
+    with lane_pool():
+        if threads > 1:
+            _run_threaded(run, len(combos), threads)
+        else:
             for p in range(len(combos)):
                 run(p)
     _check_pure(f_values)
@@ -371,13 +392,12 @@ def gradient(f, x, cfg=None):
 
 
 def gradient_threaded(f, x, cfg=None):
-    """Gradient with chunk passes split across cfg.threads workers.
+    """Gradient with chunk passes split across cfg.threads threads.
 
-    Passes are statically assigned in contiguous blocks, one block per
-    worker; every pass writes a disjoint slice of the output, and a join
-    barrier collects the workers.  Because lanes are computed independently
-    per chunk, the result equals the serial gradient bitwise.  The target
-    function must tolerate concurrent calls.
+    The caller runs pass 0 alone; passes 1..P-1 go in contiguous blocks,
+    one per thread, and a worker slower than threads * t(pass 0) per pass
+    hands its remaining passes back to the caller.  The result equals the
+    serial gradient bitwise.  The target must tolerate concurrent calls.
     """
     return gradient(f, x, cfg)
 

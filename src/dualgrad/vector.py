@@ -34,6 +34,8 @@ which the drivers set to ignore around each pass.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .dual import Dual, Partials
@@ -391,6 +393,14 @@ class DualVector:
         return self.values != self._cmp_values(other)
 
     __hash__ = None
+
+    def __array__(self, dtype=None, copy=None):
+        msg = "builds an object array of scalar duals: every op then runs per element, ~20x slower"
+        warnings.warn(f"np.asarray on a {type(self).__name__} {msg}", RuntimeWarning, stacklevel=2)
+        out = np.empty(self.shape, dtype=object)
+        for idx in np.ndindex(self.shape):
+            out[idx] = self[idx] if idx else self  # a nested scalar is its own element
+        return out
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if method != "__call__" or kwargs.get("out") is not None:

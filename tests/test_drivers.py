@@ -1,11 +1,14 @@
 """Differentiation drivers: derivatives, chunked gradients, Jacobians,
 Hessians, third-order tensors, threading."""
 
+import itertools
 import math
 import os
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -473,7 +476,7 @@ _inf, _nan = math.inf, math.nan
         (lambda: derivative(log, 0.0), _inf),
         (lambda: second_derivative(sqrt, -1.0), _nan),
         (lambda: gradient(_root_sum, [0.0, 1.0, 4.0]).values, [_inf, _nan, _nan]),
-        # three passes over two workers: the last one runs in a worker thread
+        # pass 0 on the caller, then one block each for passes 1 and 2
         (lambda: gradient(_root_sum, [0.0, 1.0, 4.0], ChunkConfig(1, 2)).values, [_inf, _nan, _nan]),
         (
             lambda: jacobian(np.sqrt, [0.0, 1.0, 4.0], ChunkConfig(2)).entries,
@@ -506,6 +509,22 @@ def test_drivers_never_warn_at_out_of_domain_points(call, want):
     np.testing.assert_array_equal(got, want)
 
 
+def test_worker_threads_never_warn_either():
+    seen = []
+
+    def sleepy_root_sum(v):
+        time.sleep(0.002)  # releases the GIL, so the worker keeps its block
+        seen.append((threading.get_ident(), np.geterr()))
+        return _root_sum(v)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gradient(sleepy_root_sum, [0.0, 1.0, 4.0, 9.0], ChunkConfig(1, 2)).values
+    np.testing.assert_array_equal(got, [_inf, _nan, _nan, _nan])
+    assert {ident for ident, _ in seen} - {threading.get_ident()}
+    assert all(set(err.values()) == {"ignore"} for _, err in seen)
+
+
 def test_dual_arithmetic_outside_drivers_follows_numpy_error_state():
     zero = DualVector(np.zeros(2), np.eye(2))
     with np.errstate(divide="raise"):
@@ -536,8 +555,7 @@ _FALLBACK_X = np.array([0.3, -1.2, 2.5, 0.9, 1.7, -0.4])
 
 @pytest.mark.parametrize("cfg", [ChunkConfig(), ChunkConfig(4), ChunkConfig(1, 2)])
 def test_object_array_fallback_gradient_is_bitwise_equal(cfg):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+    with pytest.warns(RuntimeWarning, match="object array of scalar duals"):
         slow = gradient(_object_target, _FALLBACK_X, cfg)
     fast = gradient(_vector_target, _FALLBACK_X, cfg)
     assert slow.values.tobytes() == fast.values.tobytes()
@@ -545,8 +563,7 @@ def test_object_array_fallback_gradient_is_bitwise_equal(cfg):
 
 
 def test_object_array_fallback_hessian_is_bitwise_equal():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+    with pytest.warns(RuntimeWarning, match="object array of scalar duals"):
         slow = hessian(_object_target, _FALLBACK_X, 2, 3)
     fast = hessian(_vector_target, _FALLBACK_X, 2, 3)
     assert slow.entries.tobytes() == fast.entries.tobytes()
@@ -593,6 +610,82 @@ def test_threaded_worker_errors_propagate():
 
     with pytest.raises(RuntimeError, match="boom"):
         gradient_threaded(exploding, np.ones(8), ChunkConfig(2, 4))
+
+
+def test_threaded_run_stops_at_the_first_failure():
+    tickets = itertools.count(1)
+    threads = 2
+
+    def third_call_raises(x):
+        time.sleep(0.002)
+        if next(tickets) == 3:
+            raise RuntimeError("third evaluation")
+        return np.sum(x * x)
+
+    counted = EvalCounter(third_call_raises)
+    with pytest.raises(RuntimeError, match="third evaluation"):
+        gradient(counted, np.ones(80), ChunkConfig(2, threads))
+    # the raising pass, and at most one pass each thread had already begun
+    assert counted.count <= 3 + threads
+
+
+def _passes_per_thread(target, k, chunk, threads=2):
+    """Run a threaded gradient; check it against serial; return the passes each thread ran."""
+    idents = []
+
+    def recorded(x):
+        idents.append(threading.get_ident())
+        return target(x)
+
+    x = np.random.default_rng(36).uniform(-1, 1, k)
+    counted = EvalCounter(recorded)
+    threaded = gradient(counted, x, ChunkConfig(chunk, threads))
+    assert counted.count == math.ceil(k / chunk)
+    serial = gradient(target, x, ChunkConfig(chunk))
+    assert threaded.values.tobytes() == serial.values.tobytes()
+    assert threaded.f_value == serial.f_value
+    caller = threading.get_ident()
+    return idents.count(caller), len(idents) - idents.count(caller)
+
+
+def test_passes_that_release_the_gil_fan_out():
+    # 10 ms, not less: a stall of a few ms on a busy host (a wake-up delay,
+    # a full garbage collection) must not push the worker's first passes
+    # over their 2 x t(pass 0) budget
+    def sleepy(x):
+        time.sleep(0.01)
+        return np.sum(x * x)
+
+    on_caller, on_workers = _passes_per_thread(sleepy, 96, 4)
+    assert on_workers >= (on_caller + on_workers) / 4
+
+
+def test_passes_that_hold_the_gil_stay_on_the_caller():
+    def spinning(x):
+        end = time.perf_counter() + 0.001
+        while time.perf_counter() < end:  # pure Python: the GIL is never released
+            pass
+        return np.sum(x * x)
+
+    # a long switch interval keeps the worker off the GIL for far longer
+    # than 2 x t(pass 0), even when a stall of a few ms lands in pass 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(0.05)
+    try:
+        _, on_workers = _passes_per_thread(spinning, 96, 1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert on_workers <= 2
+
+
+def test_every_pass_runs_once_under_fast_thread_switching():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for k, chunk in ((200, 3), (97, 1)):
+            _passes_per_thread(ackley, k, chunk, threads=8)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_more_threads_than_passes():
