@@ -181,8 +181,15 @@ class EvalCounter:
 # ----------------------------------------------------------------------
 
 
+def _check_scalar(name, x):
+    """Raise ValueError unless the point x is a scalar (a 0-d array counts)."""
+    if np.ndim(x):
+        raise ValueError(f"{name} needs a scalar point, got shape {np.shape(x)}")
+
+
 def derivative(f, x):
     """First derivative of a scalar function at x via a single-lane dual."""
+    _check_scalar("derivative", x)
     with np.errstate(all="ignore"):
         y = f(Dual(x, (1.0,)))
     if isinstance(y, Dual):
@@ -196,6 +203,7 @@ def second_derivative(f, x):
     Seeds inner and outer unit lanes with a zero cross seed, then reads the
     partial-of-partial of the result.
     """
+    _check_scalar("second_derivative", x)
     d = Dual(Dual(x, (1.0,)), (Dual(1.0, (0.0,)),))
     with np.errstate(all="ignore"):
         y = f(d)
@@ -415,6 +423,10 @@ def _check_lanes(n_lanes, width):
 
 def _vector_output(y, width):
     """(values, lane rows) of a vector-valued target-function result."""
+    shape = y.shape if isinstance(y, DualVector) else np.shape(y)
+    if len(shape) != 1:
+        got = f"shape {shape}" if shape else f"a {type(y).__name__}"
+        raise TypeError(f"target function must return a 1-D vector, got {got}")
     if isinstance(y, DualVector):
         _check_lanes(y.n_lanes, width)
         return np.asarray(y.values, dtype=np.float64), np.asarray(

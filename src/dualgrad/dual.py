@@ -50,6 +50,27 @@ def _ieee_div(a, b):
         return np.divide(np.float64(a), np.float64(b))
 
 
+def _ufunc_rule(self, ufunc, method, *inputs, **kwargs):
+    """``__array_ufunc__`` of every dual kind: the rule ``ufunc(*inputs)`` maps to.
+
+    NotImplemented for ufuncs without a rule, for other ufunc methods and
+    for ``out=``, and wherever the rule itself returns it.
+    """
+    if method != "__call__" or kwargs.get("out") is not None:
+        return NotImplemented
+    name = _UNARY_UFUNCS.get(ufunc)
+    if name is not None and len(inputs) == 1:
+        return getattr(self, name)()
+    pair = _BINARY_UFUNCS.get(ufunc)
+    if pair is not None and len(inputs) == 2:
+        a, b = inputs
+        fwd, rev = pair
+        if a is self:
+            return getattr(self, fwd)(b)
+        return getattr(self, rev)(a)
+    return NotImplemented
+
+
 class Partials(tuple):
     """Fixed-width tuple of derivative lanes (the epsilon coefficients).
 
@@ -296,22 +317,7 @@ class Dual:
 
     # numpy interop: np.sin(d), np.add(d, x) and friends route through the
     # rules above; numpy scalars defer to the reflected operators.
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if method != "__call__" or kwargs.get("out") is not None:
-            return NotImplemented
-        name = _UNARY_UFUNCS.get(ufunc)
-        if name is not None and len(inputs) == 1:
-            return getattr(self, name)()
-        pair = _BINARY_UFUNCS.get(ufunc)
-        if pair is not None and len(inputs) == 2:
-            a, b = inputs
-            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-                return NotImplemented
-            fwd, rev = pair
-            if a is self:
-                return getattr(self, fwd)(b)
-            return getattr(self, rev)(a)
-        return NotImplemented
+    __array_ufunc__ = _ufunc_rule
 
     def __repr__(self):
         return _render(self)
@@ -372,53 +378,32 @@ def base_value(x):
 # ----------------------------------------------------------------------
 
 
-def sin(x):
-    m = getattr(x, "sin", None)
-    if m is not None:
-        return m()
-    return np.sin(x)
+# name -> numpy ufunc of each generic elementary function
+_ELEMENTARY = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "square": np.square,
+}
 
 
-def cos(x):
-    m = getattr(x, "cos", None)
-    if m is not None:
-        return m()
-    return np.cos(x)
+def _generic(name, ufunc):
+    def generic(x):
+        m = getattr(x, name, None)
+        if m is not None:
+            return m()
+        return ufunc(x)
+
+    generic.__name__ = generic.__qualname__ = name
+    generic.__doc__ = f"``x.{name}()`` on duals, ``np.{ufunc.__name__}(x)`` on anything else."
+    return generic
 
 
-def tan(x):
-    m = getattr(x, "tan", None)
-    if m is not None:
-        return m()
-    return np.tan(x)
-
-
-def exp(x):
-    m = getattr(x, "exp", None)
-    if m is not None:
-        return m()
-    return np.exp(x)
-
-
-def log(x):
-    m = getattr(x, "log", None)
-    if m is not None:
-        return m()
-    return np.log(x)
-
-
-def sqrt(x):
-    m = getattr(x, "sqrt", None)
-    if m is not None:
-        return m()
-    return np.sqrt(x)
-
-
-def square(x):
-    m = getattr(x, "square", None)
-    if m is not None:
-        return m()
-    return np.square(x)
+sin, cos, tan, exp, log, sqrt, square = (_generic(n, u) for n, u in _ELEMENTARY.items())
+_sign = _generic("sign", np.sign)
 
 
 def _pow(x, p):
@@ -427,20 +412,8 @@ def _pow(x, p):
     return np.power(np.float64(x), p)
 
 
-def _sign(x):
-    if isinstance(x, Dual):
-        return x.sign()
-    return np.sign(x)
-
-
 _UNARY_UFUNCS = {
-    np.sin: "sin",
-    np.cos: "cos",
-    np.tan: "tan",
-    np.exp: "exp",
-    np.log: "log",
-    np.sqrt: "sqrt",
-    np.square: "square",
+    **{ufunc: name for name, ufunc in _ELEMENTARY.items()},
     np.sign: "sign",
     np.negative: "__neg__",
     np.positive: "__pos__",

@@ -19,14 +19,15 @@ further down, so forward-over-forward differentiation runs on float64
 arrays at every nesting level.  It has no rules of its own: every
 operation runs the DualVector rule of the same name, and each rule builds
 its result with ``type(self)`` and combines its fields with the same
-operators whatever dual kind they hold.
+operations whatever dual kind they hold.
 
 Instances are immutable by convention; operations never write to their
 operands, so values and lane blocks may be freely shared across results
-and across threads.  Inside a driver call, float64 rule results of at
-least ``pool.POOL_MIN_BYTES`` go into reused buffers; a buffer is reused
-only when nothing but the pool refers to it, so arrays a target keeps
-are never overwritten.  Floating-point trouble (division by zero, domain
+and across threads.  Each rule asks ``pool.ops`` once for the operations
+it computes with; inside a driver call, a rule on large float64 lanes
+gets ones that write into reused buffers.  A buffer is reused only when
+nothing but the pool refers to it, so arrays a target keeps are never
+overwritten.  Floating-point trouble (division by zero, domain
 violations, overflow) propagates inf/nan, matching the scalar Dual
 semantics; whether it also warns follows numpy's current error state,
 which the drivers set to ignore around each pass.
@@ -38,15 +39,10 @@ import warnings
 
 import numpy as np
 
-from .dual import Dual, Partials
-from .pool import POOL_MIN_BYTES, pooled
+from .dual import _PLAIN, Dual, Partials, _ufunc_rule
+from .pool import ops
 
 __all__ = ["DualVector", "NestedDualVector"]
-
-_PLAIN = (int, float, np.integer, np.floating)
-
-# The lanes of first-order vectors; a nested vector's lanes are duals.
-_ndarray = np.ndarray
 
 
 def _widen(lanes, gap):
@@ -117,9 +113,10 @@ class DualVector:
     # ------------------------------------------------------------------
 
     def _operands(self, other):
-        """(own lanes, other's values, other's lanes) for a binary rule.
+        """(operations, own lanes, other's values, other's lanes) for a binary rule.
 
-        Other's lanes are None for a constant.  Lane blocks of different
+        The operations are the ones ``ops`` picks for the own lanes, and
+        other's lanes are None for a constant.  Lane blocks of different
         component rank get singleton axes after the lane axis, so that
         (M, N, k) lanes combine with (M, k) lanes as (M, 1, k).  Scalar
         ``Dual`` operands join first-order vectors only.
@@ -135,7 +132,7 @@ class DualVector:
                 "operands of different nesting depth"
             )
         else:
-            return sp, other, None
+            return ops(sp), sp, other, None
         # nested lanes are duals, whose shape is a property: read it once
         sp_shape, op_shape = sp.shape, op.shape
         if op_shape[0] != sp_shape[0]:
@@ -145,100 +142,63 @@ class DualVector:
             op = _widen(op, gap)
         elif gap < 0:
             sp = _widen(sp, -gap)
-        return sp, ov, op
+        return ops(sp), sp, ov, op
 
     # ------------------------------------------------------------------
-    # arithmetic.  Each rule has one branch for float64 lane blocks of at
-    # least POOL_MIN_BYTES, which writes its results through pooled(), and
-    # keeps plain operators for smaller and nested lanes, so those pay no
-    # extra call.  Both branches do the same arithmetic in the same order.
+    # arithmetic.  Each rule computes with the operations that ops()
+    # picks for its lanes: ones that reuse buffers for large float64
+    # lanes in a driver call, plain ones otherwise.
     # ------------------------------------------------------------------
-
-    def _chain(self, values, coeff):
-        """Result of a unary rule on large lanes: the lanes scaled by f'(x)."""
-        return type(self)(values, pooled(np.multiply, self.partials, coeff))
 
     def __add__(self, other):
-        sp, ov, op = self._operands(other)
-        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
-            lanes = sp if op is None else pooled(np.add, sp, op)
-            return type(self)(pooled(np.add, self.values, ov), lanes)
-        if op is None:
-            return type(self)(self.values + ov, sp)
-        return type(self)(self.values + ov, sp + op)
+        o, sp, ov, op = self._operands(other)
+        lanes = sp if op is None else o.add(sp, op)
+        return type(self)(o.add(self.values, ov), lanes)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        sp, ov, op = self._operands(other)
-        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
-            lanes = sp if op is None else pooled(np.subtract, sp, op)
-            return type(self)(pooled(np.subtract, self.values, ov), lanes)
-        if op is None:
-            return type(self)(self.values - ov, sp)
-        return type(self)(self.values - ov, sp - op)
+        o, sp, ov, op = self._operands(other)
+        lanes = sp if op is None else o.sub(sp, op)
+        return type(self)(o.sub(self.values, ov), lanes)
 
     def __rsub__(self, other):
-        sp, ov, op = self._operands(other)
-        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
-            lanes = pooled(np.negative, sp) if op is None else pooled(np.subtract, op, sp)
-            return type(self)(pooled(np.subtract, ov, self.values), lanes)
-        if op is None:
-            return type(self)(ov - self.values, -sp)
-        return type(self)(ov - self.values, op - sp)
+        o, sp, ov, op = self._operands(other)
+        lanes = o.neg(sp) if op is None else o.sub(op, sp)
+        return type(self)(o.sub(ov, self.values), lanes)
 
     def __mul__(self, other):
-        sp, ov, op = self._operands(other)
-        v = self.values
-        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
-            lanes = pooled(np.multiply, sp, ov)
-            if op is not None:
-                lanes = pooled(np.add, lanes, pooled(np.multiply, op, v))
-            return type(self)(pooled(np.multiply, v, ov), lanes)
-        if op is None:
-            return type(self)(v * ov, sp * ov)
-        return type(self)(v * ov, sp * ov + op * v)
+        o, sp, ov, op = self._operands(other)
+        lanes = o.mul(sp, ov)
+        if op is not None:
+            lanes = o.add(lanes, o.mul(op, self.values))
+        return type(self)(o.mul(self.values, ov), lanes)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        sp, ov, op = self._operands(other)
+        o, sp, ov, op = self._operands(other)
         v = self.values
-        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
-            if op is None:
-                lanes = pooled(np.true_divide, sp, ov)
-            else:
-                prods = pooled(np.multiply, sp, ov), pooled(np.multiply, op, v)
-                num = pooled(np.subtract, *prods)
-                lanes = pooled(np.true_divide, num, pooled(np.multiply, ov, ov))
-            return type(self)(pooled(np.true_divide, v, ov), lanes)
         if op is None:
-            return type(self)(np.true_divide(v, ov), np.true_divide(sp, ov))
-        num = sp * ov - op * v
-        return type(self)(np.true_divide(v, ov), np.true_divide(num, ov * ov))
+            lanes = o.div(sp, ov)
+        else:
+            num = o.sub(o.mul(sp, ov), o.mul(op, v))
+            lanes = o.div(num, o.mul(ov, ov))
+        return type(self)(o.div(v, ov), lanes)
 
     def __rtruediv__(self, other):
-        sp, ov, op = self._operands(other)
+        o, sp, ov, op = self._operands(other)
         v = self.values
-        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
-            if op is None:
-                num = pooled(np.multiply, sp, -ov)
-            else:
-                prods = pooled(np.multiply, op, v), pooled(np.multiply, sp, ov)
-                num = pooled(np.subtract, *prods)
-            lanes = pooled(np.true_divide, num, pooled(np.multiply, v, v))
-            return type(self)(pooled(np.true_divide, ov, v), lanes)
-        vv = v * v
         if op is None:
-            return type(self)(np.true_divide(ov, v), np.true_divide(sp * (-ov), vv))
-        num = op * v - sp * ov
-        return type(self)(np.true_divide(ov, v), np.true_divide(num, vv))
+            num = o.mul(sp, -ov)
+        else:
+            num = o.sub(o.mul(op, v), o.mul(sp, ov))
+        lanes = o.div(num, o.mul(v, v))
+        return type(self)(o.div(ov, v), lanes)
 
     def __neg__(self):
-        sp = self.partials
-        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
-            return type(self)(pooled(np.negative, self.values), pooled(np.negative, sp))
-        return type(self)(-self.values, -sp)
+        o = ops(self.partials)
+        return type(self)(o.neg(self.values), o.neg(self.partials))
 
     def __pos__(self):
         return self
@@ -256,91 +216,63 @@ class DualVector:
             return self
         if p == 2:
             return self.square()
-        v, sp = self.values, self.partials
-        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
-            coeff = pooled(np.multiply, p, pooled(np.power, v, p - 1))
-            return self._chain(pooled(np.power, v, p), coeff)
-        coeff = p * np.power(v, p - 1)
-        return type(self)(np.power(v, p), sp * coeff)
+        v, o = self.values, ops(self.partials)
+        coeff = o.mul(p, o.power(v, p - 1))
+        return type(self)(o.power(v, p), o.mul(self.partials, coeff))
 
     def __rpow__(self, base):
         return NotImplemented
 
     def __abs__(self):
-        v, sp = self.values, self.partials
-        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
-            return self._chain(pooled(np.absolute, v), pooled(np.sign, v))
-        return type(self)(np.abs(v), sp * np.sign(v))
+        v, o = self.values, ops(self.partials)
+        return type(self)(o.absolute(v), o.mul(self.partials, o.sign(v)))
 
     def sign(self):
-        sp = self.partials
-        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
-            return type(self)(pooled(np.sign, self.values), pooled(np.multiply, 0.0, sp))
-        return type(self)(np.sign(self.values), 0.0 * sp)
+        o = ops(self.partials)
+        return type(self)(o.sign(self.values), o.mul(0.0, self.partials))
 
     # ------------------------------------------------------------------
     # elementary functions: value = f(x), lanes scaled by f'(x)
     # ------------------------------------------------------------------
 
     def sin(self):
-        v, sp = self.values, self.partials
-        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
-            return self._chain(pooled(np.sin, v), pooled(np.cos, v))
-        return type(self)(np.sin(v), sp * np.cos(v))
+        v, o = self.values, ops(self.partials)
+        return type(self)(o.sin(v), o.mul(self.partials, o.cos(v)))
 
     def cos(self):
-        v, sp = self.values, self.partials
-        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
-            coeff = pooled(np.negative, pooled(np.sin, v))
-            return self._chain(pooled(np.cos, v), coeff)
-        return type(self)(np.cos(v), sp * (-np.sin(v)))
+        v, o = self.values, ops(self.partials)
+        coeff = o.neg(o.sin(v))
+        return type(self)(o.cos(v), o.mul(self.partials, coeff))
 
     def tan(self):
-        v, sp = self.values, self.partials
-        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
-            c = pooled(np.cos, v)
-            coeff = pooled(np.true_divide, 1.0, pooled(np.multiply, c, c))
-            return self._chain(pooled(np.tan, v), coeff)
-        c = np.cos(v)
-        coeff = np.true_divide(1.0, c * c)
-        return type(self)(np.tan(v), sp * coeff)
+        v, o = self.values, ops(self.partials)
+        c = o.cos(v)
+        coeff = o.div(1.0, o.mul(c, c))
+        return type(self)(o.tan(v), o.mul(self.partials, coeff))
 
     def exp(self):
-        sp = self.partials
-        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
-            e = pooled(np.exp, self.values)
-            return self._chain(e, e)
-        e = np.exp(self.values)
-        return type(self)(e, sp * e)
+        o = ops(self.partials)
+        e = o.exp(self.values)
+        return type(self)(e, o.mul(self.partials, e))
 
     def log(self):
-        v = self.values
+        v, o = self.values, ops(self.partials)
         # negative inputs: keep the lanes non-finite, not just the value.  The
         # NaN/1.0 factor leaves other entries bitwise unchanged and scales a
         # coefficient of any dual kind; [()] turns a scalar's 0-d mask into
         # a numpy scalar, which scalar duals accept.
         mask = np.where(v < 0, np.nan, 1.0)[()]
-        sp = self.partials
-        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
-            coeff = pooled(np.multiply, pooled(np.true_divide, 1.0, v), mask)
-            return self._chain(pooled(np.log, v), coeff)
-        coeff = np.true_divide(1.0, v) * mask
-        return type(self)(np.log(v), sp * coeff)
+        coeff = o.mul(o.div(1.0, v), mask)
+        return type(self)(o.log(v), o.mul(self.partials, coeff))
 
     def sqrt(self):
-        sp = self.partials
-        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
-            s = pooled(np.sqrt, self.values)
-            return self._chain(s, pooled(np.true_divide, 0.5, s))
-        s = np.sqrt(self.values)
-        coeff = np.true_divide(0.5, s)
-        return type(self)(s, sp * coeff)
+        o = ops(self.partials)
+        s = o.sqrt(self.values)
+        return type(self)(s, o.mul(self.partials, o.div(0.5, s)))
 
     def square(self):
-        v, sp = self.values, self.partials
-        if type(sp) is _ndarray and sp.nbytes >= POOL_MIN_BYTES:
-            return self._chain(pooled(np.multiply, v, v), pooled(np.multiply, 2.0, v))
-        return type(self)(v * v, sp * (2.0 * v))
+        v, o = self.values, ops(self.partials)
+        return type(self)(o.mul(v, v), o.mul(self.partials, o.mul(2.0, v)))
 
     # ------------------------------------------------------------------
     # reductions: collapse the last component axis, keep the lanes; a
@@ -402,20 +334,7 @@ class DualVector:
             out[idx] = self[idx] if idx else self  # a nested scalar is its own element
         return out
 
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if method != "__call__" or kwargs.get("out") is not None:
-            return NotImplemented
-        name = _UNARY_UFUNCS.get(ufunc)
-        if name is not None and len(inputs) == 1:
-            return getattr(self, name)()
-        pair = _BINARY_UFUNCS.get(ufunc)
-        if pair is not None and len(inputs) == 2:
-            a, b = inputs
-            fwd, rev = pair
-            if a is self:
-                return getattr(self, fwd)(b)
-            return getattr(self, rev)(a)
-        return NotImplemented
+    __array_ufunc__ = _ufunc_rule
 
 
 class NestedDualVector:
@@ -455,31 +374,3 @@ for _name, _attr in list(vars(DualVector).items()):
 del _name, _attr
 
 _COMPARABLE = (DualVector, NestedDualVector, Dual, np.ndarray) + _PLAIN
-
-_UNARY_UFUNCS = {
-    np.sin: "sin",
-    np.cos: "cos",
-    np.tan: "tan",
-    np.exp: "exp",
-    np.log: "log",
-    np.sqrt: "sqrt",
-    np.square: "square",
-    np.sign: "sign",
-    np.negative: "__neg__",
-    np.positive: "__pos__",
-    np.absolute: "__abs__",
-}
-
-_BINARY_UFUNCS = {
-    np.add: ("__add__", "__radd__"),
-    np.subtract: ("__sub__", "__rsub__"),
-    np.multiply: ("__mul__", "__rmul__"),
-    np.true_divide: ("__truediv__", "__rtruediv__"),
-    np.power: ("__pow__", "__rpow__"),
-    np.less: ("__lt__", "__gt__"),
-    np.less_equal: ("__le__", "__ge__"),
-    np.greater: ("__gt__", "__lt__"),
-    np.greater_equal: ("__ge__", "__le__"),
-    np.equal: ("__eq__", "__eq__"),
-    np.not_equal: ("__ne__", "__ne__"),
-}

@@ -4,6 +4,7 @@ Hessians, third-order tensors, threading."""
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -56,6 +57,20 @@ def test_second_derivative_examples():
     assert second_derivative(sin, 1.0) == -0.8414709848078965
     assert second_derivative(square, -17.3) == 2.0
     assert second_derivative(exp, 0.0) == 1.0
+
+
+@pytest.mark.parametrize("driver", [derivative, second_derivative])
+@pytest.mark.parametrize("x", [1.0, 1, np.float64(1.0), np.array(1.0)], ids=repr)
+def test_scalar_drivers_accept_python_and_numpy_scalars(driver, x):
+    assert driver(sin, x) == driver(sin, 1.0)
+
+
+@pytest.mark.parametrize("driver", [derivative, second_derivative])
+@pytest.mark.parametrize("f", [sin, lambda d: d * d], ids=["sin", "product"])
+def test_scalar_drivers_reject_array_points(driver, f):
+    # an array value would turn the single seeded lane into one per element
+    with pytest.raises(ValueError, match=r"scalar point, got shape \(2,\)"):
+        driver(f, np.array([1.0, 2.0]))
 
 
 def test_second_derivative_of_composition():
@@ -265,6 +280,21 @@ def test_jacobian_of_constant_map_is_zero():
 def test_jacobian_rejects_wrong_lane_count(target, actual):
     with pytest.raises(ValueError, match=f"returned {actual} lanes, expected 3"):
         jacobian(target, np.ones(4), ChunkConfig(3))
+
+
+@pytest.mark.parametrize(
+    "target, got",
+    [
+        (np.sum, "a Dual"),
+        (lambda v: v.reshape((1, 3)), "shape (1, 3)"),
+        (lambda v: v.reshape((3, 1)), "shape (3, 1)"),
+    ],
+    ids=["scalar", "row", "column"],
+)
+def test_jacobian_rejects_outputs_that_are_not_1d(target, got):
+    want = f"target function must return a 1-D vector, got {got}"
+    with pytest.raises(TypeError, match=re.escape(want)):
+        jacobian(target, np.ones(3), ChunkConfig(2))
 
 
 def test_jacobian_rejects_inconsistent_output_length():

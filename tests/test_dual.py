@@ -316,6 +316,14 @@ def test_numpy_ufuncs_dispatch_to_rules():
     assert bool(np.less(d, 1.0))
 
 
+def test_numpy_compares_a_dual_with_an_array_as_the_operators_do():
+    d, arr = Dual(1.5, [1.0]), np.array([1.0, 2.0])
+    assert (d < arr).tolist() == np.less(d, arr).tolist() == [False, True]
+    assert (arr < d).tolist() == np.greater(d, arr).tolist() == [True, False]
+    with pytest.raises(TypeError):
+        arr + d  # lanes cannot join a float array
+
+
 def test_object_array_of_duals_computes_elementwise():
     arr = np.array([Dual(1.0, [1.0]), Dual(2.0, [1.0])], dtype=object)
     out = np.cos(arr * 2.0)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import dualgrad
-from dualgrad import ChunkConfig, gradient, hessian, jacobian
+from dualgrad import ChunkConfig, DualVector, gradient, hessian, jacobian
 from dualgrad import pool
 from dualgrad.testfns import ackley, rosenbrock
 from dualgrad.pool import POOL_MIN_BYTES, lane_pool
@@ -28,7 +28,7 @@ def _point(k, seed=3):
 
 
 def _mixed(x):
-    """Every rule with a pooled branch, at out-of-domain points too."""
+    """Every DualVector rule, at out-of-domain points too."""
     a = np.sin(x) * np.cos(x) + np.tan(x) / (1.5 + x * x) - np.exp(-x)
     b = np.sqrt(np.abs(x)) + np.log(x) + x**3 + x**0 * np.sign(x) + x**0.5
     c = 2.0 / (x - 0.3) - x / 2.0 + (1.0 - x) * 3.0 - (-x) ** 2
@@ -39,6 +39,25 @@ def _unpooled(monkeypatch, call):
     with monkeypatch.context() as m:
         m.setattr(pool, "_SOLE", None)
         return call()
+
+
+def _calls(func, call):
+    """(type of the first argument, id of the result) of each call of func during call().
+
+    Ids, not results: a kept result would stop the pool from reusing it.
+    """
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is func.__code__:
+            seen.append((type(frame.f_locals[frame.f_code.co_varnames[0]]), id(arg)))
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return seen
 
 
 def _same(a, b):
@@ -73,6 +92,24 @@ def test_pooled_gradients_equal_unpooled_serial_and_threaded(monkeypatch, f):
         got = gradient(f, x, cfg)
         assert _same(got.values, want.values), cfg
         assert _same(got.f_value, want.f_value)
+
+
+def test_rules_outside_a_driver_call_never_enter_the_pool():
+    x = _point(K)
+    v = DualVector(x, np.ones((8, K)))  # 192 KB of lanes
+    with np.errstate(all="ignore"):
+        assert _calls(pool.pooled, lambda: _mixed(v)) == []
+    # inside a driver call the same rules on the same lanes do
+    assert _calls(pool.pooled, lambda: gradient(_mixed, x, ChunkConfig(8)))
+
+
+def test_nested_rules_get_the_plain_operations_inside_a_driver():
+    # 90 x 100 first-order lanes (72 KB) and 50 x 90 x 100 nested lanes
+    picks = _calls(pool.ops, lambda: hessian(rosenbrock, _point(100), 90, 50))
+    nested = [ns for lanes, ns in picks if lanes is DualVector]
+    first = [ns for lanes, ns in picks if lanes is np.ndarray]
+    assert nested and all(ns == id(pool._PLAIN_OPS) for ns in nested)
+    assert id(pool._POOLED_OPS) in first
 
 
 def test_threaded_pools_under_frequent_thread_switches():
