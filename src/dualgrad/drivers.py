@@ -15,7 +15,8 @@ DualVector and a block of N components on the lanes of a NestedDualVector
 wrapped around it, so one pass fills an M x N block of the k x k matrix
 and ceil(k/M) * ceil(k/N) passes fill all of it; the third-order tensor
 adds one more nesting level.  Every level is float64 arrays, and one pass
-loop and one seeding helper serve all orders.
+loop and one seeding helper serve all orders and the Jacobian, serial or
+threaded; only the reader of the target's result differs.
 
 Every evaluation of the target runs under ``np.errstate(all="ignore")``:
 out-of-domain points give inf/nan derivatives and never warn, in worker
@@ -30,8 +31,8 @@ to their old contents, instead of fresh allocations that glibc returns to
 the OS and the next pass page-faults in again.
 
 All drivers require a pure target function: same input, same output.
-Every pass's value channel is compared with the first pass's, and a
-difference raises ImpureTargetError.  The threaded scheduler additionally
+Every pass's value channel (every output, for a Jacobian) is compared
+with the first pass's, and a difference raises ImpureTargetError.  The threaded scheduler additionally
 requires f to be safely callable from several threads at once.  It runs
 pass 0 on the caller and hands the rest of a worker's block back to it
 when the worker runs below break-even; passes write disjoint slices.
@@ -287,12 +288,16 @@ def _blocks(k, chunk):
 def _check_pure(f_values):
     """Raise ImpureTargetError unless every pass gave pass 0's f value."""
     first = f_values[0]
-    for p, value in enumerate(f_values):
-        if not (value == first or (value != value and first != first)):
-            raise ImpureTargetError(
-                f"target function is impure: value channel changed between passes "
-                f"(pass 0 gave {first}, pass {p} gave {value})"
-            )
+    if isinstance(first, np.ndarray):  # a vector target's: one comparison per pass
+        same = [np.array_equal(value, first, equal_nan=True) for value in f_values]
+    else:
+        same = [value == first or (value != value and first != first) for value in f_values]
+    if not all(same):
+        p = same.index(False)
+        raise ImpureTargetError(
+            f"target function is impure: value channel changed between passes "
+            f"(pass 0 gave {first}, pass {p} gave {f_values[p]})"
+        )
 
 
 def _run_threaded(run, n_passes, threads):
@@ -343,28 +348,39 @@ def _run_threaded(run, n_passes, threads):
         raise failures[0]
 
 
-def _passes(f, x, chunks, threads=1):
+def _passes(f, x, chunks, threads=1, read=_scalar_output):
     """One pass through f per combination of lane blocks, one block per level.
 
     chunks holds the lanes per pass at each nesting level, level 0 first.
-    Returns (derivative tensor of shape (k,) * len(chunks), gradient from
-    the outermost level's first-order lanes, f value).
+    read(y, widths) turns f's result into (f value, the outermost level's
+    first-order lanes or None, lane block of shape (outputs..., *widths)).
+    Returns (derivative array of shape (outputs...,) + (k,) * len(chunks),
+    gradient from those first-order lanes, f value).
     """
     k = x.shape[0]
     combos = list(itertools.product(*(_blocks(k, c) for c in chunks)))
-    entries = np.empty((k,) * len(chunks))
     grad = np.empty(k)
     f_values = [None] * len(combos)
+    out = []
 
     def run(p):
         blocks = combos[p]
         widths = tuple(b.stop - b.start for b in blocks)
         # numpy's error state is per thread, so each worker enters its own
         with np.errstate(all="ignore"):
-            value, first, top = _scalar_output(f(_seeded(x, blocks)), widths)
+            value, first, top = read(f(_seeded(x, blocks)), widths)
+        outputs = top.shape[: top.ndim - len(widths)]
+        if p == 0:  # pass 0 runs first and alone: it sizes the result
+            out.append(np.empty(outputs + (k,) * len(widths)))
+        elif outputs != out[0].shape[: len(outputs)]:
+            raise ValueError(
+                f"target function changed output length between passes: "
+                f"{out[0].shape[0]} then {outputs[0]}"
+            )
         f_values[p] = value
-        grad[blocks[-1]] = first
-        entries[blocks] = top
+        if first is not None:
+            grad[blocks[-1]] = first
+        out[0][(..., *blocks)] = top
 
     with lane_pool():
         if threads > 1:
@@ -373,7 +389,7 @@ def _passes(f, x, chunks, threads=1):
             for p in range(len(combos)):
                 run(p)
     _check_pure(f_values)
-    return entries, grad, f_values[0]
+    return out[0], grad, f_values[0]
 
 
 def _as_input_vector(x):
@@ -421,48 +437,32 @@ def _check_lanes(n_lanes, width):
         raise ValueError(f"target function returned {n_lanes} lanes, expected {width}")
 
 
-def _vector_output(y, width):
-    """(values, lane rows) of a vector-valued target-function result."""
+def _vector_output(y, widths):
+    """(values, None, lanes by output component) of a vector-valued target-function result."""
+    (width,) = widths
     shape = y.shape if isinstance(y, DualVector) else np.shape(y)
     if len(shape) != 1:
         got = f"shape {shape}" if shape else f"a {type(y).__name__}"
         raise TypeError(f"target function must return a 1-D vector, got {got}")
     if isinstance(y, DualVector):
         _check_lanes(y.n_lanes, width)
-        return np.asarray(y.values, dtype=np.float64), np.asarray(
-            y.partials, dtype=np.float64
-        )
+        values = np.asarray(y.values, dtype=np.float64)
+        return values, None, np.asarray(y.partials, dtype=np.float64).T
     comps = list(y)
     values = np.array([float(base_value(c)) for c in comps])
-    lanes = np.zeros((width, len(comps)))
+    lanes = np.zeros((len(comps), width))
     for i, c in enumerate(comps):
         if isinstance(c, Dual):
             _check_lanes(len(c.partials), width)
-            lanes[:, i] = np.asarray(c.partials, dtype=np.float64)
-    return values, lanes
+            lanes[i] = np.asarray(c.partials, dtype=np.float64)
+    return values, None, lanes
 
 
 def jacobian(f, x, cfg=None):
-    """m x k Jacobian of a vector-valued f, one column block per chunk."""
+    """m x k Jacobian of a vector-valued f, one column block per chunk, threaded as ``gradient``."""
     cfg = cfg if cfg is not None else ChunkConfig()
     x = _as_input_vector(x)
-    k = x.shape[0]
-    entries = None
-    f_value = None
-    with lane_pool():
-        for block in _blocks(k, cfg.resolve(k)):
-            width = block.stop - block.start
-            with np.errstate(all="ignore"):
-                values, lanes = _vector_output(f(_seeded(x, [block])), width)
-            if entries is None:
-                entries = np.empty((values.shape[0], k))
-                f_value = values
-            elif values.shape[0] != entries.shape[0]:
-                raise ValueError(
-                    f"target function changed output length between passes: "
-                    f"{entries.shape[0]} then {values.shape[0]}"
-                )
-            entries[:, block] = lanes.T
+    entries, _, f_value = _passes(f, x, (cfg.resolve(x.shape[0]),), cfg.threads, _vector_output)
     return JacobianResult(entries, f_value)
 
 

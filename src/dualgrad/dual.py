@@ -14,6 +14,15 @@ visibly non-finite rather than silently wrong.  Whether they also warn is
 up to numpy's current error state, as for ``ndarray`` arithmetic: the
 rules set none of their own.  The drivers set it to ignore around each
 evaluation of the target, so they never warn.
+
+The arithmetic and elementary rules of ``Dual`` are the only ones in the
+package: ``DualVector`` installs the same function objects, and
+``NestedDualVector`` calls them.  Each rule reads ``values`` and
+``partials``, computes with the operations ``pool.ops`` picks for its
+lanes (ones that reuse buffers for large float64 lanes in a driver call,
+plain ones otherwise) and builds its result with ``type(self)``.  On a
+``Dual`` the lanes are a ``Partials`` tuple, so the operations are
+Python's operators and numpy's ufuncs on scalars.
 """
 
 from __future__ import annotations
@@ -21,6 +30,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .pool import _ELEMENTARY, _PLAIN_OPS, _ieee_div, ops
 
 __all__ = [
     "Dual",
@@ -40,14 +51,6 @@ __all__ = [
 
 # Plain scalars that get lifted to constants (zero lanes) in mixed arithmetic.
 _PLAIN = (int, float, np.integer, np.floating)
-
-
-def _ieee_div(a, b):
-    """Division that yields inf/nan instead of ZeroDivisionError (raised only by float leaves)."""
-    try:
-        return a / b
-    except ZeroDivisionError:
-        return np.divide(np.float64(a), np.float64(b))
 
 
 def _ufunc_rule(self, ufunc, method, *inputs, **kwargs):
@@ -136,137 +139,155 @@ class Dual:
         self.value = value
         self.partials = partials
 
+    def _operands(self, other):
+        """(operations, own lanes, other's value, other's lanes or None) for a binary rule.
+
+        None for anything but a Dual or a plain scalar: the rule returns NotImplemented.
+        """
+        if isinstance(other, Dual):
+            return _PLAIN_OPS, self.partials, other.value, other.partials
+        if isinstance(other, _PLAIN):
+            return _PLAIN_OPS, self.partials, other, None
+        return None
+
     # ------------------------------------------------------------------
-    # arithmetic
+    # arithmetic: the rules of every dual kind (see the module docstring)
     # ------------------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.value + other.value, self.partials + other.partials)
-        if isinstance(other, _PLAIN):
-            return Dual(self.value + other, self.partials)
-        return NotImplemented
+        if (operands := self._operands(other)) is None:
+            return NotImplemented
+        o, sp, ov, op = operands
+        lanes = sp if op is None else o.add(sp, op)
+        return type(self)(o.add(self.values, ov), lanes)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.value - other.value, self.partials - other.partials)
-        if isinstance(other, _PLAIN):
-            return Dual(self.value - other, self.partials)
-        return NotImplemented
+        if (operands := self._operands(other)) is None:
+            return NotImplemented
+        o, sp, ov, op = operands
+        lanes = sp if op is None else o.sub(sp, op)
+        return type(self)(o.sub(self.values, ov), lanes)
 
     def __rsub__(self, other):
-        if isinstance(other, _PLAIN):
-            return Dual(other - self.value, -self.partials)
-        return NotImplemented
+        if (operands := self._operands(other)) is None:
+            return NotImplemented
+        o, sp, ov, op = operands
+        lanes = o.neg(sp) if op is None else o.sub(op, sp)
+        return type(self)(o.sub(ov, self.values), lanes)
 
     def __mul__(self, other):
-        if isinstance(other, Dual):
-            return Dual(
-                self.value * other.value,
-                other.value * self.partials + self.value * other.partials,
-            )
-        if isinstance(other, _PLAIN):
-            return Dual(self.value * other, other * self.partials)
-        return NotImplemented
+        if (operands := self._operands(other)) is None:
+            return NotImplemented
+        o, sp, ov, op = operands
+        lanes = o.mul(sp, ov)
+        if op is not None:
+            lanes = o.add(lanes, o.mul(op, self.values))
+        return type(self)(o.mul(self.values, ov), lanes)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Dual):
-            num = other.value * self.partials - self.value * other.partials
-            return Dual(
-                _ieee_div(self.value, other.value),
-                num / (other.value * other.value),
-            )
-        if isinstance(other, _PLAIN):
-            return Dual(_ieee_div(self.value, other), self.partials / other)
-        return NotImplemented
+        if (operands := self._operands(other)) is None:
+            return NotImplemented
+        o, sp, ov, op = operands
+        v = self.values
+        if op is None:
+            lanes = o.div(sp, ov)
+        else:
+            num = o.sub(o.mul(sp, ov), o.mul(op, v))
+            lanes = o.div(num, o.mul(ov, ov))
+        return type(self)(o.div(v, ov), lanes)
 
     def __rtruediv__(self, other):
-        if isinstance(other, _PLAIN):
-            return Dual(
-                _ieee_div(other, self.value),
-                ((-other) * self.partials) / (self.value * self.value),
-            )
-        return NotImplemented
+        if (operands := self._operands(other)) is None:
+            return NotImplemented
+        o, sp, ov, op = operands
+        v = self.values
+        if op is None:
+            num = o.mul(sp, -ov)
+        else:
+            num = o.sub(o.mul(op, v), o.mul(sp, ov))
+        lanes = o.div(num, o.mul(v, v))
+        return type(self)(o.div(ov, v), lanes)
 
     def __neg__(self):
-        return Dual(-self.value, -self.partials)
+        o = ops(self.partials)
+        return type(self)(o.neg(self.values), o.neg(self.partials))
 
     def __pos__(self):
         return self
 
     def __pow__(self, p):
-        if isinstance(p, Dual):
-            raise TypeError(
-                "dual exponents are not supported; the exponent must be a plain scalar"
-            )
         if not isinstance(p, _PLAIN):
+            if hasattr(p, "partials"):  # a dual of any kind
+                raise TypeError(
+                    "dual exponents are not supported; the exponent must be a plain scalar"
+                )
             return NotImplemented
         if p == 0:
-            return Dual(_pow(self.value, p), 0.0 * self.partials)
+            return type(self)(self.values**0, self.sign().partials)
         if p == 1:
             return self
         if p == 2:
             return self.square()
-        coeff = p * _pow(self.value, p - 1)
-        return Dual(_pow(self.value, p), coeff * self.partials)
+        p = float(p)  # so that an integer value is raised as a float, not in int64
+        v, o = self.values, ops(self.partials)
+        coeff = o.mul(p, o.power(v, p - 1))
+        return type(self)(o.power(v, p), o.mul(self.partials, coeff))
 
     def __rpow__(self, base):
         return NotImplemented
 
     def __abs__(self):
-        # Derivative convention at exactly 0: subgradient 0, keeping results
-        # finite for kinked functions evaluated at the kink.
-        b = base_value(self)
-        if b > 0.0:
-            return Dual(abs(self.value), self.partials)
-        if b < 0.0:
-            return Dual(abs(self.value), -self.partials)
-        if b != b:
-            return Dual(abs(self.value), math.nan * self.partials)
-        return Dual(abs(self.value), 0.0 * self.partials)
-
-    # ------------------------------------------------------------------
-    # elementary-function rules: value = f(x), lanes scaled by f'(x)
-    # ------------------------------------------------------------------
-
-    def sin(self):
-        return Dual(sin(self.value), cos(self.value) * self.partials)
-
-    def cos(self):
-        return Dual(cos(self.value), (-sin(self.value)) * self.partials)
-
-    def tan(self):
-        c = cos(self.value)
-        coeff = _ieee_div(1.0, c * c)
-        return Dual(tan(self.value), coeff * self.partials)
-
-    def exp(self):
-        e = exp(self.value)
-        return Dual(e, e * self.partials)
-
-    def log(self):
-        v = log(self.value)
-        if base_value(self.value) < 0.0:
-            # keep the whole result visibly non-finite, not just the value
-            return Dual(v, math.nan * self.partials)
-        return Dual(v, _ieee_div(1.0, self.value) * self.partials)
-
-    def sqrt(self):
-        s = sqrt(self.value)
-        if base_value(self.value) < 0.0:
-            return Dual(s, math.nan * self.partials)
-        return Dual(s, _ieee_div(0.5, s) * self.partials)
-
-    def square(self):
-        return Dual(self.value * self.value, (2.0 * self.value) * self.partials)
+        v, o = self.values, ops(self.partials)
+        return type(self)(o.absolute(v), o.mul(self.partials, o.sign(v)))
 
     def sign(self):
-        # constant almost everywhere, so the lanes are zeroed
-        return Dual(_sign(self.value), 0.0 * self.partials)
+        o = ops(self.partials)
+        return type(self)(o.sign(self.values), o.mul(0.0, self.partials))
+
+    # elementary functions: value = f(x), lanes scaled by f'(x)
+
+    def sin(self):
+        v, o = self.values, ops(self.partials)
+        return type(self)(o.sin(v), o.mul(self.partials, o.cos(v)))
+
+    def cos(self):
+        v, o = self.values, ops(self.partials)
+        coeff = o.neg(o.sin(v))
+        return type(self)(o.cos(v), o.mul(self.partials, coeff))
+
+    def tan(self):
+        v, o = self.values, ops(self.partials)
+        c = o.cos(v)
+        coeff = o.div(1.0, o.mul(c, c))
+        return type(self)(o.tan(v), o.mul(self.partials, coeff))
+
+    def exp(self):
+        o = ops(self.partials)
+        e = o.exp(self.values)
+        return type(self)(e, o.mul(self.partials, e))
+
+    def log(self):
+        v, o = self.values, ops(self.partials)
+        # negative inputs: keep the lanes non-finite, not just the value.  The
+        # NaN/1.0 factor leaves other entries bitwise unchanged and scales a
+        # coefficient of any dual kind; [()] turns a scalar's 0-d mask into
+        # a numpy scalar, which scalar duals accept.
+        mask = np.where(v < 0, np.nan, 1.0)[()]
+        coeff = o.mul(o.div(1.0, v), mask)
+        return type(self)(o.log(v), o.mul(self.partials, coeff))
+
+    def sqrt(self):
+        o = ops(self.partials)
+        s = o.sqrt(self.values)
+        return type(self)(s, o.mul(self.partials, o.div(0.5, s)))
+
+    def square(self):
+        v, o = self.values, ops(self.partials)
+        return type(self)(o.mul(v, v), o.mul(self.partials, o.mul(2.0, v)))
 
     # ------------------------------------------------------------------
     # comparisons: value channel only
@@ -321,6 +342,16 @@ class Dual:
 
     def __repr__(self):
         return _render(self)
+
+
+# The rules read ``values``, which on a Dual is the ``value`` slot itself
+# (its member descriptor): reading it costs no more than reading ``value``.
+Dual.values = Dual.__dict__["value"]
+
+# The rules every dual kind shares, by name
+_RULES = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__")
+_RULES += ("__rtruediv__", "__neg__", "__pos__", "__pow__", "__rpow__", "__abs__", "sign")
+_RULES += ("sin", "cos", "tan", "exp", "log", "sqrt", "square")
 
 
 def _other_key(other):
@@ -378,18 +409,6 @@ def base_value(x):
 # ----------------------------------------------------------------------
 
 
-# name -> numpy ufunc of each generic elementary function
-_ELEMENTARY = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "square": np.square,
-}
-
-
 def _generic(name, ufunc):
     def generic(x):
         m = getattr(x, name, None)
@@ -403,13 +422,6 @@ def _generic(name, ufunc):
 
 
 sin, cos, tan, exp, log, sqrt, square = (_generic(n, u) for n, u in _ELEMENTARY.items())
-_sign = _generic("sign", np.sign)
-
-
-def _pow(x, p):
-    if isinstance(x, Dual):
-        return x**p
-    return np.power(np.float64(x), p)
 
 
 _UNARY_UFUNCS = {

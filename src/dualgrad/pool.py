@@ -5,12 +5,15 @@ Blocks of ``POOL_MIN_BYTES`` and more are the ones glibc hands back to the
 OS when they are freed, so without reuse the next pass page-faults them
 in again: a 3000-component Rosenbrock gradient at chunk 8 took about 140
 minor faults per pass.  The drivers therefore run their passes inside
-``lane_pool()``.  Each ``DualVector`` rule asks ``ops`` once for the
+``lane_pool()``.  Each dual rule (one body serves ``Dual``,
+``DualVector`` and ``NestedDualVector``) asks ``ops`` once for the
 operations it computes with: while a pool is active and the rule's lanes
-are that large, these write their results through ``pooled``, which
-hands out a buffer of the same shape that nothing outside the pool
-refers to any more.  ``out=`` gives the same values as a fresh ufunc
-result, so pooling never changes a number.
+are a float64 array that large, these write their results through
+``pooled``, which hands out a buffer of the same shape that nothing
+outside the pool refers to any more.  ``out=`` gives the same values as
+a fresh ufunc result, so pooling never changes a number.  Any other
+lanes (a scalar ``Dual``'s tuple, a nested vector's duals) get the plain
+operations, which are Python's operators where there is one.
 """
 
 from __future__ import annotations
@@ -23,13 +26,16 @@ import threading
 
 import numpy as np
 
-from .dual import _ELEMENTARY
-
 __all__ = ["POOL_MIN_BYTES", "lane_pool", "pooled", "pooled_zeros"]
 
 # glibc's free() consolidates blocks of this size and larger and trims
 # the heap back to the OS.  Smaller results keep numpy's own allocation.
 POOL_MIN_BYTES = 64 * 1024
+
+# Buffers kept per shape.  The most a driver call had in use at once was
+# 7 (a k=300 Hessian at chunks (30, 30)); a target that keeps more than
+# this many alive gets fresh arrays instead of a scan over all it keeps.
+_MAX_PER_SHAPE = 16
 
 # Operands that leave a ufunc on float64 arrays with a float64 result.
 _FLOAT64 = np.dtype(np.float64)
@@ -61,7 +67,8 @@ class _Pool:
             if sys.getrefcount(buf) == self.sole:
                 return buf
         buf = np.empty(shape)
-        same.append(buf)
+        if len(same) < _MAX_PER_SHAPE:
+            same.append(buf)
         return buf
 
 
@@ -107,7 +114,7 @@ class lane_pool:
     then written into buffers whose earlier results nothing refers to any
     more; the values are the same as without the pool, bit for bit.  Until
     the block exits the pool keeps, for each shape, as many buffers as
-    were in use at once.
+    were in use at once, up to ``_MAX_PER_SHAPE``.
     """
 
     __slots__ = ("outer",)
@@ -151,14 +158,29 @@ def pooled(ufunc, *args):
     return ufunc(*args, out=pool.take(shape))
 
 
-# The operations of the DualVector rules, by name
+# name -> numpy ufunc of each generic elementary function (``dual.sin`` ...)
+_ELEMENTARY = dict(sin=np.sin, cos=np.cos, tan=np.tan, exp=np.exp, log=np.log)
+_ELEMENTARY |= dict(sqrt=np.sqrt, square=np.square)
+
+
+def _ieee_div(a, b):
+    """``a / b``, but inf/nan instead of the ZeroDivisionError that Python scalars raise."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        return np.divide(np.float64(a), np.float64(b))
+
+
+# The operations of the dual rules, by name
 _UFUNCS = _ELEMENTARY | dict(add=np.add, sub=np.subtract, mul=np.multiply, neg=np.negative)
 _UFUNCS |= dict(div=np.true_divide, power=np.power, absolute=np.absolute, sign=np.sign)
 # Namespaces are classes, whose attributes are the cheapest to look up: a
 # k=30 Hessian (all small rules) ran 2% faster than with SimpleNamespace.
 _POOLED_OPS = type("PooledOps", (), {n: functools.partial(pooled, u) for n, u in _UFUNCS.items()})
-# Python's operators where there is one: nested lanes are duals, not arrays
+# Python's operators where there is one: nested lanes are duals and a
+# scalar Dual's are a tuple, not arrays
 _OPERATORS = dict(add=operator.add, sub=operator.sub, mul=operator.mul, neg=operator.neg)
+_OPERATORS["div"] = _ieee_div
 _PLAIN_OPS = type("PlainOps", (), _UFUNCS | _OPERATORS)
 
 
@@ -166,8 +188,8 @@ def ops(lanes):
     """The operations of a rule on ``lanes``, pooled or plain: the same numbers either way.
 
     Pooled only for a float64 array of at least ``POOL_MIN_BYTES`` while a
-    ``lane_pool`` is active in this thread, so never for nested lanes or
-    outside a driver call.
+    ``lane_pool`` is active in this thread, so never for nested or scalar
+    lanes or outside a driver call.
     """
     if type(lanes) is _ndarray and lanes.nbytes >= POOL_MIN_BYTES:
         if lanes.dtype is _FLOAT64 and _active.pool is not None:

@@ -17,9 +17,10 @@ it unchanged.
 ``partials`` are themselves DualVectors, or NestedDualVectors one level
 further down, so forward-over-forward differentiation runs on float64
 arrays at every nesting level.  It has no rules of its own: every
-operation runs the DualVector rule of the same name, and each rule builds
-its result with ``type(self)`` and combines its fields with the same
-operations whatever dual kind they hold.
+operation runs the DualVector rule of the same name.  The arithmetic and
+elementary rules of DualVector are in turn the scalar ``Dual``'s own
+functions (``dual.py``); this module adds the vector side of operand
+handling, indexing, reductions and comparisons.
 
 Instances are immutable by convention; operations never write to their
 operands, so values and lane blocks may be freely shared across results
@@ -39,7 +40,7 @@ import warnings
 
 import numpy as np
 
-from .dual import _PLAIN, Dual, Partials, _ufunc_rule
+from .dual import _PLAIN, _RULES, Dual, Partials, _ufunc_rule
 from .pool import ops
 
 __all__ = ["DualVector", "NestedDualVector"]
@@ -145,136 +146,6 @@ class DualVector:
         return ops(sp), sp, ov, op
 
     # ------------------------------------------------------------------
-    # arithmetic.  Each rule computes with the operations that ops()
-    # picks for its lanes: ones that reuse buffers for large float64
-    # lanes in a driver call, plain ones otherwise.
-    # ------------------------------------------------------------------
-
-    def __add__(self, other):
-        o, sp, ov, op = self._operands(other)
-        lanes = sp if op is None else o.add(sp, op)
-        return type(self)(o.add(self.values, ov), lanes)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o, sp, ov, op = self._operands(other)
-        lanes = sp if op is None else o.sub(sp, op)
-        return type(self)(o.sub(self.values, ov), lanes)
-
-    def __rsub__(self, other):
-        o, sp, ov, op = self._operands(other)
-        lanes = o.neg(sp) if op is None else o.sub(op, sp)
-        return type(self)(o.sub(ov, self.values), lanes)
-
-    def __mul__(self, other):
-        o, sp, ov, op = self._operands(other)
-        lanes = o.mul(sp, ov)
-        if op is not None:
-            lanes = o.add(lanes, o.mul(op, self.values))
-        return type(self)(o.mul(self.values, ov), lanes)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o, sp, ov, op = self._operands(other)
-        v = self.values
-        if op is None:
-            lanes = o.div(sp, ov)
-        else:
-            num = o.sub(o.mul(sp, ov), o.mul(op, v))
-            lanes = o.div(num, o.mul(ov, ov))
-        return type(self)(o.div(v, ov), lanes)
-
-    def __rtruediv__(self, other):
-        o, sp, ov, op = self._operands(other)
-        v = self.values
-        if op is None:
-            num = o.mul(sp, -ov)
-        else:
-            num = o.sub(o.mul(op, v), o.mul(sp, ov))
-        lanes = o.div(num, o.mul(v, v))
-        return type(self)(o.div(ov, v), lanes)
-
-    def __neg__(self):
-        o = ops(self.partials)
-        return type(self)(o.neg(self.values), o.neg(self.partials))
-
-    def __pos__(self):
-        return self
-
-    def __pow__(self, p):
-        if isinstance(p, (Dual, DualVector, NestedDualVector)):
-            raise TypeError(
-                "dual exponents are not supported; the exponent must be a plain scalar"
-            )
-        if not isinstance(p, _PLAIN):
-            return NotImplemented
-        if p == 0:
-            return type(self)(self.values**0, self.sign().partials)
-        if p == 1:
-            return self
-        if p == 2:
-            return self.square()
-        v, o = self.values, ops(self.partials)
-        coeff = o.mul(p, o.power(v, p - 1))
-        return type(self)(o.power(v, p), o.mul(self.partials, coeff))
-
-    def __rpow__(self, base):
-        return NotImplemented
-
-    def __abs__(self):
-        v, o = self.values, ops(self.partials)
-        return type(self)(o.absolute(v), o.mul(self.partials, o.sign(v)))
-
-    def sign(self):
-        o = ops(self.partials)
-        return type(self)(o.sign(self.values), o.mul(0.0, self.partials))
-
-    # ------------------------------------------------------------------
-    # elementary functions: value = f(x), lanes scaled by f'(x)
-    # ------------------------------------------------------------------
-
-    def sin(self):
-        v, o = self.values, ops(self.partials)
-        return type(self)(o.sin(v), o.mul(self.partials, o.cos(v)))
-
-    def cos(self):
-        v, o = self.values, ops(self.partials)
-        coeff = o.neg(o.sin(v))
-        return type(self)(o.cos(v), o.mul(self.partials, coeff))
-
-    def tan(self):
-        v, o = self.values, ops(self.partials)
-        c = o.cos(v)
-        coeff = o.div(1.0, o.mul(c, c))
-        return type(self)(o.tan(v), o.mul(self.partials, coeff))
-
-    def exp(self):
-        o = ops(self.partials)
-        e = o.exp(self.values)
-        return type(self)(e, o.mul(self.partials, e))
-
-    def log(self):
-        v, o = self.values, ops(self.partials)
-        # negative inputs: keep the lanes non-finite, not just the value.  The
-        # NaN/1.0 factor leaves other entries bitwise unchanged and scales a
-        # coefficient of any dual kind; [()] turns a scalar's 0-d mask into
-        # a numpy scalar, which scalar duals accept.
-        mask = np.where(v < 0, np.nan, 1.0)[()]
-        coeff = o.mul(o.div(1.0, v), mask)
-        return type(self)(o.log(v), o.mul(self.partials, coeff))
-
-    def sqrt(self):
-        o = ops(self.partials)
-        s = o.sqrt(self.values)
-        return type(self)(s, o.mul(self.partials, o.div(0.5, s)))
-
-    def square(self):
-        v, o = self.values, ops(self.partials)
-        return type(self)(o.mul(v, v), o.mul(self.partials, o.mul(2.0, v)))
-
-    # ------------------------------------------------------------------
     # reductions: collapse the last component axis, keep the lanes; a
     # vector with one component axis reduces to a scalar
     # ------------------------------------------------------------------
@@ -335,6 +206,11 @@ class DualVector:
         return out
 
     __array_ufunc__ = _ufunc_rule
+
+
+# The arithmetic and elementary rules are Dual's own functions
+for _name in _RULES:
+    setattr(DualVector, _name, vars(Dual)[_name])
 
 
 class NestedDualVector:

@@ -308,6 +308,32 @@ def test_jacobian_rejects_inconsistent_output_length():
         jacobian(shifty, np.ones(4), ChunkConfig(1))
 
 
+def test_impure_vector_target_is_caught():
+    calls = []
+
+    def drifting(x):
+        calls.append(1)
+        return x if len(calls) == 1 else 2.0 * x
+
+    with pytest.raises(ImpureTargetError, match="pass 1 gave"):
+        jacobian(drifting, np.ones(4), ChunkConfig(2))
+
+
+def test_threaded_jacobian_equals_serial_and_runs_passes_on_a_worker():
+    idents = []
+
+    def vec(x):
+        idents.append(threading.get_ident())
+        return np.sin(x) * x[::-1] + np.sqrt(np.abs(x)) - x / (1.0 + x * x)
+
+    x = np.random.default_rng(37).uniform(-1, 1, 40)
+    threaded = jacobian(vec, x, ChunkConfig(4, threads=2))
+    assert len(idents) == 10 and set(idents) - {threading.get_ident()}
+    serial = jacobian(vec, x, ChunkConfig(4))
+    assert threaded.entries.tobytes() == serial.entries.tobytes()
+    assert threaded.f_value.tobytes() == serial.f_value.tobytes()
+
+
 # ----------------------------------------------------------------------
 # hessian
 # ----------------------------------------------------------------------

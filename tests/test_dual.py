@@ -11,9 +11,13 @@ from dualgrad import (
     Partials,
     base_value,
     cos,
+    derivative,
     exp,
     extract,
+    gradient,
+    hessian,
     log,
+    second_derivative,
     seed_unit,
     sin,
     sqrt,
@@ -245,6 +249,43 @@ def test_abs_rule_and_zero_convention():
     assert neg.value == 2.0 and lanes(neg) == (-3.0,)
     kink = abs(Dual(0.0, [3.0]))
     assert kink.value == 0.0 and lanes(kink) == (0.0,)
+
+
+# ----------------------------------------------------------------------
+# scalar duals run the DualVector rule bodies, so their edge results are
+# the vector path's, bit for bit
+# ----------------------------------------------------------------------
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def test_sqrt_below_zero_gives_the_vector_paths_nan():
+    at = [-2.0]
+    grad = gradient(lambda x: np.sum(np.sqrt(x)), at).values[0]
+    hess = hessian(lambda x: np.sum(np.sqrt(x)), at).entries[0, 0]
+    assert math.isnan(derivative(sqrt, -2.0)) and math.isnan(grad)
+    assert _bits(derivative(sqrt, -2.0)) == _bits(grad)
+    assert _bits(second_derivative(sqrt, -2.0)) == _bits(hess)
+
+
+def test_nested_abs_below_zero_has_a_positive_zero_second_derivative():
+    got = second_derivative(abs, -2.0)
+    assert got == 0.0 and math.copysign(1.0, got) == 1.0
+    assert _bits(got) == _bits(hessian(lambda x: np.sum(np.abs(x)), [-2.0]).entries[0, 0])
+
+
+def test_abs_value_is_a_numpy_float():
+    assert type(abs(Dual(-2.0, [3.0])).value) is np.float64
+
+
+def test_integer_values_are_raised_as_floats():
+    # np.power on Python ints would refuse negative exponents and wrap in int64
+    assert (Dual(2, [1.0]) ** -1).value == 0.5
+    big = Dual(10, [1.0]) ** 30
+    assert big.value == 1e30 and lanes(big) == (3e30,)
+    assert derivative(lambda x: x**-2, 2) == -0.25
 
 
 # ----------------------------------------------------------------------

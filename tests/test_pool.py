@@ -156,6 +156,26 @@ def test_a_large_jacobian_value_survives_the_call():
     assert np.array_equal(res.f_value, x * 2.0 + x[::-1])
 
 
+def test_a_target_keeping_many_intermediates_leaves_the_pool_bounded(monkeypatch):
+    # 128 passes keeping 16 results each: 2048 lane blocks of 8 x 1024
+    # float64, just at POOL_MIN_BYTES, alive until the call returns
+    x = _point(1024)
+    kept, most = [], []
+
+    def hoarding(v):
+        kept.extend(v * float(i) for i in range(16))
+        if pool._active.pool is not None:
+            most.append(max(len(same) for same in pool._active.pool.buffers.values()))
+        return rosenbrock(v) + np.sum(kept[-1])
+
+    got = gradient(hoarding, x, ChunkConfig(8))
+    assert len(kept) == 2048 and max(most) == pool._MAX_PER_SHAPE
+    kept.clear()
+    want = _unpooled(monkeypatch, lambda: gradient(hoarding, x, ChunkConfig(8)))
+    kept.clear()
+    assert _same(got.values, want.values) and _same(got.f_value, want.f_value)
+
+
 def test_sole_refcount_is_probed_through_take():
     assert pool._sole_refcount() == pool._SOLE is not None
     buffers = pool._Pool(pool._SOLE)

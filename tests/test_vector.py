@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from checks import UNARY_RULES
 from dualgrad import Dual, DualVector, NestedDualVector, Partials, seed_unit
+from dualgrad.dual import _RULES
 
 
 def seeded(values, n=None):
@@ -65,13 +67,18 @@ def test_matches_scalar_duals_on_mixed_expression():
 
 @pytest.mark.parametrize("name", ["sin", "cos", "tan", "exp", "sqrt", "square"])
 def test_unary_rules_match_scalar(name):
+    """The vector rules against the scalar closed forms of ``checks.UNARY_RULES``.
+
+    Not against scalar ``Dual``: it runs the very same rule bodies.
+    """
+    _, rule, deriv, sample = next(r for r in UNARY_RULES if r[0] == name)
     rng = np.random.default_rng(1)
-    x = rng.uniform(0.1, 1.3, size=5)
-    dv = getattr(seeded(x), name)()
+    x = np.array([sample(rng) for _ in range(5)])
+    dv = rule(seeded(x))
     for i in range(5):
-        d = getattr(seed_unit(float(x[i]), i, 5), name)()
-        assert dv.values[i] == d.value
-        assert dv.partials[i, i] == d.partials[i]
+        assert dv.values[i] == rule(x[i])
+        assert dv.partials[i, i] == deriv(x[i])
+        assert np.count_nonzero(dv.partials[:, i]) == 1
 
 
 def test_log_rule_matches_scalar_and_guards_domain():
@@ -184,8 +191,23 @@ def test_powers_and_edge_exponents():
     assert sq.partials[0, 0] == 4.0
     half = dv**0.5
     assert half.partials[1, 1] == 0.25
-    with pytest.raises(TypeError):
-        dv ** Dual(1.0, (1.0, 0.0))
+    d = Dual(1.0, (1.0, 0.0))
+    for base, exponent in ((dv, d), (d, dv), (dv, dv)):
+        with pytest.raises(TypeError, match="dual exponents are not supported"):
+            base**exponent
+
+
+SHARED_RULES = [
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+    "__rtruediv__", "__neg__", "__pos__", "__pow__", "__rpow__", "__abs__", "sign",
+    "sin", "cos", "tan", "exp", "log", "sqrt", "square",
+]
+
+
+def test_scalar_and_vector_duals_share_every_rule_function():
+    assert sorted(_RULES) == sorted(SHARED_RULES)
+    for name in SHARED_RULES:
+        assert DualVector.__dict__[name] is Dual.__dict__[name], name
 
 
 # ----------------------------------------------------------------------
