@@ -32,10 +32,11 @@ the OS and the next pass page-faults in again.
 
 All drivers require a pure target function: same input, same output.
 Every pass's value channel (every output, for a Jacobian) is compared
-with the first pass's, and a difference raises ImpureTargetError.  The threaded scheduler additionally
-requires f to be safely callable from several threads at once.  It runs
-pass 0 on the caller and hands the rest of a worker's block back to it
-when the worker runs below break-even; passes write disjoint slices.
+with the first pass's, and a difference raises ImpureTargetError.  The
+threaded scheduler additionally requires f to be safely callable from
+several threads at once.  It runs pass 0 on the caller and hands the
+rest of a worker's block back to it when the worker runs below
+break-even; passes write disjoint slices.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import Dual, base_value
+from .dual import Dual, _DualKind, base_value
 from .pool import lane_pool, pooled_zeros
 from .vector import DualVector, NestedDualVector
 
@@ -222,7 +223,8 @@ def _lane(v, i):
 # the pass machinery shared by every chunked driver
 # ----------------------------------------------------------------------
 
-_VECTORS = (DualVector, NestedDualVector)
+# Constant results a scalar target may return besides 0-d arrays
+_SCALARS = (numbers.Number, np.generic)
 
 
 def _vector(values, partials):
@@ -257,27 +259,24 @@ def _seeded(x, blocks):
     return out
 
 
-def _base(v):
-    """Innermost float (or float array) of a possibly nested dual."""
-    while isinstance(v, _VECTORS):
-        v = v.values
-    return base_value(v)
-
-
 def _scalar_output(y, widths):
     """(f value, outermost first-order lanes, highest-order lane block) of a result."""
-    if isinstance(y, _VECTORS) and y.ndim:
-        raise TypeError("target function must return a scalar, got a vector")
-    if not isinstance(y, (Dual, NestedDualVector)):  # constant: every lane is zero
+    if not isinstance(y, _DualKind):  # constant: every lane is zero
+        # checked without converting y: np.ndim on a list of vectors builds an object array
+        if not (isinstance(y, _SCALARS) or isinstance(y, np.ndarray) and y.ndim == 0):
+            got = f"shape {y.shape}" if isinstance(y, np.ndarray) else f"a {type(y).__name__}"
+            raise TypeError(f"target function must return a scalar, got {got}")
         return y, np.zeros(widths[-1]), np.zeros(widths)
+    if not isinstance(y, Dual) and y.ndim:
+        raise TypeError("target function must return a scalar, got a vector")
     top = y
     for _ in widths:
         top = top.partials
     top = np.asarray(top, dtype=np.float64)
     if top.shape != widths:
         raise ValueError(f"target function returned lanes of shape {top.shape}, expected {widths}")
-    first = top if len(widths) == 1 else _base(y.partials)
-    return _base(y), first, top
+    first = top if len(widths) == 1 else base_value(y.partials)
+    return base_value(y), first, top
 
 
 def _blocks(k, chunk):

@@ -15,14 +15,20 @@ up to numpy's current error state, as for ``ndarray`` arithmetic: the
 rules set none of their own.  The drivers set it to ignore around each
 evaluation of the target, so they never warn.
 
-The arithmetic and elementary rules of ``Dual`` are the only ones in the
-package: ``DualVector`` installs the same function objects, and
-``NestedDualVector`` calls them.  Each rule reads ``values`` and
-``partials``, computes with the operations ``pool.ops`` picks for its
-lanes (ones that reuse buffers for large float64 lanes in a driver call,
-plain ones otherwise) and builds its result with ``type(self)``.  On a
-``Dual`` the lanes are a ``Partials`` tuple, so the operations are
-Python's operators and numpy's ufuncs on scalars.
+The arithmetic, elementary and comparison rules of ``Dual`` and its
+``__array_ufunc__`` are the only ones in the package: ``DualVector``
+installs the same function objects, and ``NestedDualVector`` calls them.
+Each rule reads ``values`` and ``partials``, computes with the operations
+``pool.ops`` picks for its lanes (ones that reuse buffers for large
+float64 lanes in a driver call, plain ones otherwise) and builds its
+result with ``type(self)``.  On a ``Dual`` the lanes are a ``Partials``
+tuple, so the operations are Python's operators and numpy's ufuncs on
+scalars.
+
+All three kinds subclass ``_DualKind``: one ``isinstance`` tells a dual
+from a constant, and ``value_of``/``base_value`` read the value channel
+of every kind.  ``sin`` … ``square`` are numpy's ufuncs, which numpy
+hands to the rules on a dual of any kind through ``__array_ufunc__``.
 """
 
 from __future__ import annotations
@@ -118,7 +124,13 @@ class Partials(tuple):
         return Partials(_ieee_div(a, scalar) for a in self)
 
 
-class Dual:
+class _DualKind:
+    """Base class of ``Dual``, ``DualVector`` and ``NestedDualVector``."""
+
+    __slots__ = ()
+
+
+class Dual(_DualKind):
     """Dual number: ``value`` plus a fixed number of derivative lanes.
 
     Treat instances as immutable values; every operation returns a new
@@ -126,9 +138,10 @@ class Dual:
     entries are duals of the same inner shape or plain scalars that get
     lifted on contact.
 
-    Comparisons look at the value component only (recursively, down to the
-    base scalar), which lets branch-heavy numeric code run unchanged on
-    duals; derivatives of piecewise functions are therefore one-sided.
+    Comparisons look at the value component only (one nesting level at a
+    time, down to the base scalar), which lets branch-heavy numeric code
+    run unchanged on duals; derivatives of piecewise functions are
+    therefore one-sided.
     """
 
     __slots__ = ("value", "partials")
@@ -221,7 +234,7 @@ class Dual:
 
     def __pow__(self, p):
         if not isinstance(p, _PLAIN):
-            if hasattr(p, "partials"):  # a dual of any kind
+            if isinstance(p, _DualKind):
                 raise TypeError(
                     "dual exponents are not supported; the exponent must be a plain scalar"
                 )
@@ -290,39 +303,32 @@ class Dual:
         return type(self)(o.mul(v, v), o.mul(self.partials, o.mul(2.0, v)))
 
     # ------------------------------------------------------------------
-    # comparisons: value channel only
+    # comparisons: the value channel only; a nested value compares
+    # through these same functions one level down
     # ------------------------------------------------------------------
 
-    def _cmp_key(self):
-        return base_value(self)
-
     def __lt__(self, other):
-        return self._cmp_key() < _other_key(other)
+        return self.values < value_of(other)
 
     def __le__(self, other):
-        return self._cmp_key() <= _other_key(other)
+        return self.values <= value_of(other)
 
     def __gt__(self, other):
-        return self._cmp_key() > _other_key(other)
+        return self.values > value_of(other)
 
     def __ge__(self, other):
-        return self._cmp_key() >= _other_key(other)
+        return self.values >= value_of(other)
 
     def __eq__(self, other):
-        if not isinstance(other, (Dual,) + _PLAIN):
-            return NotImplemented
-        return self._cmp_key() == _other_key(other)
+        return self.values == value_of(other)
 
     def __ne__(self, other):
-        eq = self.__eq__(other)
-        if eq is NotImplemented:
-            return eq
-        return not eq
+        return self.values != value_of(other)
 
     __hash__ = None  # value-only equality makes hashing misleading
 
     def __bool__(self):
-        return bool(self._cmp_key())
+        return bool(base_value(self))
 
     def __float__(self):
         return float(base_value(self))
@@ -352,12 +358,7 @@ Dual.values = Dual.__dict__["value"]
 _RULES = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__")
 _RULES += ("__rtruediv__", "__neg__", "__pos__", "__pow__", "__rpow__", "__abs__", "sign")
 _RULES += ("sin", "cos", "tan", "exp", "log", "sqrt", "square")
-
-
-def _other_key(other):
-    if isinstance(other, Dual):
-        return base_value(other)
-    return other
+_RULES += ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__ne__", "__array_ufunc__")
 
 
 # ----------------------------------------------------------------------
@@ -387,41 +388,19 @@ def extract(d):
 
 
 def value_of(x):
-    """Value component of a dual; plain scalars pass through."""
-    return x.value if isinstance(x, Dual) else x
+    """Value channel of a dual of any kind, one nesting level down; anything else passes through."""
+    return x.values if isinstance(x, _DualKind) else x
 
 
 def base_value(x):
-    """Innermost plain scalar of a (possibly nested) dual."""
-    while isinstance(x, Dual):
-        x = x.value
+    """Innermost plain value of a dual of any kind: a scalar, or a float64 array for a vector."""
+    while isinstance(x, _DualKind):
+        x = x.values
     return x
 
 
-# ----------------------------------------------------------------------
-# generic elementary functions
-#
-# These dispatch on the argument: dual kinds (scalar Dual or the vector
-# batch type) go through their propagation rules, everything else falls
-# through to numpy under the caller's error state.  Target code
-# written against these runs unchanged on plain floats, numpy arrays and
-# duals.
-# ----------------------------------------------------------------------
-
-
-def _generic(name, ufunc):
-    def generic(x):
-        m = getattr(x, name, None)
-        if m is not None:
-            return m()
-        return ufunc(x)
-
-    generic.__name__ = generic.__qualname__ = name
-    generic.__doc__ = f"``x.{name}()`` on duals, ``np.{ufunc.__name__}(x)`` on anything else."
-    return generic
-
-
-sin, cos, tan, exp, log, sqrt, square = (_generic(n, u) for n, u in _ELEMENTARY.items())
+# numpy's own loop on plain input, the rules on duals: target code runs unchanged on both
+sin, cos, tan, exp, log, sqrt, square = _ELEMENTARY.values()
 
 
 _UNARY_UFUNCS = {

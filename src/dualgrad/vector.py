@@ -17,10 +17,11 @@ it unchanged.
 ``partials`` are themselves DualVectors, or NestedDualVectors one level
 further down, so forward-over-forward differentiation runs on float64
 arrays at every nesting level.  It has no rules of its own: every
-operation runs the DualVector rule of the same name.  The arithmetic and
-elementary rules of DualVector are in turn the scalar ``Dual``'s own
-functions (``dual.py``); this module adds the vector side of operand
-handling, indexing, reductions and comparisons.
+operation runs the DualVector rule of the same name.  The arithmetic,
+elementary and comparison rules of DualVector and its
+``__array_ufunc__`` are in turn the scalar ``Dual``'s own functions
+(``dual.py``); this module adds the vector side of operand handling,
+indexing and reductions.
 
 Instances are immutable by convention; operations never write to their
 operands, so values and lane blocks may be freely shared across results
@@ -40,7 +41,7 @@ import warnings
 
 import numpy as np
 
-from .dual import _PLAIN, _RULES, Dual, Partials, _ufunc_rule
+from .dual import _RULES, Dual, Partials, _DualKind
 from .pool import ops
 
 __all__ = ["DualVector", "NestedDualVector"]
@@ -51,7 +52,7 @@ def _widen(lanes, gap):
     return lanes.reshape(lanes.shape[:1] + (1,) * gap + lanes.shape[1:])
 
 
-class DualVector:
+class DualVector(_DualKind):
     __slots__ = ("values", "partials")
 
     def __init__(self, values, partials):
@@ -127,7 +128,7 @@ class DualVector:
             ov, op = other.values, other.partials
         elif isinstance(other, Dual) and type(self) is DualVector:
             ov, op = other.value, np.asarray(other.partials, dtype=sp.dtype)
-        elif isinstance(other, (Dual, DualVector, NestedDualVector)):
+        elif isinstance(other, _DualKind):
             raise TypeError(
                 f"cannot combine {type(self).__name__} with {type(other).__name__}: "
                 "operands of different nesting depth"
@@ -162,40 +163,7 @@ class DualVector:
         n = self.shape[-1]
         return self._part(self.values.sum(axis=-1) / n, self.partials.sum(axis=-1) / n)
 
-    # ------------------------------------------------------------------
-    # comparisons: value channel only, elementwise
-    # ------------------------------------------------------------------
-
-    def _cmp_values(self, other):
-        if isinstance(other, (DualVector, NestedDualVector)):
-            return other.values
-        if isinstance(other, Dual):
-            return other.value
-        return other
-
-    def __lt__(self, other):
-        return self.values < self._cmp_values(other)
-
-    def __le__(self, other):
-        return self.values <= self._cmp_values(other)
-
-    def __gt__(self, other):
-        return self.values > self._cmp_values(other)
-
-    def __ge__(self, other):
-        return self.values >= self._cmp_values(other)
-
-    def __eq__(self, other):
-        if not isinstance(other, _COMPARABLE):
-            return NotImplemented
-        return self.values == self._cmp_values(other)
-
-    def __ne__(self, other):
-        if not isinstance(other, _COMPARABLE):
-            return NotImplemented
-        return self.values != self._cmp_values(other)
-
-    __hash__ = None
+    __hash__ = None  # the shared __eq__ compares values, elementwise
 
     def __array__(self, dtype=None, copy=None):
         msg = "builds an object array of scalar duals: every op then runs per element, ~20x slower"
@@ -205,15 +173,13 @@ class DualVector:
             out[idx] = self[idx] if idx else self  # a nested scalar is its own element
         return out
 
-    __array_ufunc__ = _ufunc_rule
 
-
-# The arithmetic and elementary rules are Dual's own functions
+# The arithmetic, elementary and comparison rules are Dual's own functions
 for _name in _RULES:
     setattr(DualVector, _name, vars(Dual)[_name])
 
 
-class NestedDualVector:
+class NestedDualVector(_DualKind):
     """Higher-order DualVector whose ``values`` and ``partials`` are duals.
 
     ``values`` is a vector one nesting level down with component shape
@@ -248,5 +214,3 @@ for _name, _attr in list(vars(DualVector).items()):
     if _name not in vars(NestedDualVector):
         setattr(NestedDualVector, _name, _shared(_name) if callable(_attr) else _attr)
 del _name, _attr
-
-_COMPARABLE = (DualVector, NestedDualVector, Dual, np.ndarray) + _PLAIN

@@ -297,6 +297,29 @@ def test_jacobian_rejects_outputs_that_are_not_1d(target, got):
         jacobian(target, np.ones(3), ChunkConfig(2))
 
 
+@pytest.mark.parametrize("driver", [gradient, hessian])
+@pytest.mark.parametrize(
+    "target, got",
+    [
+        (lambda v: np.ones(3), "shape (3,)"),
+        (lambda v: [v[0], v[1]], "a list"),
+        (lambda v: (v[0] * v[1],), "a tuple"),
+        (lambda v: v * 2.0, "a vector"),
+    ],
+    ids=["array", "list", "tuple", "dual-vector"],
+)
+def test_scalar_drivers_reject_results_that_are_not_scalars(driver, target, got):
+    want = f"target function must return a scalar, got {got}"
+    with pytest.raises(TypeError, match=re.escape(want)):
+        driver(target, [1.0, 2.0])
+
+
+def test_scalar_drivers_accept_numpy_scalars_and_0d_arrays():
+    for const in (np.float64(3.5), np.array(3.5), 3.5):
+        assert gradient(lambda v: const, [1.0, 2.0]).f_value == 3.5
+        assert hessian(lambda v: const, [1.0, 2.0]).entries.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+
 def test_jacobian_rejects_inconsistent_output_length():
     calls = []
 

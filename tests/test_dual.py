@@ -361,6 +361,9 @@ def test_numpy_compares_a_dual_with_an_array_as_the_operators_do():
     d, arr = Dual(1.5, [1.0]), np.array([1.0, 2.0])
     assert (d < arr).tolist() == np.less(d, arr).tolist() == [False, True]
     assert (arr < d).tolist() == np.greater(d, arr).tolist() == [True, False]
+    assert (d == arr).tolist() == (arr == d).tolist() == np.equal(d, arr).tolist() == [False, False]
+    assert (d != arr).tolist() == (arr != d).tolist() == [True, True]
+    assert np.equal(arr, Dual(2.0, [0.0])).tolist() == [False, True]
     with pytest.raises(TypeError):
         arr + d  # lanes cannot join a float array
 

@@ -32,6 +32,19 @@ def _rational_scalar(v):
     return np.sum((v * v * v - v) / (3.0 + v * v) + 1.0 / (v[::-1] - 5.0))
 
 
+def _branchy(v):
+    """Branches on comparisons of every dual kind the drivers hand a target."""
+    up = (v >= 0.5) * 1.0  # components against a float: a float mask
+    w = up * (v * v) + (1.0 - up) * (v / 3.0)
+    s, t = np.sum(w), np.sum(v * v[::-1])
+    out = s - t if s < t else s + t  # scalar against scalar
+    if out < -1.0:  # scalar against a float
+        out = out / 7.0
+    if v[0] <= v[-1]:
+        out = out * v[1]
+    return out
+
+
 def _digest(*arrays):
     h = hashlib.sha256()
     for a in arrays:
@@ -58,6 +71,12 @@ def _tensor(k):
     return _digest(third_order_tensor(_rational_scalar, _point(k)))
 
 
+def _comparisons(k_grad, k_hess):
+    g = gradient(_branchy, _point(k_grad))
+    h = hessian(_branchy, _point(k_hess), 8, 8)
+    return _digest(g.values, g.f_value, h.entries, h.gradient, h.f_value)
+
+
 CASES = {
     "gradient-k3000-n8": (
         lambda: _gradient(3000, ChunkConfig(8)),
@@ -82,6 +101,10 @@ CASES = {
     "tensor-k6": (
         lambda: _tensor(6),
         "0a179b77d97e5d21ea9e8020e408a0f0bedcfcfaaa4c82ce97245d0f07c54bb6",
+    ),
+    "comparisons-gradient-k300-hessian-k30": (
+        lambda: _comparisons(300, 30),
+        "ef7270c951a6cf30121c91c1b67fd3b3b1c89b7bb503fc895143d51869db7d62",
     ),
 }
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from checks import UNARY_RULES
-from dualgrad import Dual, DualVector, NestedDualVector, Partials, seed_unit
+import dualgrad
+from dualgrad import Dual, DualVector, NestedDualVector, Partials, base_value, seed_unit, value_of
 from dualgrad.dual import _RULES
 
 
@@ -201,6 +202,7 @@ SHARED_RULES = [
     "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
     "__rtruediv__", "__neg__", "__pos__", "__pow__", "__rpow__", "__abs__", "sign",
     "sin", "cos", "tan", "exp", "log", "sqrt", "square",
+    "__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__ne__", "__array_ufunc__",
 ]
 
 
@@ -300,6 +302,28 @@ def test_nested_reductions_and_indexing_give_nested_scalars():
     centred = np.sum((nested - nested.mean()) ** 2)
     want = 2.0 * (np.eye(3) - 1.0 / 3.0)
     assert np.max(np.abs(centred.partials.partials - want)) <= 1e-15
+
+
+def test_value_readers_walk_every_dual_kind():
+    dv = seeded([0.5, 1.5])
+    assert value_of(dv) is dv.values and base_value(dv) is dv.values
+    nested, _ = nested_seeded(np.array([0.5, 1.5, 0.25]))
+    assert value_of(nested) is nested.values
+    base = base_value(nested)
+    assert base.dtype == np.float64 and base.tolist() == [0.5, 1.5, 0.25]
+    assert base_value(nested[1]) == 1.5 and base_value(nested.sum()) == 2.25
+
+
+def test_nested_comparisons_read_the_base_values():
+    nested, scalars = nested_seeded(np.array([0.4, 1.3, 0.7]))
+    assert (nested < 1.0).tolist() == [True, False, True]
+    assert (nested == nested[::-1]).tolist() == [False, True, False]
+    assert (nested[1] > nested[0]) and (nested[2] >= scalars[2]) and nested[0] != 0.5
+
+
+def test_generic_functions_are_numpy_ufuncs():
+    for name in ("sin", "cos", "tan", "exp", "log", "sqrt", "square"):
+        assert getattr(dualgrad, name) is getattr(np, name), name
 
 
 def test_nested_vector_reuses_the_dualvector_rules(monkeypatch):
