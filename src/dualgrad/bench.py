@@ -22,19 +22,12 @@ import csv
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
+from . import testfns
 from .drivers import ChunkConfig, EvalCounter, gradient
-from .testfns import (
-    ackley,
-    ackley_grad_analytic,
-    fd_gradient,
-    max_relative_error,
-    rosenbrock,
-    rosenbrock_grad_analytic,
-)
 
 __all__ = [
     "BenchRecord",
@@ -47,19 +40,25 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 42
-CSV_HEADER = ["function", "k", "chunk", "threads", "reps", "min_seconds", "mean_seconds"]
 
 # name -> (target, analytic gradient, input range)
 # Ackley inputs stay in [-1, 1]: away from the origin kink with probability 1.
 _FUNCTIONS = {
-    "rosenbrock": (rosenbrock, rosenbrock_grad_analytic, (-2.0, 2.0)),
-    "ackley": (ackley, ackley_grad_analytic, (-1.0, 1.0)),
+    "rosenbrock": (testfns.rosenbrock, testfns.rosenbrock_grad_analytic, (-2.0, 2.0)),
+    "ackley": (testfns.ackley, testfns.ackley_grad_analytic, (-1.0, 1.0)),
 }
+
+
+def _target(function):
+    """(target, analytic gradient, input range) of a function name; ValueError if unknown."""
+    if function not in _FUNCTIONS:
+        raise ValueError(f"unknown function {function!r}")
+    return _FUNCTIONS[function]
 
 
 @dataclass(frozen=True)
 class BenchRecord:
-    """One benchmark observation."""
+    """One benchmark observation; every field is checked, so a sweep checks its arguments here."""
 
     function: str
     k: int
@@ -70,19 +69,28 @@ class BenchRecord:
     mean_seconds: float
 
     def __post_init__(self):
+        if self.k < 2:
+            raise ValueError(f"k must be >= 2, got {self.k}")
+        ChunkConfig(self.chunk, self.threads)  # ValueError for a bad chunk size or thread count
         if self.reps < 3:
             raise ValueError(f"reps must be >= 3, got {self.reps}")
         if self.min_seconds > self.mean_seconds:
             raise ValueError("min_seconds cannot exceed mean_seconds")
 
 
+CSV_HEADER = [field.name for field in fields(BenchRecord)]
+
+# the report's comparison pairs, in report order, with their labels
+_PAIRS = {
+    "ad_vs_analytic": "gradient vs analytic",
+    "ad_vs_fd": "gradient vs central differences",
+    "analytic_vs_fd": "analytic vs central differences",
+}
+
+
 @dataclass(frozen=True)
 class VerifyReport:
-    """Outcome of one verify run.
-
-    Each comparison pair carries its worst per-component relative error and
-    the index of the component where it occurred.
-    """
+    """Outcome of one verify run; each comparison pair is (worst relative error, its component)."""
 
     function: str
     k: int
@@ -96,66 +104,64 @@ class VerifyReport:
     tolerance: float
     gradient_infnorm: float
 
+    def failures(self):
+        """One message per failed criterion, in report order; empty when the run passed."""
+        out = []
+        for name, label in _PAIRS.items():
+            err, idx = getattr(self, name)
+            if not err <= self.tolerance:  # a NaN error fails too
+                out.append(f"{label} at component {idx}: {err:.3e} > {self.tolerance:g}")
+        if not self.chunk_invariant:
+            out.append("gradient changed with chunk size")
+        if self.passes != self.expected_passes:
+            out.append(f"pass count {self.passes} != {self.expected_passes}")
+        return out
+
     @property
     def passed(self):
-        return (
-            self.chunk_invariant
-            and self.passes == self.expected_passes
-            and self.ad_vs_analytic[0] <= self.tolerance
-            and self.ad_vs_fd[0] <= self.tolerance
-            and self.analytic_vs_fd[0] <= self.tolerance
-        )
+        return not self.failures()
 
 
 def input_vector(function, k, seed=DEFAULT_SEED):
     """Seed-stable pseudo-random evaluation point for a target function."""
-    lo, hi = _FUNCTIONS[function][2]
-    rng = np.random.default_rng(seed)
-    return rng.uniform(lo, hi, size=k)
+    lo, hi = _target(function)[2]
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return np.random.default_rng(seed).uniform(lo, hi, size=k)
 
 
-def _time_gradient(f, x, cfg, reps):
-    gradient(f, x, cfg)  # warm-up, excluded
-    times = []
-    for _ in range(reps):
-        start = time.perf_counter()
-        gradient(f, x, cfg)
-        times.append(time.perf_counter() - start)
-    return min(times), sum(times) / len(times)
+def _sweep(function, points, threads, reps, seed):
+    """Time the gradient at every (k, chunk) point: one warm-up, then ``reps`` timed calls.
+
+    A record of every point is built before the first call of the target,
+    so a bad k, chunk size, thread count or reps fails before any timing.
+    """
+    f = _target(function)[0]
+    for k, chunk in points:
+        BenchRecord(function, k, chunk, threads, reps, 0.0, 0.0)
+    records = []
+    for k, chunk in points:
+        x = input_vector(function, k, seed)
+        cfg = ChunkConfig(chunk, threads)
+        gradient(f, x, cfg)  # warm-up, excluded
+        times = []
+        for _ in range(reps):
+            start = time.perf_counter()
+            gradient(f, x, cfg)
+            times.append(time.perf_counter() - start)
+        lowest, mean = min(times), sum(times) / reps
+        records.append(BenchRecord(function, k, chunk, threads, reps, lowest, mean))
+    return records
 
 
 def run_chunk_sweep(function, k, chunks, reps, seed=DEFAULT_SEED, threads=1):
     """Time the gradient at fixed k for every chunk size in ``chunks``."""
-    if function not in _FUNCTIONS:
-        raise ValueError(f"unknown function {function!r}")
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if any(n < 1 for n in chunks):
-        raise ValueError("chunk sizes must be >= 1")
-    f = _FUNCTIONS[function][0]
-    x = input_vector(function, k, seed)
-    records = []
-    for n in chunks:
-        lowest, mean = _time_gradient(f, x, ChunkConfig(n, threads), reps)
-        records.append(BenchRecord(function, k, n, threads, reps, lowest, mean))
-    return records
+    return _sweep(function, [(k, n) for n in chunks], threads, reps, seed)
 
 
 def run_size_sweep(function, sizes, chunk, threads, reps, seed=DEFAULT_SEED):
     """Time the gradient at fixed chunk for every input size in ``sizes``."""
-    if function not in _FUNCTIONS:
-        raise ValueError(f"unknown function {function!r}")
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
-    if any(k < 2 for k in sizes):
-        raise ValueError("sizes must be >= 2")
-    f = _FUNCTIONS[function][0]
-    records = []
-    for k in sizes:
-        x = input_vector(function, k, seed)
-        lowest, mean = _time_gradient(f, x, ChunkConfig(chunk, threads), reps)
-        records.append(BenchRecord(function, k, chunk, threads, reps, lowest, mean))
-    return records
+    return _sweep(function, [(k, chunk) for k in sizes], threads, reps, seed)
 
 
 def verify(function, k, chunk, seed=DEFAULT_SEED, tol=1e-5, x=None):
@@ -167,24 +173,19 @@ def verify(function, k, chunk, seed=DEFAULT_SEED, tol=1e-5, x=None):
     identical gradient.  The finite-difference comparisons floor their
     denominators at a fraction of the gradient's scale: near critical
     points the oracle's own truncation error would otherwise swamp a
-    component that the propagated gradient gets exactly right.
+    component that the propagated gradient gets exactly right.  chunk None
+    picks the drivers' default.
     """
-    if function not in _FUNCTIONS:
-        raise ValueError(f"unknown function {function!r}")
-    f, analytic, _ = _FUNCTIONS[function]
-    if x is None:
-        x = input_vector(function, k, seed)
-    else:
-        x = np.asarray(x, dtype=np.float64)
-        k = x.shape[0]
+    f, analytic, _ = _target(function)
+    x = input_vector(function, k, seed) if x is None else np.asarray(x, dtype=np.float64)
+    k = x.shape[0]
     n = ChunkConfig(chunk).resolve(k)
 
     counted = EvalCounter(f)
     ad = gradient(counted, x, ChunkConfig(chunk)).values
-    expected_passes = math.ceil(k / n)
 
     exact = analytic(x)
-    fd = fd_gradient(f, x)
+    fd = testfns.fd_gradient(f, x)
     fd_floor = 1e-4 * max(1.0, float(np.max(np.abs(exact))))
 
     # second chunking for the invariance check; capped so the lane block
@@ -199,20 +200,21 @@ def verify(function, k, chunk, seed=DEFAULT_SEED, tol=1e-5, x=None):
         k=k,
         chunk=n,
         passes=counted.count,
-        expected_passes=expected_passes,
-        ad_vs_analytic=_worst_component(ad, exact),
-        ad_vs_fd=_worst_component(ad, fd, floor=fd_floor),
-        analytic_vs_fd=_worst_component(exact, fd, floor=fd_floor),
+        expected_passes=math.ceil(k / n),
+        ad_vs_analytic=testfns.worst_relative_error(ad, exact),
+        ad_vs_fd=testfns.worst_relative_error(ad, fd, floor=fd_floor),
+        analytic_vs_fd=testfns.worst_relative_error(exact, fd, floor=fd_floor),
         chunk_invariant=bool(np.array_equal(ad, ad_alt)),
         tolerance=tol,
         gradient_infnorm=float(np.max(np.abs(ad))),
     )
 
 
-def _worst_component(approx, exact, floor=1e-12):
-    rel = np.abs(np.asarray(approx) - np.asarray(exact)) / np.maximum(np.abs(exact), floor)
-    worst = int(np.argmax(rel))
-    return float(rel[worst]), worst
+def _write_csv(records, fh):
+    """Header, then one row per record in input order (LF line endings)."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    writer.writerows(astuple(r) for r in records)
 
 
 def emit_csv(records, path):
@@ -220,31 +222,17 @@ def emit_csv(records, path):
     if not records:
         raise ValueError("no records to write")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for r in records:
-            writer.writerow(
-                [r.function, r.k, r.chunk, r.threads, r.reps, r.min_seconds, r.mean_seconds]
-            )
+        _write_csv(records, fh)
 
 
 def read_csv(path):
     """Inverse of emit_csv, mainly for round-trip checks."""
-    records = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            records.append(
-                BenchRecord(
-                    function=row["function"],
-                    k=int(row["k"]),
-                    chunk=int(row["chunk"]),
-                    threads=int(row["threads"]),
-                    reps=int(row["reps"]),
-                    min_seconds=float(row["min_seconds"]),
-                    mean_seconds=float(row["mean_seconds"]),
-                )
-            )
-    return records
+        rows = list(csv.reader(fh))[1:]
+    return [
+        BenchRecord(name, int(k), int(n), int(t), int(r), float(lo), float(mean))
+        for name, k, n, t, r, lo, mean in rows
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -259,23 +247,7 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from exc
     if not values:
         raise argparse.ArgumentTypeError("empty list")
-    if any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError("entries must be >= 1")
     return values
-
-
-def _positive(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
-def _reps(text):
-    value = int(text)
-    if value < 3:
-        raise argparse.ArgumentTypeError("reps must be >= 3")
-    return value
 
 
 def build_parser():
@@ -287,46 +259,29 @@ def build_parser():
 
     chunk_p = sub.add_parser("chunk-sweep", help="sweep chunk sizes at fixed input size")
     chunk_p.add_argument("--function", choices=sorted(_FUNCTIONS), required=True)
-    chunk_p.add_argument("--size", type=_positive, required=True, metavar="K")
+    chunk_p.add_argument("--size", type=int, required=True, metavar="K")
     chunk_p.add_argument("--chunks", type=_int_list, required=True, metavar="N1,N2,...")
-    chunk_p.add_argument("--reps", type=_reps, default=3)
+    chunk_p.add_argument("--reps", type=int, default=3)
     chunk_p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     chunk_p.add_argument("--csv", metavar="PATH")
 
     size_p = sub.add_parser("size-sweep", help="sweep input sizes at fixed chunk size")
     size_p.add_argument("--function", choices=sorted(_FUNCTIONS), required=True)
     size_p.add_argument("--sizes", type=_int_list, required=True, metavar="K1,K2,...")
-    size_p.add_argument("--chunk", type=_positive, default=10)
-    size_p.add_argument("--threads", type=_positive, default=1)
-    size_p.add_argument("--reps", type=_reps, default=3)
+    size_p.add_argument("--chunk", type=int, default=10)
+    size_p.add_argument("--threads", type=int, default=1)
+    size_p.add_argument("--reps", type=int, default=3)
     size_p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     size_p.add_argument("--csv", metavar="PATH")
 
     verify_p = sub.add_parser("verify", help="oracle and invariance checks")
     verify_p.add_argument("--function", choices=sorted(_FUNCTIONS), required=True)
-    verify_p.add_argument("--size", type=_positive, required=True, metavar="K")
-    verify_p.add_argument("--chunk", type=_positive, default=None)
+    verify_p.add_argument("--size", type=int, required=True, metavar="K")
+    verify_p.add_argument("--chunk", type=int, default=None)
     verify_p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     verify_p.add_argument("--tol", type=float, default=1e-5)
 
     return parser
-
-
-def _print_records(records):
-    print(",".join(CSV_HEADER))
-    for r in records:
-        print(f"{r.function},{r.k},{r.chunk},{r.threads},{r.reps},{r.min_seconds},{r.mean_seconds}")
-
-
-def _emit(records, path):
-    if path is None:
-        return 0
-    try:
-        emit_csv(records, path)
-    except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return 1
-    return 0
 
 
 def main(argv=None):
@@ -335,58 +290,42 @@ def main(argv=None):
     try:
         return _dispatch(args)
     except ValueError as exc:
-        # bad argument combinations that survive argparse (e.g. size below a
-        # target function's minimum dimension) are usage errors too
+        # argument values are checked by the library functions they reach
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 def _dispatch(args):
-    if args.command == "chunk-sweep":
-        records = run_chunk_sweep(args.function, args.size, args.chunks, args.reps, args.seed)
-        _print_records(records)
-        return _emit(records, args.csv)
-
-    if args.command == "size-sweep":
-        records = run_size_sweep(
-            args.function, args.sizes, args.chunk, args.threads, args.reps, args.seed
-        )
-        _print_records(records)
-        return _emit(records, args.csv)
-
     if args.command == "verify":
-        chunk = args.chunk if args.chunk is not None else ChunkConfig().resolve(args.size)
-        report = verify(args.function, args.size, chunk, args.seed, args.tol)
+        report = verify(args.function, args.size, args.chunk, args.seed, args.tol)
         print(
             f"verify {report.function} k={report.k} chunk={report.chunk}: "
             f"passes={report.passes} (expected {report.expected_passes})"
         )
-        pairs = [
-            ("gradient vs analytic", report.ad_vs_analytic),
-            ("gradient vs central differences", report.ad_vs_fd),
-            ("analytic vs central differences", report.analytic_vs_fd),
-        ]
-        for label, (err, idx) in pairs:
+        for name, label in _PAIRS.items():
+            err, idx = getattr(report, name)
             print(f"  max rel err, {label}: {err:.3e} (component {idx})")
         print(f"  chunk invariance (exact): {'yes' if report.chunk_invariant else 'NO'}")
-        if report.passed:
-            print("PASS")
-            return 0
-        for label, (err, idx) in pairs:
-            if err > report.tolerance:
-                print(
-                    f"FAIL: {label} at component {idx}: {err:.3e} > {report.tolerance:g}",
-                    file=sys.stderr,
-                )
-        if not report.chunk_invariant:
-            print("FAIL: gradient changed with chunk size", file=sys.stderr)
-        if report.passes != report.expected_passes:
-            print(
-                f"FAIL: pass count {report.passes} != {report.expected_passes}",
-                file=sys.stderr,
-            )
-        return 1
+        failures = report.failures()
+        for message in failures:
+            print(f"FAIL: {message}", file=sys.stderr)
+        if failures:
+            return 1
+        print("PASS")
+        return 0
 
-    raise AssertionError(f"unhandled command {args.command}")
+    if args.command == "chunk-sweep":
+        points, threads = [(args.size, n) for n in args.chunks], 1
+    else:
+        points, threads = [(k, args.chunk) for k in args.sizes], args.threads
+    records = _sweep(args.function, points, threads, args.reps, args.seed)
+    _write_csv(records, sys.stdout)
+    if args.csv is not None:
+        try:
+            emit_csv(records, args.csv)
+        except OSError as exc:
+            print(f"error: cannot write {args.csv}: {exc}", file=sys.stderr)
+            return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -194,9 +194,7 @@ def derivative(f, x):
     _check_scalar("derivative", x)
     with np.errstate(all="ignore"):
         y = f(Dual(x, (1.0,)))
-    if isinstance(y, Dual):
-        return float(base_value(y.partials[0]))
-    return 0.0
+    return float(base_value(_lane(y, 0)))
 
 
 def second_derivative(f, x):
@@ -206,25 +204,35 @@ def second_derivative(f, x):
     partial-of-partial of the result.
     """
     _check_scalar("second_derivative", x)
-    d = Dual(Dual(x, (1.0,)), (Dual(1.0, (0.0,)),))
     with np.errstate(all="ignore"):
-        y = f(d)
+        y = f(Dual(Dual(x, (1.0,)), (Dual(1.0, (0.0,)),)))
     return float(base_value(_lane(_lane(y, 0), 0)))
 
 
 def _lane(v, i):
-    """Lane i of a dual; anything constant contributes a zero lane."""
+    """Lane i of a scalar dual; a scalar constant contributes a zero lane."""
     if isinstance(v, Dual):
         return v.partials[i]
+    _check_result(v, _is_scalar(v), "a scalar")
     return 0.0
+
+
+def _is_scalar(v):
+    """True for a plain number, a numpy scalar or a 0-d array; checked without converting v."""
+    return isinstance(v, (numbers.Number, np.generic)) or isinstance(v, np.ndarray) and v.ndim == 0
+
+
+def _check_result(y, ok, expected):
+    """Raise the drivers' TypeError, naming y's shape or type, unless ``ok``."""
+    if not ok:
+        shaped = isinstance(y, (np.ndarray, DualVector))
+        got = f"shape {y.shape}" if shaped else f"a {type(y).__name__}"
+        raise TypeError(f"target function must return {expected}, got {got}")
 
 
 # ----------------------------------------------------------------------
 # the pass machinery shared by every chunked driver
 # ----------------------------------------------------------------------
-
-# Constant results a scalar target may return besides 0-d arrays
-_SCALARS = (numbers.Number, np.generic)
 
 
 def _vector(values, partials):
@@ -262,10 +270,7 @@ def _seeded(x, blocks):
 def _scalar_output(y, widths):
     """(f value, outermost first-order lanes, highest-order lane block) of a result."""
     if not isinstance(y, _DualKind):  # constant: every lane is zero
-        # checked without converting y: np.ndim on a list of vectors builds an object array
-        if not (isinstance(y, _SCALARS) or isinstance(y, np.ndarray) and y.ndim == 0):
-            got = f"shape {y.shape}" if isinstance(y, np.ndarray) else f"a {type(y).__name__}"
-            raise TypeError(f"target function must return a scalar, got {got}")
+        _check_result(y, _is_scalar(y), "a scalar")
         return y, np.zeros(widths[-1]), np.zeros(widths)
     if not isinstance(y, Dual) and y.ndim:
         raise TypeError("target function must return a scalar, got a vector")
@@ -439,21 +444,21 @@ def _check_lanes(n_lanes, width):
 def _vector_output(y, widths):
     """(values, None, lanes by output component) of a vector-valued target-function result."""
     (width,) = widths
-    shape = y.shape if isinstance(y, DualVector) else np.shape(y)
-    if len(shape) != 1:
-        got = f"shape {shape}" if shape else f"a {type(y).__name__}"
-        raise TypeError(f"target function must return a 1-D vector, got {got}")
-    if isinstance(y, DualVector):
+    if isinstance(y, DualVector) and y.ndim == 1:
         _check_lanes(y.n_lanes, width)
         values = np.asarray(y.values, dtype=np.float64)
         return values, None, np.asarray(y.partials, dtype=np.float64).T
-    comps = list(y)
-    values = np.array([float(base_value(c)) for c in comps])
-    lanes = np.zeros((len(comps), width))
-    for i, c in enumerate(comps):
+    # a list is never converted: np.shape on a list of vectors builds an object array
+    flat = isinstance(y, (list, tuple)) or isinstance(y, np.ndarray) and y.ndim == 1
+    _check_result(y, flat, "a 1-D vector")
+    values, lanes = np.empty(len(y)), np.zeros((len(y), width))
+    for i, c in enumerate(y):
         if isinstance(c, Dual):
             _check_lanes(len(c.partials), width)
             lanes[i] = np.asarray(c.partials, dtype=np.float64)
+        else:
+            _check_result(c, _is_scalar(c), "a 1-D vector of scalars")
+        values[i] = base_value(c)
     return values, None, lanes
 
 

@@ -24,6 +24,7 @@ __all__ = [
     "ackley_grad_analytic",
     "fd_gradient",
     "max_relative_error",
+    "worst_relative_error",
 ]
 
 
@@ -127,13 +128,18 @@ def fd_gradient(f, x, step=1e-6, dtype=np.longdouble):
     return g
 
 
-def max_relative_error(approx, exact, floor=1e-12):
-    """Largest per-component relative deviation of approx from exact.
+def worst_relative_error(approx, exact, floor=1e-12):
+    """(error, flat index) of the largest per-component relative deviation of approx from exact.
 
     The denominator is floored to keep components that sit at a zero
     crossing from turning measurement noise into an infinite ratio.
     """
-    approx = np.asarray(approx, dtype=np.float64)
     exact = np.asarray(exact, dtype=np.float64)
-    denom = np.maximum(np.abs(exact), floor)
-    return float(np.max(np.abs(approx - exact) / denom))
+    rel = np.abs(np.asarray(approx, dtype=np.float64) - exact) / np.maximum(np.abs(exact), floor)
+    worst = int(np.argmax(rel))
+    return float(rel.flat[worst]), worst
+
+
+def max_relative_error(approx, exact, floor=1e-12):
+    """Largest per-component relative deviation of approx from exact (see worst_relative_error)."""
+    return worst_relative_error(approx, exact, floor)[0]

@@ -1,13 +1,16 @@
 """Benchmark harness: records, sweeps, CSV emission, verify, CLI wiring."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from dualgrad import EvalCounter, bench
 from dualgrad.bench import (
     BenchRecord,
     CSV_HEADER,
+    VerifyReport,
     emit_csv,
     input_vector,
     main,
@@ -59,6 +62,27 @@ def test_chunk_sweep_rejects_bad_arguments():
         run_chunk_sweep("nope", 16, [1], reps=3)
     with pytest.raises(ValueError):
         run_chunk_sweep("ackley", 16, [0], reps=3)
+
+
+@pytest.mark.parametrize(
+    "sweep, message",
+    [
+        (lambda: run_chunk_sweep("rosenbrock", 16, [1, 2], reps=2), "reps must be >= 3, got 2"),
+        (lambda: run_size_sweep("rosenbrock", [8, 16], 4, 1, reps=2), "reps must be >= 3, got 2"),
+        (lambda: run_chunk_sweep("rosenbrock", 16, [1, 2.5], reps=3), "got 2.5"),
+        (lambda: run_size_sweep("rosenbrock", [8, 16], 4, 0, reps=3), "threads"),
+        (lambda: run_size_sweep("rosenbrock", [8, 1], 4, 1, reps=3), "k must be >= 2, got 1"),
+    ],
+    ids=["chunk-reps", "size-reps", "late-chunk", "threads", "late-size"],
+)
+def test_sweeps_check_every_argument_before_the_first_evaluation(monkeypatch, sweep, message):
+    counted = EvalCounter(bench._FUNCTIONS["rosenbrock"][0])
+    monkeypatch.setitem(
+        bench._FUNCTIONS, "rosenbrock", (counted,) + bench._FUNCTIONS["rosenbrock"][1:]
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sweep()
+    assert counted.count == 0
 
 
 def test_size_sweep_shape():
@@ -127,6 +151,19 @@ def test_verify_fails_when_tolerance_is_absurd():
     assert not report.passed
 
 
+def test_verify_report_lists_its_failures():
+    good = verify("rosenbrock", k=12, chunk=4)
+    assert good.failures() == [] and good.passed
+    fields = dict(vars(good), ad_vs_fd=(float("nan"), 3), chunk_invariant=False, passes=2)
+    bad = VerifyReport(**fields)
+    assert not bad.passed
+    assert bad.failures() == [
+        f"gradient vs central differences at component 3: nan > {good.tolerance:g}",
+        "gradient changed with chunk size",
+        f"pass count 2 != {good.expected_passes}",
+    ]
+
+
 # ----------------------------------------------------------------------
 # command line
 # ----------------------------------------------------------------------
@@ -142,6 +179,7 @@ def test_cli_chunk_sweep_writes_csv(tmp_path, capsys):
     assert path.exists()
     out = capsys.readouterr().out
     assert out.startswith(",".join(CSV_HEADER))
+    assert out.splitlines() == path.read_text(encoding="utf-8").splitlines()
 
 
 def test_cli_size_sweep_runs(capsys):
@@ -181,6 +219,27 @@ def test_cli_usage_errors_exit_2():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--function", "ackley", "--size", "0"], "k must be >= 1, got 0"),
+        (["verify", "--function", "ackley", "--size", "8", "--chunk", "0"], "chunk_size"),
+        (["chunk-sweep", "--function", "ackley", "--size", "0", "--chunks", "1"], "got 0"),
+        (["chunk-sweep", "--function", "ackley", "--size", "8", "--chunks", "1,-2"], "got -2"),
+        (["chunk-sweep", "--function", "ackley", "--size", "8", "--chunks", "1", "--reps", "2"],
+         "reps must be >= 3, got 2"),
+        (["size-sweep", "--function", "ackley", "--sizes", "8", "--threads", "0"], "threads"),
+        (["size-sweep", "--function", "ackley", "--sizes", "8", "--chunk", "0"], "chunk_size"),
+    ],
+    ids=["verify-size", "verify-chunk", "size", "chunks", "reps", "threads", "chunk"],
+)
+def test_cli_usage_errors_name_the_rejected_value(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_unwritable_csv_exits_1(tmp_path, capsys):

@@ -60,6 +60,29 @@ def test_second_derivative_examples():
 
 
 @pytest.mark.parametrize("driver", [derivative, second_derivative])
+@pytest.mark.parametrize(
+    "target, got",
+    [
+        (lambda d: [d, 2 * d], "a list"),
+        (lambda d: np.array([1.0, 2.0]), "shape (2,)"),
+        (lambda d: (d * d, d), "a tuple"),
+        (lambda d: "x", "a str"),
+    ],
+    ids=["list", "array", "tuple", "str"],
+)
+def test_derivative_drivers_reject_results_that_are_not_scalars(driver, target, got):
+    want = f"target function must return a scalar, got {got}"
+    with pytest.raises(TypeError, match=re.escape(want)):
+        driver(target, 1.0)
+
+
+@pytest.mark.parametrize("driver", [derivative, second_derivative])
+@pytest.mark.parametrize("const", [7.0, 7, np.float64(7.0), np.array(7.0)], ids=repr)
+def test_derivative_drivers_give_zero_for_scalar_constants(driver, const):
+    assert driver(lambda d: const, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("driver", [derivative, second_derivative])
 @pytest.mark.parametrize("x", [1.0, 1, np.float64(1.0), np.array(1.0)], ids=repr)
 def test_scalar_drivers_accept_python_and_numpy_scalars(driver, x):
     assert driver(sin, x) == driver(sin, 1.0)
@@ -267,6 +290,30 @@ def test_jacobian_of_constant_map_is_zero():
     res = jacobian(lambda x: np.array([2.0, 3.0]), np.ones(4), ChunkConfig(3))
     assert np.array_equal(res.entries, np.zeros((2, 4)))
     assert np.array_equal(res.f_value, np.array([2.0, 3.0]))
+
+
+def test_jacobian_accepts_lists_of_duals_and_scalars():
+    res = jacobian(lambda x: (x[0] * x[1], 2, np.float64(3.0), np.array(4.0)), [3.0, 5.0])
+    assert res.entries.tolist() == [[5.0, 3.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    assert res.f_value.tolist() == [15.0, 2.0, 3.0, 4.0]
+
+
+@pytest.mark.parametrize(
+    "target, got",
+    [
+        (lambda v: [v * 2.0, v], "shape (2,)"),
+        (lambda v: [v[0], np.ones(2)], "shape (2,)"),
+        (lambda v: (v[0], "x"), "a str"),
+    ],
+    ids=["list-of-vectors", "ragged", "str-component"],
+)
+def test_jacobian_rejects_lists_without_converting_them(target, got):
+    # converting a list of vectors would build an object array and warn
+    want = f"target function must return a 1-D vector of scalars, got {got}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(TypeError, match=re.escape(want)):
+            jacobian(target, [1.0, 2.0])
 
 
 @pytest.mark.parametrize(
