@@ -27,7 +27,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from . import testfns
-from .drivers import ChunkConfig, EvalCounter, gradient
+from .drivers import ChunkConfig, EvalCounter, _check_count, gradient
 
 __all__ = [
     "BenchRecord",
@@ -69,11 +69,9 @@ class BenchRecord:
     mean_seconds: float
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
+        _check_count("k", self.k, 2)
         ChunkConfig(self.chunk, self.threads)  # ValueError for a bad chunk size or thread count
-        if self.reps < 3:
-            raise ValueError(f"reps must be >= 3, got {self.reps}")
+        _check_count("reps", self.reps, 3)
         if self.min_seconds > self.mean_seconds:
             raise ValueError("min_seconds cannot exceed mean_seconds")
 
@@ -125,8 +123,7 @@ class VerifyReport:
 def input_vector(function, k, seed=DEFAULT_SEED):
     """Seed-stable pseudo-random evaluation point for a target function."""
     lo, hi = _target(function)[2]
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_count("k", k)
     return np.random.default_rng(seed).uniform(lo, hi, size=k)
 
 

@@ -70,34 +70,41 @@ __all__ = [
     "third_order_tensor",
 ]
 
-# Wider chunks mean fewer passes, but the lane block of every
-# intermediate grows with them, and where widening stops paying depends on
-# the target.  On a 2-CPU x86 host, Ackley at k=1000 ran 1.6x faster at
-# N=16 than at N=8 (and slower again at N=32).  Rosenbrock at k=12000
-# takes 1.14 s at both N=4 and N=8: its 768 KB lane blocks at N=8 cost no
-# more per lane, because large buffers are reused within a call.  (When
-# every pass page-faulted fresh blocks in, 967 minor faults per pass at
-# N=8 against 343 at N=4 made N=8 14% slower; cache size was not the
-# cause.)  8 is a middle value, not an optimum.
+# Wider chunks mean fewer passes, and each op costs about a microsecond of
+# numpy dispatch whatever its width, so the default is the widest chunk
+# whose lane block (N**levels * k float64 lanes at nesting depth levels)
+# fits LANE_BLOCK_BYTES.  chunk-sweep on a 2-CPU x86 host, min of 7, at
+# N = 8 / 16 / 32 / 64: Ackley at k=1000 took 11.3 / 8.3 / 6.2 / 9.1 ms;
+# Rosenbrock at k=3000 took 67 / 78 / 80 / 94 ms and peaked at 35.6 /
+# 37.2 / 39.9 / 45.9 MiB of RSS, as the pool keeps wider blocks, so the
+# budget stops at N=10 there.  The floor of 8 keeps k >= 4096 as it was:
+# at k=12000, N=64 ran Ackley 2.2-2.4x faster but peaked at 61.7 MiB, not 38.
 DEFAULT_CHUNK_LIMIT = 8
+LANE_BLOCK_BYTES = 256 * 1024
 
 
-def default_chunk(k):
-    """Chunk size used when the caller does not pick one: min(k, 8)."""
-    return min(k, DEFAULT_CHUNK_LIMIT)
+def default_chunk(k, levels=1):
+    """Lanes per level at nesting depth ``levels`` (2 for a Hessian) when the
+    caller picks none: the widest N <= k whose lane block of N**levels * k
+    float64 lanes fits LANE_BLOCK_BYTES, but never fewer than min(k, 8)."""
+    fits = LANE_BLOCK_BYTES // (8 * k)  # the largest N**levels in budget
+    n = round(fits ** (1 / levels))  # the float root is off by at most one
+    return min(k, max(DEFAULT_CHUNK_LIMIT, n - (n**levels > fits)))
 
 
-def _check_count(name, value):
-    """``value`` as an int >= 1; anything else (floats, bools, < 1) raises ValueError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def _check_count(name, value, least=1):
+    """``value`` as an int >= least; anything else (floats, bools, less) raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
     return int(value)
 
 
-def _resolve(name, value, k):
-    """Lanes per pass: ``value`` clamped to k, or ``default_chunk(k)`` for None."""
+def _resolve(name, value, k, levels=1):
+    """Lanes per pass: ``value`` clamped to k, or ``default_chunk(k, levels)`` for None."""
     if value is None:
-        return default_chunk(k)
+        return default_chunk(k, levels)
     return min(_check_count(name, value), k)
 
 
@@ -105,8 +112,8 @@ def _resolve(name, value, k):
 class ChunkConfig:
     """Runtime tuning for gradient passes.
 
-    chunk_size: lanes per pass (None picks ``default_chunk``); clamped to
-    the input dimension when it is larger.
+    chunk_size: lanes per pass, clamped to the input dimension; None picks
+    ``default_chunk(k)``: k up to k=181, 32 at k=1000, 8 from k=4096 on.
     threads: worker count for the chunk scheduler; 1 means serial.
     """
 
@@ -481,11 +488,15 @@ def hessian(f, x, outer_chunk=None, inner_chunk=None):
     Each pass seeds M = outer_chunk components on the float64 lanes and
     N = inner_chunk components on the nested lanes, filling the k x k
     matrix in ceil(k/M) * ceil(k/N) passes through f.  The first-order
-    gradient and f(x) come from the same evaluations.
+    gradient and f(x) come from the same evaluations.  A chunk left None is
+    ``default_chunk(k, 2)``: k up to k=32 (one pass), 18 at k=100, 8 from k=405.
     """
     x = _as_input_vector(x)
     k = x.shape[0]
-    chunks = (_resolve("outer_chunk", outer_chunk, k), _resolve("inner_chunk", inner_chunk, k))
+    chunks = (
+        _resolve("outer_chunk", outer_chunk, k, 2),
+        _resolve("inner_chunk", inner_chunk, k, 2),
+    )
     entries, grad, f_value = _passes(f, x, chunks)
     return HessianResult(entries, grad, float(f_value))
 
@@ -499,7 +510,8 @@ def third_order_tensor(f, x, chunks=None, dim_limit=THIRD_ORDER_DIM_LIMIT):
     Dense third-order storage grows as k**3, so the dimension is capped at
     ``dim_limit`` (default 8); differentiate blockwise with repeated calls
     on slices if a larger problem is unavoidable.  chunks, when given, is
-    the lane width per nesting level as a (first, second, third) triple.
+    the lane width per nesting level as a (first, second, third) triple; by
+    default each is ``default_chunk(k, 3)``, which is k (one pass) up to k=13.
     """
     x = _as_input_vector(x)
     k = x.shape[0]
@@ -509,9 +521,9 @@ def third_order_tensor(f, x, chunks=None, dim_limit=THIRD_ORDER_DIM_LIMIT):
             "batch larger problems into repeated smaller calls"
         )
     if chunks is None:
-        chunks = (k, k, k)
+        chunks = (None, None, None)
     if not isinstance(chunks, (tuple, list)) or len(chunks) != 3:
         raise ValueError(f"chunks must be a (first, second, third) triple, got {chunks!r}")
-    widths = tuple(_resolve(f"chunks[{i}]", c, k) for i, c in enumerate(chunks))
+    widths = tuple(_resolve(f"chunks[{i}]", c, k, 3) for i, c in enumerate(chunks))
     tensor, _, _ = _passes(f, x, widths)
     return tensor

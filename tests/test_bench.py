@@ -72,8 +72,12 @@ def test_chunk_sweep_rejects_bad_arguments():
         (lambda: run_chunk_sweep("rosenbrock", 16, [1, 2.5], reps=3), "got 2.5"),
         (lambda: run_size_sweep("rosenbrock", [8, 16], 4, 0, reps=3), "threads"),
         (lambda: run_size_sweep("rosenbrock", [8, 1], 4, 1, reps=3), "k must be >= 2, got 1"),
+        (lambda: run_chunk_sweep("rosenbrock", 16.5, [1], 3), "k must be an integer, got 16.5"),
+        (lambda: run_chunk_sweep("rosenbrock", 16, [1], 3.5), "reps must be an integer, got 3.5"),
+        (lambda: verify("rosenbrock", 8.0, 2), "k must be an integer, got 8.0"),
     ],
-    ids=["chunk-reps", "size-reps", "late-chunk", "threads", "late-size"],
+    ids=["chunk-reps", "size-reps", "late-chunk", "threads", "late-size", "float-k", "float-reps",
+         "verify-float-k"],
 )
 def test_sweeps_check_every_argument_before_the_first_evaluation(monkeypatch, sweep, message):
     counted = EvalCounter(bench._FUNCTIONS["rosenbrock"][0])

@@ -25,6 +25,7 @@ from dualgrad import (
     ImpureTargetError,
     ackley,
     cos,
+    default_chunk,
     derivative,
     exp,
     fd_gradient,
@@ -114,9 +115,53 @@ def test_chunk_config_validation():
         ChunkConfig(chunk_size=0)
     with pytest.raises(ValueError):
         ChunkConfig(threads=0)
-    assert ChunkConfig().resolve(20) == 8  # default heuristic min(k, 8)
+    # default: the widest chunk whose lane block fits 256 KiB, at least 8
+    assert ChunkConfig().resolve(20) == 20
+    assert ChunkConfig().resolve(1000) == 32
+    assert ChunkConfig().resolve(3000) == 10
+    assert ChunkConfig().resolve(12000) == 8
     assert ChunkConfig().resolve(3) == 3
     assert ChunkConfig(100).resolve(10) == 10  # oversized chunks clamp to k
+
+
+def test_default_chunk_is_the_widest_that_fits_the_lane_block_budget():
+    budget = dualgrad.drivers.LANE_BLOCK_BYTES
+    for levels in (1, 2, 3):
+        for k in range(1, 20001):
+            n = default_chunk(k, levels)
+            assert min(k, 8) <= n <= k, (k, levels)
+            if 8 < n < k:
+                assert n**levels * k * 8 <= budget < (n + 1) ** levels * k * 8, (k, levels)
+    assert default_chunk(128, 2) == 16  # 16**2 * 128 * 8 bytes is the budget exactly
+    assert [default_chunk(k, 2) for k in (30, 100, 1000, 3000, 4096)] == [30, 18, 8, 8, 8]
+
+
+def test_default_chunks_set_the_pass_count():
+    x = np.linspace(-0.9, 0.9, 30)
+    counted = EvalCounter(rosenbrock)
+    hessian(counted, x)
+    assert counted.count == 1
+    counted = EvalCounter(ackley)
+    gradient(counted, np.linspace(-0.9, 0.9, 1000))
+    assert counted.count == 32
+    counted = EvalCounter(rosenbrock)
+    third_order_tensor(counted, x[:8])
+    assert counted.count == 1
+
+
+@pytest.mark.parametrize("k", [30, 100, 1000, 3000])
+@pytest.mark.parametrize("f", [ackley, rosenbrock], ids=["ackley", "rosenbrock"])
+def test_default_chunk_results_equal_chunk_8_bitwise(f, k):
+    x = np.random.default_rng(k).uniform(-1.0, 1.0, size=k)
+    eight = ChunkConfig(8)
+    default, pinned = gradient(f, x), gradient(f, x, eight)
+    assert np.array_equal(default.values, pinned.values) and default.f_value == pinned.f_value
+    g = lambda v: [f(v), f(2.0 * v)]
+    assert np.array_equal(jacobian(g, x).entries, jacobian(g, x, eight).entries)
+    if k <= 100:
+        default, pinned = hessian(f, x), hessian(f, x, 8, 8)
+        assert np.array_equal(default.entries, pinned.entries)
+        assert np.array_equal(default.gradient, pinned.gradient)
 
 
 @pytest.mark.parametrize(
