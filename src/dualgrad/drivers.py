@@ -15,8 +15,8 @@ DualVector and a block of N components on the lanes of a NestedDualVector
 wrapped around it, so one pass fills an M x N block of the k x k matrix
 and ceil(k/M) * ceil(k/N) passes fill all of it; the third-order tensor
 adds one more nesting level.  Every level is float64 arrays, and one pass
-loop and one seeding helper serve all orders and the Jacobian, serial or
-threaded; only the reader of the target's result differs.
+loop, one seeding helper and one runner serve all orders, the Jacobian
+and every thread count; only the reader of the target's result differs.
 
 Every evaluation of the target runs under ``np.errstate(all="ignore")``:
 out-of-domain points give inf/nan derivatives and never warn, in worker
@@ -24,19 +24,21 @@ threads too (numpy's error state is per thread, so each pass enters its
 own).  Outside a driver, dual arithmetic follows numpy's current error
 state like ndarray arithmetic does.
 
-Each driver call also runs its passes inside a ``pool.lane_pool`` (one
-per worker thread): float64 rule results of at least 64 KiB go into
-buffers reused from earlier passes of the same call, once nothing refers
-to their old contents, instead of fresh allocations that glibc returns to
-the OS and the next pass page-faults in again.
+Each thread that runs passes does so inside a ``pool.lane_pool``:
+float64 rule results of at least 64 KiB go into buffers reused from
+earlier passes of the same call, once nothing refers to their old
+contents, instead of fresh allocations that glibc returns to the OS and
+the next pass page-faults in again.
 
 All drivers require a pure target function: same input, same output.
-Every pass's value channel (every output, for a Jacobian) is compared
-with the first pass's, and a difference raises ImpureTargetError.  The
-threaded scheduler additionally requires f to be safely callable from
-several threads at once.  It runs pass 0 on the caller and hands the
-rest of a worker's block back to it when the worker runs below
-break-even; passes write disjoint slices.
+Each pass compares its value channel (every output, for a Jacobian)
+with pass 0's as soon as it has read it; a difference raises
+ImpureTargetError, and no thread starts another pass.  The runner runs
+pass 0 on the caller and the rest in one static block per thread, the
+caller's first, so a serial call is the one-thread case.  With more
+threads f must be safely callable from several threads at once; a worker
+running below break-even hands its block's rest back to the caller, and
+passes write disjoint slices.
 """
 
 from __future__ import annotations
@@ -296,33 +298,29 @@ def _blocks(k, chunk):
     return [slice(lo, min(lo + chunk, k)) for lo in range(0, k, chunk)]
 
 
-def _check_pure(f_values):
-    """Raise ImpureTargetError unless every pass gave pass 0's f value."""
-    first = f_values[0]
-    if isinstance(first, np.ndarray):  # a vector target's: one comparison per pass
-        same = [np.array_equal(value, first, equal_nan=True) for value in f_values]
+def _check_pure(first, value, p):
+    """Raise ImpureTargetError unless pass p's f value is pass 0's (NaN equals NaN)."""
+    if isinstance(first, np.ndarray):  # a vector target's
+        same = np.array_equal(value, first, equal_nan=True)
     else:
-        same = [value == first or (value != value and first != first) for value in f_values]
-    if not all(same):
-        p = same.index(False)
+        same = value == first or (value != value and first != first)
+    if not same:
         raise ImpureTargetError(
             f"target function is impure: value channel changed between passes "
-            f"(pass 0 gave {first}, pass {p} gave {f_values[p]})"
+            f"(pass 0 gave {first}, pass {p} gave {value})"
         )
 
 
-def _run_threaded(run, n_passes, threads):
+def _run_passes(run, n_passes, threads):
     """run(p) for every pass: pass 0 on the caller, the rest in static blocks.
 
-    A worker whose passes, timed from the fan-out, average over threads *
+    With threads=1 the caller runs every block and no thread starts.  A
+    worker whose passes, timed from the fan-out, average over threads *
     t(pass 0) hands its block's rest back for the caller to run after the
     join: all threads together then finish fewer passes per second than
-    the caller alone would.  Passes stop at the first failure, re-raised.
+    the caller alone would.  Every thread runs in its own lane pool.
+    Passes stop at the first failure, re-raised.
     """
-    start = time.perf_counter()
-    run(0)
-    t0 = time.perf_counter() - start
-    blocks = np.array_split(range(1, n_passes), max(1, min(threads, n_passes - 1)))
     failures, handed_back = [], []
     go = threading.Event()
 
@@ -343,18 +341,23 @@ def _run_threaded(run, n_passes, threads):
         with lane_pool():
             work(block, len(blocks) * t0)
 
-    workers = [threading.Thread(target=worker, args=(block,)) for block in blocks[1:]]
-    try:
+    with lane_pool():
+        start = time.perf_counter()
+        run(0)
+        t0 = time.perf_counter() - start
+        blocks = np.array_split(range(1, n_passes), max(1, min(threads, n_passes - 1)))
+        workers = [threading.Thread(target=worker, args=(block,)) for block in blocks[1:]]
+        try:
+            for w in workers:
+                w.start()
+        finally:  # if a start fails, the workers already started must not wait forever
+            fanned_out = time.perf_counter()
+            go.set()
+        work(blocks[0])
         for w in workers:
-            w.start()
-    finally:  # if a start fails, the workers already started must not wait forever
-        fanned_out = time.perf_counter()
-        go.set()
-    work(blocks[0])
-    for w in workers:
-        w.join()
-    for tail in handed_back:
-        work(tail)
+            w.join()
+        for tail in handed_back:
+            work(tail)
     if failures:
         raise failures[0]
 
@@ -371,8 +374,7 @@ def _passes(f, x, chunks, threads=1, read=_scalar_output):
     k = x.shape[0]
     combos = list(itertools.product(*(_blocks(k, c) for c in chunks)))
     grad = np.empty(k)
-    f_values = [None] * len(combos)
-    out = []
+    pass0 = []  # pass 0's f value, and the result array that pass sizes
 
     def run(p):
         blocks = combos[p]
@@ -381,46 +383,52 @@ def _passes(f, x, chunks, threads=1, read=_scalar_output):
         with np.errstate(all="ignore"):
             value, first, top = read(f(_seeded(x, blocks)), widths)
         outputs = top.shape[: top.ndim - len(widths)]
-        if p == 0:  # pass 0 runs first and alone: it sizes the result
-            out.append(np.empty(outputs + (k,) * len(widths)))
-        elif outputs != out[0].shape[: len(outputs)]:
+        if p == 0:  # pass 0 runs first and alone
+            pass0.extend((value, np.empty(outputs + (k,) * len(widths))))
+        f0, out = pass0
+        if outputs != out.shape[: len(outputs)]:
             raise ValueError(
                 f"target function changed output length between passes: "
-                f"{out[0].shape[0]} then {outputs[0]}"
+                f"{out.shape[0]} then {outputs[0]}"
             )
-        f_values[p] = value
+        _check_pure(f0, value, p)
         if first is not None:
             grad[blocks[-1]] = first
-        out[0][(..., *blocks)] = top
+        out[(..., *blocks)] = top
 
-    with lane_pool():
-        if threads > 1:
-            _run_threaded(run, len(combos), threads)
-        else:
-            for p in range(len(combos)):
-                run(p)
-    _check_pure(f_values)
-    return out[0], grad, f_values[0]
+    _run_passes(run, len(combos), threads)
+    return pass0[1], grad, pass0[0]
 
 
 def _as_input_vector(x):
-    x = np.asarray(x, dtype=np.float64)
+    """x as a 1-D float64 array; raise ValueError unless it is real numbers (bool, int, float)."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "biuf":
+        raise ValueError(f"input must be real numbers, got dtype {x.dtype}")
     if x.ndim != 1:
         raise ValueError(f"input must be 1-D, got shape {x.shape}")
     if x.shape[0] == 0:
         raise ValueError("empty input: gradients need at least one component")
-    return x
+    return x.astype(np.float64, copy=False)
+
+
+def _config(cfg):
+    """cfg, or the default ChunkConfig for None; anything else raises ValueError."""
+    if not isinstance(cfg, (ChunkConfig, type(None))):
+        raise ValueError(f"cfg must be a ChunkConfig or None, got {cfg!r}")
+    return cfg or ChunkConfig()
 
 
 def gradient(f, x, cfg=None):
     """Gradient of scalar f at x in ceil(k / N) passes.
 
     f receives a DualVector (a sequence of k duals) and must return a
-    scalar; x is any 1-D float vector.  With cfg.threads > 1 the passes are
+    scalar; x is any 1-D vector of real numbers, and cfg a ChunkConfig or
+    None for the defaults.  With cfg.threads > 1 the passes are
     distributed across the threaded scheduler, which produces bitwise
     identical results.
     """
-    cfg = cfg if cfg is not None else ChunkConfig()
+    cfg = _config(cfg)
     x = _as_input_vector(x)
     values, _, f_value = _passes(f, x, (cfg.resolve(x.shape[0]),), cfg.threads)
     return GradientResult(values, float(f_value))
@@ -471,7 +479,7 @@ def _vector_output(y, widths):
 
 def jacobian(f, x, cfg=None):
     """m x k Jacobian of a vector-valued f, one column block per chunk, threaded as ``gradient``."""
-    cfg = cfg if cfg is not None else ChunkConfig()
+    cfg = _config(cfg)
     x = _as_input_vector(x)
     entries, _, f_value = _passes(f, x, (cfg.resolve(x.shape[0]),), cfg.threads, _vector_output)
     return JacobianResult(entries, f_value)

@@ -16,8 +16,8 @@ rules set none of their own.  The drivers set it to ignore around each
 evaluation of the target, so they never warn.
 
 The arithmetic, elementary and comparison rules of ``Dual`` and its
-``__array_ufunc__`` are the only ones in the package: ``DualVector``
-installs the same function objects, and ``NestedDualVector`` calls them.
+``__array_ufunc__`` are the only ones in the package: ``DualVector`` and
+``NestedDualVector`` hold the same function objects.
 Each rule reads ``values`` and ``partials``, computes with the operations
 ``pool.ops`` picks for its lanes (ones that reuse buffers for large
 float64 lanes in a driver call, plain ones otherwise) and builds its
@@ -27,7 +27,9 @@ scalars.
 
 All three kinds subclass ``_DualKind``: one ``isinstance`` tells a dual
 from a constant, and ``value_of``/``base_value`` read the value channel
-of every kind.  ``sin`` … ``square`` are numpy's ufuncs, which numpy
+of every kind.  No kind converts to ``float``: that would keep the value
+and drop every lane, so ``math.exp`` and ``float()`` raise TypeError on a
+dual.  ``sin`` … ``square`` are numpy's ufuncs, which numpy
 hands to the rules on a dual of any kind through ``__array_ufunc__``.
 """
 
@@ -329,9 +331,6 @@ class Dual(_DualKind):
 
     def __bool__(self):
         return bool(base_value(self))
-
-    def __float__(self):
-        return float(base_value(self))
 
     # ------------------------------------------------------------------
     # lane access

@@ -4,16 +4,16 @@ A gradient pass allocates a fresh lane block for every intermediate.
 Blocks of ``POOL_MIN_BYTES`` and more are the ones glibc hands back to the
 OS when they are freed, so without reuse the next pass page-faults them
 in again: a 3000-component Rosenbrock gradient at chunk 8 took about 140
-minor faults per pass.  The drivers therefore run their passes inside
-``lane_pool()``.  Each dual rule (one body serves ``Dual``,
-``DualVector`` and ``NestedDualVector``) asks ``ops`` once for the
-operations it computes with: while a pool is active and the rule's lanes
-are a float64 array that large, these write their results through
-``pooled``, which hands out a buffer of the same shape that nothing
-outside the pool refers to any more.  ``out=`` gives the same values as
-a fresh ufunc result, so pooling never changes a number.  Any other
-lanes (a scalar ``Dual``'s tuple, a nested vector's duals) get the plain
-operations, which are Python's operators where there is one.
+minor faults per pass.  The drivers' pass runner therefore enters a
+``lane_pool()`` in each thread that runs passes.  Each dual rule (one
+body serves ``Dual``, ``DualVector`` and ``NestedDualVector``) asks
+``ops`` once for the operations it computes with: while a pool is active
+and the rule's lanes are a float64 array that large, these write their
+results through ``pooled``, which hands out a buffer of the same shape
+that nothing outside the pool refers to any more.  ``out=`` gives the
+same values as a fresh ufunc result, so pooling never changes a number.
+Any other lanes (a scalar ``Dual``'s tuple, a nested vector's duals) get
+the plain operations, which are Python's operators where there is one.
 """
 
 from __future__ import annotations
@@ -109,8 +109,8 @@ _active = _Active()
 class lane_pool:
     """Reuse large float64 buffers in the calling thread until the block exits.
 
-    The drivers enter one per driver call (one per worker thread in the
-    threaded scheduler).  Rule results of at least ``POOL_MIN_BYTES`` are
+    The drivers' pass runner enters one per driver call in each thread
+    that runs passes.  Rule results of at least ``POOL_MIN_BYTES`` are
     then written into buffers whose earlier results nothing refers to any
     more; the values are the same as without the pool, bit for bit.  Until
     the block exits the pool keeps, for each shape, as many buffers as

@@ -16,12 +16,12 @@ it unchanged.
 ``NestedDualVector`` is the higher-order form: its ``values`` and
 ``partials`` are themselves DualVectors, or NestedDualVectors one level
 further down, so forward-over-forward differentiation runs on float64
-arrays at every nesting level.  It has no rules of its own: every
-operation runs the DualVector rule of the same name.  The arithmetic,
-elementary and comparison rules of DualVector and its
-``__array_ufunc__`` are in turn the scalar ``Dual``'s own functions
-(``dual.py``); this module adds the vector side of operand handling,
-indexing and reductions.
+arrays at every nesting level.  It defines only its constructor: every
+other attribute is the very object DualVector has.  The arithmetic,
+elementary and comparison rules of both and their ``__array_ufunc__``
+are in turn the scalar ``Dual``'s own functions (``dual.py``); this
+module adds the vector side of operand handling, indexing and
+reductions.
 
 Instances are immutable by convention; operations never write to their
 operands, so values and lane blocks may be freely shared across results
@@ -77,14 +77,10 @@ class DualVector(_DualKind):
     def n_lanes(self):
         return self.partials.shape[0]
 
-    def _scalar(self, values, partials):
-        """Result with no component axis left: a scalar dual."""
-        return Dual(values, Partials(partials))
-
     def _part(self, values, partials):
-        """Index or reduction result: a vector, or a scalar without component axes."""
-        if partials.ndim == 1:
-            return self._scalar(values, partials)
+        """Index or reduction result: a ``Dual`` if a DualVector has no component axis left."""
+        if type(self) is DualVector and partials.ndim == 1:
+            return Dual(values, Partials(partials))
         return type(self)(values, partials)
 
     def reshape(self, shape):
@@ -196,21 +192,9 @@ class NestedDualVector(_DualKind):
         self.values = values
         self.partials = partials
 
-    def _scalar(self, values, partials):
-        return NestedDualVector(values, partials)
 
-
-def _shared(name):
-    # Looked up on every call, so that a wrapper installed on a DualVector
-    # method (a profiler or an op counter) also sees the nested calls.
-    def rule(self, *args, **kwargs):
-        return getattr(DualVector, name)(self, *args, **kwargs)
-
-    rule.__name__ = rule.__qualname__ = name
-    return rule
-
-
+# Every other attribute is DualVector's own object: its rules are Dual's
 for _name, _attr in list(vars(DualVector).items()):
     if _name not in vars(NestedDualVector):
-        setattr(NestedDualVector, _name, _shared(_name) if callable(_attr) else _attr)
+        setattr(NestedDualVector, _name, _attr)
 del _name, _attr

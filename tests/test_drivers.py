@@ -77,6 +77,24 @@ def test_derivative_drivers_reject_results_that_are_not_scalars(driver, target, 
         driver(target, 1.0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: derivative(math.exp, 1.0),
+        lambda: derivative(lambda x: np.float64(x) * x, 2.0),
+        lambda: second_derivative(math.exp, 1.0),
+        lambda: gradient(lambda v: math.exp(v[0]) + v[1], [1.0, 2.0]),
+        lambda: hessian(lambda v: math.exp(v[0]) + v[1], [1.0, 2.0]),
+        lambda: third_order_tensor(lambda v: math.exp(v[0]) + v[1], [1.0, 2.0]),
+    ],
+    ids=["derivative", "np.float64", "second", "gradient", "hessian", "third"],
+)
+def test_converting_a_dual_to_float_raises_at_every_order(call):
+    # a float() of a dual would keep the value and drop every lane
+    with pytest.raises(TypeError, match="real number"):
+        call()
+
+
 @pytest.mark.parametrize("driver", [derivative, second_derivative])
 @pytest.mark.parametrize("const", [7.0, 7, np.float64(7.0), np.array(7.0)], ids=repr)
 def test_derivative_drivers_give_zero_for_scalar_constants(driver, const):
@@ -177,6 +195,9 @@ def test_default_chunk_results_equal_chunk_8_bitwise(f, k):
         lambda: third_order_tensor(rosenbrock, np.ones(3), chunks=(0, 0, 0)),
         lambda: third_order_tensor(rosenbrock, np.ones(3), chunks=(1, 2)),
         lambda: third_order_tensor(rosenbrock, np.ones(3), chunks=(1, 2.0, 1)),
+        lambda: gradient(rosenbrock, np.ones(3), 8),
+        lambda: gradient_threaded(rosenbrock, np.ones(3), (2, 2)),
+        lambda: jacobian(lambda v: v, np.ones(3), {"chunk_size": 2}),
     ],
 )
 def test_bad_chunk_and_thread_arguments_raise_value_error(call):
@@ -187,6 +208,29 @@ def test_bad_chunk_and_thread_arguments_raise_value_error(call):
 def test_empty_input_is_an_error():
     with pytest.raises(ValueError, match="empty input"):
         gradient(ackley, [])
+
+
+@pytest.mark.parametrize(
+    "x, dtype",
+    [
+        (np.array([1.0 + 2.0j, 3.0]), "complex128"),
+        (["1.5", "2"], "<U3"),
+        (np.array([1.0, None]), "object"),
+    ],
+    ids=["complex", "strings", "object"],
+)
+@pytest.mark.parametrize("driver", [gradient, jacobian, hessian, third_order_tensor])
+def test_inputs_that_are_not_real_numbers_raise_before_any_pass(driver, x, dtype):
+    counted = EvalCounter(lambda v: v)
+    want = f"input must be real numbers, got dtype {dtype}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        driver(counted, x)
+    assert counted.count == 0
+
+
+@pytest.mark.parametrize("x", [[True, False], np.array([1, 0], np.int8), np.float32([1, 0])])
+def test_bool_integer_and_float_inputs_are_read_as_float64(x):
+    assert np.array_equal(gradient(rosenbrock, x).values, gradient(rosenbrock, [1.0, 0.0]).values)
 
 
 # ----------------------------------------------------------------------
@@ -238,6 +282,32 @@ def test_impure_target_function_is_caught():
 
     with pytest.raises(ImpureTargetError, match="pass 0 gave 5.0, pass 1 gave 6.0"):
         gradient(impure, np.ones(4), ChunkConfig(2))
+
+
+def _impure_after_one_call():
+    """A counted target whose value channel drifts from its second evaluation on."""
+    tickets = itertools.count()
+
+    def target(x):
+        return np.sum(x * x) + (next(tickets) > 0)
+
+    return EvalCounter(target)
+
+
+def test_impure_target_stops_at_its_first_impure_pass():
+    counted = _impure_after_one_call()
+    with pytest.raises(ImpureTargetError, match="pass 0 gave 40.0, pass 1 gave 41.0"):
+        gradient(counted, np.ones(40), ChunkConfig(1))
+    assert counted.count == 2
+
+
+def test_impure_target_stops_every_thread():
+    threads = 2
+    counted = _impure_after_one_call()
+    with pytest.raises(ImpureTargetError, match="pass 0 gave 40.0, pass [0-9]+ gave 41.0"):
+        gradient(counted, np.ones(40), ChunkConfig(1, threads))
+    # the impure pass, and at most one pass each thread had already begun
+    assert counted.count <= 2 + threads
 
 
 def test_hessian_purity_check_covers_every_pass():
