@@ -26,9 +26,9 @@ state like ndarray arithmetic does.
 
 Each thread that runs passes does so inside a ``pool.lane_pool``:
 float64 rule results of at least 64 KiB go into buffers reused from
-earlier passes of the same call, once nothing refers to their old
+earlier passes and calls of that thread, once nothing refers to their old
 contents, instead of fresh allocations that glibc returns to the OS and
-the next pass page-faults in again.
+the next pass page-faults in again; a worker thread's pool ends with it.
 
 All drivers require a pure target function: same input, same output.
 Each pass compares its value channel (every output, for a Jacobian)
@@ -322,7 +322,6 @@ def _run_passes(run, n_passes, threads):
     Passes stop at the first failure, re-raised.
     """
     failures, handed_back = [], []
-    go = threading.Event()
 
     def work(block, budget=float("inf")):
         try:
@@ -345,14 +344,19 @@ def _run_passes(run, n_passes, threads):
         start = time.perf_counter()
         run(0)
         t0 = time.perf_counter() - start
-        blocks = np.array_split(range(1, n_passes), max(1, min(threads, n_passes - 1)))
+        n_blocks = max(1, min(threads, n_passes - 1))
+        size, extra = divmod(n_passes - 1, n_blocks)  # np.array_split's blocks
+        ends = [1 + i * size + min(i, extra) for i in range(n_blocks + 1)]
+        blocks = [range(lo, hi) for lo, hi in zip(ends, ends[1:])]
         workers = [threading.Thread(target=worker, args=(block,)) for block in blocks[1:]]
+        go = threading.Event() if workers else None  # a serial call needs none
         try:
             for w in workers:
                 w.start()
         finally:  # if a start fails, the workers already started must not wait forever
             fanned_out = time.perf_counter()
-            go.set()
+            if workers:
+                go.set()
         work(blocks[0])
         for w in workers:
             w.join()
@@ -482,7 +486,7 @@ def jacobian(f, x, cfg=None):
     cfg = _config(cfg)
     x = _as_input_vector(x)
     entries, _, f_value = _passes(f, x, (cfg.resolve(x.shape[0]),), cfg.threads, _vector_output)
-    return JacobianResult(entries, f_value)
+    return JacobianResult(entries, f_value.copy())  # never x itself or a pooled buffer
 
 
 # ----------------------------------------------------------------------

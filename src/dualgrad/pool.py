@@ -1,4 +1,4 @@
-"""Per-thread pool of large float64 buffers, reused within one driver call.
+"""Per-thread pool of large float64 buffers, kept across a thread's driver calls.
 
 A gradient pass allocates a fresh lane block for every intermediate.
 Blocks of ``POOL_MIN_BYTES`` and more are the ones glibc hands back to the
@@ -14,6 +14,8 @@ that nothing outside the pool refers to any more.  ``out=`` gives the
 same values as a fresh ufunc result, so pooling never changes a number.
 Any other lanes (a scalar ``Dual``'s tuple, a nested vector's duals) get
 the plain operations, which are Python's operators where there is one.
+A thread keeps its pool across driver calls: one pool per call faulted
+its blocks in anew, 275 minor faults a call for a one-pass k=30 Hessian.
 """
 
 from __future__ import annotations
@@ -58,11 +60,12 @@ class _Pool:
         # the pool holds
         self.sole = sole
         self.buffers = {}
+        self.last = {}  # the previous call's buffers, by shape, not yet asked for
 
     def take(self, shape):
         same = self.buffers.get(shape)
         if same is None:
-            same = self.buffers[shape] = []
+            same = self.buffers[shape] = self.last.pop(shape, [])
         for buf in same:
             if sys.getrefcount(buf) == self.sole:
                 return buf
@@ -100,7 +103,8 @@ _SOLE = _sole_refcount()
 
 
 class _Active(threading.local):
-    pool = None
+    pool = None  # the thread's kept pool while a driver call runs in it
+    kept = None  # the thread's pool, kept between its driver calls
 
 
 _active = _Active()
@@ -112,18 +116,25 @@ class lane_pool:
     The drivers' pass runner enters one per driver call in each thread
     that runs passes.  Rule results of at least ``POOL_MIN_BYTES`` are
     then written into buffers whose earlier results nothing refers to any
-    more; the values are the same as without the pool, bit for bit.  Until
-    the block exits the pool keeps, for each shape, as many buffers as
-    were in use at once, up to ``_MAX_PER_SHAPE``.
+    more; the values are the same as without the pool, bit for bit.  The
+    outermost block activates the thread's kept pool and makes its buffers
+    "last": a shape's move back when the call first asks for it, and the
+    exit drops the rest.  So between calls a thread keeps its last call's
+    shapes, as many buffers each as were in use at once, up to
+    ``_MAX_PER_SHAPE``.  A nested block shares the active pool.
     """
 
     __slots__ = ("outer",)
 
     def __enter__(self):
         self.outer = _active.pool
-        _active.pool = None if _SOLE is None else _Pool(_SOLE)
+        if self.outer is None and _SOLE is not None:
+            kept = _active.pool = _active.kept = _active.kept or _Pool(_SOLE)
+            kept.last, kept.buffers = kept.buffers, {}
 
     def __exit__(self, *exc):
+        if self.outer is None and _active.pool is not None:
+            _active.pool.last = {}
         _active.pool = self.outer
 
 

@@ -382,6 +382,14 @@ def test_jacobian_of_identity():
     assert np.array_equal(res.f_value, np.arange(1.0, 6.0))
 
 
+def test_jacobian_value_is_a_copy_of_the_input():
+    x = np.arange(1.0, 6.0)
+    res = jacobian(lambda v: v, x)
+    assert res.f_value is not x and not np.shares_memory(res.f_value, x)
+    res.f_value[:] = -1.0
+    assert np.array_equal(x, np.arange(1.0, 6.0))
+
+
 def test_jacobian_product_and_sum_rows():
     res = jacobian(lambda x: [x[0] * x[1], x[0] + x[1]], [3.0, 5.0])
     assert res.entries.tolist() == [[5.0, 3.0], [1.0, 1.0]]
@@ -927,6 +935,24 @@ def test_every_pass_runs_once_under_fast_thread_switching():
             _passes_per_thread(ackley, k, chunk, threads=8)
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("n_passes, threads", [(1, 1), (1, 4), (2, 4), (7, 3), (10, 4), (9, 1)])
+def test_workers_run_prefixes_of_array_split_blocks(n_passes, threads):
+    by_thread = {}
+
+    def run(p):
+        time.sleep(0.002)  # releases the GIL, so workers start their blocks
+        by_thread.setdefault(threading.get_ident(), []).append(p)
+
+    dualgrad.drivers._run_passes(run, n_passes, threads)
+    assert sorted(itertools.chain(*by_thread.values())) == list(range(n_passes))
+    n_blocks = max(1, min(threads, n_passes - 1))
+    blocks = [b.tolist() for b in np.array_split(range(1, n_passes), n_blocks)]
+    workers = [ps for ident, ps in by_thread.items() if ident != threading.get_ident()]
+    assert len(workers) <= len(blocks) - 1
+    for ps in workers:  # a worker may hand its block's rest back to the caller
+        assert any(ps == block[: len(ps)] for block in blocks[1:]), ps
 
 
 def test_more_threads_than_passes():
