@@ -7,7 +7,18 @@ p*N .. min(p*N + N, k) - 1 with orthogonal unit lanes and leaves every
 other component as a plain value; the output lanes of that pass are the
 partial derivatives of the seeded components.  A trailing chunk narrower
 than N seeds only the remaining components.  Lanes propagate independently,
-so the assembled gradient is identical, bit for bit, for every chunk size.
+so the assembled gradient is identical, bit for bit, for every chunk size
+(the sign of an exactly-zero entry aside, see below).
+
+Pass 0 carries the full N x k lane block.  When that block is at least
+POOL_MIN_BYTES and pass 0's output lanes are all finite, every later
+pass of a gradient or Jacobian seeds a lane window instead
+(``pool._Window``): only the columns its N seeds can reach are computed,
+so a Rosenbrock pass does about N x (N + 1) lane work instead of N x k.
+The columns it leaves out are exact zeros in a dense pass, because a
+coefficient that is non-finite on a column reaching the result would
+have made pass 0's lanes non-finite too; a zero derivative entry may
+come out as +0.0 where a dense pass gave -0.0.
 
 Higher-order drivers nest duals (forward-over-forward).  For a Hessian
 each pass seeds a block of M components on the float64 lanes of a
@@ -37,13 +48,15 @@ ImpureTargetError, and no thread starts another pass.  The runner runs
 pass 0 on the caller and the rest in one static block per thread, the
 caller's first, so a serial call is the one-thread case.  With more
 threads f must be safely callable from several threads at once; a worker
-running below break-even hands its block's rest back to the caller, and
-passes write disjoint slices.
+running below break-even (measured against the faster of the caller's
+first two passes) hands its block's rest back to the caller, and passes
+write disjoint slices.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 import threading
 import time
@@ -52,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import Dual, _DualKind, base_value
-from .pool import lane_pool, pooled_zeros
+from .pool import POOL_MIN_BYTES, _Window, lane_pool, pooled_zeros
 from .vector import DualVector, NestedDualVector
 
 __all__ = [
@@ -257,13 +270,17 @@ def _constant(values, widths):
     return _vector(_constant(values, inner), _constant(zeros, inner))
 
 
-def _seeded(x, blocks):
+def _seeded(x, blocks, windowed=False):
     """Input of one pass: x with unit lanes on the components in blocks[d] at level d.
 
     Level 0 is a float64 DualVector; every further level wraps the one
     below in a NestedDualVector whose unit lanes are constants of the
-    levels below.
+    levels below.  A windowed first-order input holds only the seeded
+    columns of its lane block, in a ``pool._Window``.
     """
+    if windowed:
+        (block,) = blocks
+        return DualVector(x, _Window(np.eye(block.stop - block.start), block.start, x.shape[0]))
     out = x
     widths = []
     for block in blocks:
@@ -316,20 +333,29 @@ def _run_passes(run, n_passes, threads):
 
     With threads=1 the caller runs every block and no thread starts.  A
     worker whose passes, timed from the fan-out, average over threads *
-    t(pass 0) hands its block's rest back for the caller to run after the
+    t_ref hands its block's rest back for the caller to run after the
     join: all threads together then finish fewer passes per second than
-    the caller alone would.  Every thread runs in its own lane pool.
-    Passes stop at the first failure, re-raised.
+    the caller alone would.  t_ref is t(pass 0), and from the caller's
+    pass 1 on the lesser of the two: pass 0 may be slower than the rest
+    (it runs without lane windows, or a collection lands in it), which
+    would make the budget lenient.  Every thread runs in its own lane
+    pool.  Passes stop at the first failure, re-raised.
     """
     failures, handed_back = [], []
 
-    def work(block, budget=float("inf")):
+    def work(block, budget):
+        """Run block's passes; hand the rest back once they average over budget * t_ref."""
+        nonlocal t_ref
         try:
             for i, p in enumerate(block):
                 if failures:
                     return
+                start = time.perf_counter()
                 run(p)
-                if time.perf_counter() - fanned_out > (i + 1) * budget:
+                end = time.perf_counter()
+                if p == 1:  # the caller's first pass after pass 0
+                    t_ref = min(t_ref, end - start)
+                elif end - fanned_out > (i + 1) * budget * t_ref:
                     handed_back.append(block[i + 1 :])
                     return
         except BaseException as exc:  # re-raised after the join barrier
@@ -338,12 +364,12 @@ def _run_passes(run, n_passes, threads):
     def worker(block):
         go.wait()  # the caller starts its block first
         with lane_pool():
-            work(block, len(blocks) * t0)
+            work(block, len(blocks))
 
     with lane_pool():
         start = time.perf_counter()
         run(0)
-        t0 = time.perf_counter() - start
+        t_ref = time.perf_counter() - start
         n_blocks = max(1, min(threads, n_passes - 1))
         size, extra = divmod(n_passes - 1, n_blocks)  # np.array_split's blocks
         ends = [1 + i * size + min(i, extra) for i in range(n_blocks + 1)]
@@ -357,11 +383,11 @@ def _run_passes(run, n_passes, threads):
             fanned_out = time.perf_counter()
             if workers:
                 go.set()
-        work(blocks[0])
+        work(blocks[0], math.inf)
         for w in workers:
             w.join()
         for tail in handed_back:
-            work(tail)
+            work(tail, math.inf)
     if failures:
         raise failures[0]
 
@@ -378,18 +404,22 @@ def _passes(f, x, chunks, threads=1, read=_scalar_output):
     k = x.shape[0]
     combos = list(itertools.product(*(_blocks(k, c) for c in chunks)))
     grad = np.empty(k)
-    pass0 = []  # pass 0's f value, and the result array that pass sizes
+    # pass 0's f value, the result array that pass sizes, and whether the
+    # later passes run on lane windows (see the module docstring)
+    pass0 = []
+    window_ok = len(chunks) == 1 and chunks[0] * k * 8 >= POOL_MIN_BYTES
 
     def run(p):
         blocks = combos[p]
         widths = tuple(b.stop - b.start for b in blocks)
         # numpy's error state is per thread, so each worker enters its own
         with np.errstate(all="ignore"):
-            value, first, top = read(f(_seeded(x, blocks)), widths)
+            value, first, top = read(f(_seeded(x, blocks, p > 0 and pass0[2])), widths)
         outputs = top.shape[: top.ndim - len(widths)]
         if p == 0:  # pass 0 runs first and alone
-            pass0.extend((value, np.empty(outputs + (k,) * len(widths))))
-        f0, out = pass0
+            windowed = window_ok and bool(np.isfinite(top).all())
+            pass0.extend((value, np.empty(outputs + (k,) * len(widths)), windowed))
+        f0, out, _ = pass0
         if outputs != out.shape[: len(outputs)]:
             raise ValueError(
                 f"target function changed output length between passes: "

@@ -1,4 +1,5 @@
-"""Per-thread pool of large float64 buffers, kept across a thread's driver calls.
+"""Per-thread pool of large float64 buffers, kept across a thread's driver
+calls, and the lane windows of first-order passes.
 
 A gradient pass allocates a fresh lane block for every intermediate.
 Blocks of ``POOL_MIN_BYTES`` and more are the ones glibc hands back to the
@@ -16,6 +17,14 @@ Any other lanes (a scalar ``Dual``'s tuple, a nested vector's duals) get
 the plain operations, which are Python's operators where there is one.
 A thread keeps its pool across driver calls: one pool per call faulted
 its blocks in anew, 275 minor faults a call for a one-pass k=30 Hessian.
+
+A ``_Window`` is a lane block that holds only the columns its seeds can
+reach.  The N unit lanes of a first-order pass are nonzero in N of its k
+columns, and elementwise rules and shifted slices keep them there, so
+``ops`` hands the rules on a window operations that compute those
+columns only, each value-shaped coefficient cut to them.  The rule
+bodies stay the same; what cannot stay in the columns reads the full
+block through ``np.asarray``.
 """
 
 from __future__ import annotations
@@ -196,23 +205,197 @@ _PLAIN_OPS = type("PlainOps", (), _UFUNCS | _OPERATORS)
 
 
 def ops(lanes):
-    """The operations of a rule on ``lanes``, pooled or plain: the same numbers either way.
+    """The operations of a rule on ``lanes``, pooled, windowed or plain.
 
     Pooled only for a float64 array of at least ``POOL_MIN_BYTES`` while a
     ``lane_pool`` is active in this thread, so never for nested or scalar
-    lanes or outside a driver call.
+    lanes or outside a driver call; windowed for a ``_Window``.  Pooled
+    and plain give the same numbers; a window's left-out lanes read +0.0
+    where the full block may hold -0.0.
     """
-    if type(lanes) is _ndarray and lanes.nbytes >= POOL_MIN_BYTES:
+    kind = type(lanes)
+    if kind is _ndarray and lanes.nbytes >= POOL_MIN_BYTES:
         if lanes.dtype is _FLOAT64 and _active.pool is not None:
             return _POOLED_OPS
-    return _PLAIN_OPS
+    return _WINDOW_OPS if kind is _Window else _PLAIN_OPS
+
+
+def _pooled_empty(shape):
+    """``np.empty(shape)``, in a pooled buffer when a pool is active and it is large."""
+    pool = None if math.prod(shape) * 8 < POOL_MIN_BYTES else _active.pool
+    return np.empty(shape) if pool is None else pool.take(shape)
 
 
 def pooled_zeros(shape):
     """``np.zeros(shape)``, in a pooled buffer when a pool is active and it is large."""
-    pool = None if math.prod(shape) * 8 < POOL_MIN_BYTES else _active.pool
-    if pool is None:
-        return np.zeros(shape)
-    buf = pool.take(shape)
+    buf = _pooled_empty(shape)
     buf.fill(0.0)
     return buf
+
+
+# ----------------------------------------------------------------------
+# lane windows: the columns of a lane block that its seeds can reach
+# ----------------------------------------------------------------------
+
+
+# the lane axis of the indexes DualVector.__getitem__ builds
+_EVERY_LANE = slice(None)
+
+
+class _Window:
+    """Lane block of full shape ``block.shape[:-1] + (k,)`` that is zero
+    outside the columns ``[lo, lo + w)`` of its last axis; ``block`` holds
+    those w columns.
+
+    The drivers seed a first-order pass with one: its N unit lanes are
+    nonzero in N columns, and elementwise rules and shifted slices keep
+    them there.  ``ops`` gives the rules on a window operations that cut
+    value-shaped coefficients to its columns.  What cannot stay inside the
+    columns (another slice step, fancy indexes, a reshape, full lanes as
+    the other operand) gives the full block, which ``np.asarray`` builds.
+    """
+
+    __slots__ = ("block", "lo", "hi", "k")
+
+    def __init__(self, block, lo, k):
+        self.block = block
+        self.lo = lo
+        self.hi = lo + block.shape[-1]
+        self.k = k
+
+    @property
+    def shape(self):
+        return self.block.shape[:-1] + (self.k,)
+
+    # read through to the block, for code that inspects lane arrays: the
+    # dtype a scalar Dual's lanes take on, sizes for allocation counters
+    ndim = property(lambda self: self.block.ndim)
+    dtype = property(lambda self: self.block.dtype)
+    nbytes = property(lambda self: self.block.nbytes)
+    flags = property(lambda self: self.block.flags)
+
+    def like(self, block):
+        """A window on the same columns holding ``block``."""
+        return _Window(block, self.lo, self.k)
+
+    def copy(self):
+        return self.like(self.block.copy())
+
+    def __array__(self, dtype=None, copy=None):
+        """The full block: the window's columns, and zeros around them."""
+        out = _pooled_empty(self.shape)
+        out[..., : self.lo] = 0.0
+        out[..., self.lo : self.hi] = self.block
+        out[..., self.hi :] = 0.0
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+    def reshape(self, shape):
+        return np.asarray(self).reshape(shape)
+
+    def __getitem__(self, idx):
+        """Lanes at ``(_EVERY_LANE, i)``, the index ``DualVector.__getitem__`` passes.
+
+        On one component axis an integer gives its column and a step-1 or
+        step-(-1) slice a window; any other index reads the full block.
+        """
+        block = self.block
+        ours = type(idx) is tuple and len(idx) == 2 and idx[0] is _EVERY_LANE
+        i = idx[1] if ours and block.ndim == 2 else None
+        if type(i) is int or isinstance(i, np.integer):
+            # DualVector indexed its values first, so i is in range
+            j = i - self.lo + (self.k if i < 0 else 0)
+            return block[:, j] if 0 <= j < block.shape[1] else np.zeros(block.shape[0])
+        if type(i) is slice and (taken := range(self.k)[i]).step in (1, -1):
+            lo, hi = self.lo, self.hi
+            # the window's columns [a, b) that the slice takes
+            if taken.step == 1:
+                a, b = max(lo, taken.start), min(hi, taken.stop)
+            else:
+                a, b = max(lo, taken.stop + 1), min(hi, taken.start + 1)
+            if b <= a:
+                return _Window(block[:, :0], 0, len(taken))
+            block = block[:, a - lo : b - lo]
+            if taken.step == 1:
+                return _Window(block, a - taken.start, len(taken))
+            return _Window(block[:, ::-1], taken.start - (b - 1), len(taken))
+        return np.asarray(self)[idx]
+
+    def sum(self, axis):
+        """Sum over the last axis, in the window where that gives the full block's numbers.
+
+        A row with at most two nonzero lanes sums to the same ``fl(a + b)``
+        in any order; any other row is summed over the full block, in
+        numpy's pairwise order.
+        """
+        block = self.block
+        if block.shape[-1] <= 2 or np.add.reduce(block != 0, -1).max() <= 2:
+            return block.sum(axis=axis)
+        return np.asarray(self).sum(axis=axis)
+
+
+def _full(a):
+    return np.asarray(a) if type(a) is _Window else a
+
+
+def _cut(c, win):
+    """Coefficient ``c`` on the columns of ``win``, or None when its last axis is not win's."""
+    if type(c) in _POOL_SCALARS:
+        return c
+    c = np.asarray(c)
+    if c.ndim == 0 or c.shape[-1] == 1:
+        return c
+    return c[..., win.lo : win.hi] if c.shape[-1] == win.k else None
+
+
+def _scale(ufunc):
+    """mul or div of lanes by a coefficient: a window scales by its columns only."""
+
+    def op(a, b):
+        if type(a) is _Window and (c := _cut(b, a)) is not None:
+            return a.like(pooled(ufunc, a.block, c))
+        if type(b) is _Window and (c := _cut(a, b)) is not None:
+            return b.like(pooled(ufunc, c, b.block))
+        return pooled(ufunc, _full(a), _full(b))
+
+    return op
+
+
+def _join(ufunc):
+    """add or sub of two lane blocks: two windows combine on the union of their columns."""
+
+    def op(a, b):
+        wa, wb = type(a) is _Window, type(b) is _Window
+        if wa and wb and a.k == b.k and a.block.shape[:-1] == b.block.shape[:-1]:
+            if a.lo == b.lo and a.hi == b.hi:
+                return a.like(pooled(ufunc, a.block, b.block))
+            lo, hi = min(a.lo, b.lo), max(a.hi, b.hi)
+            out = pooled_zeros(a.block.shape[:-1] + (hi - lo,))
+            out[..., a.lo - lo : a.hi - lo] = a.block
+            part = out[..., b.lo - lo : b.hi - lo]
+            ufunc(part, b.block, out=part)
+            return _Window(out, lo, a.k)
+        if wa != wb:  # full lanes (a dense vector's, a scalar Dual's) and a window
+            win, full = (a, b) if wa else (b, a)
+            shape = np.broadcast_shapes(win.shape, np.shape(full))
+            if (cols := _cut(full, win)) is not None and shape[-1] == win.k:
+                # the full block, without writing the window's zeros out first
+                out = _pooled_empty(shape)
+                ufunc(0.0 if wa else a, 0.0 if wb else b, out=out)
+                part = out[..., win.lo : win.hi]
+                ufunc(a.block if wa else cols, cols if wa else b.block, out=part)
+                return out
+        return pooled(ufunc, _full(a), _full(b))
+
+    return op
+
+
+def _neg(a):
+    if type(a) is _Window:
+        return a.like(pooled(np.negative, a.block))
+    return pooled(np.negative, a)
+
+
+# the pooled operations, but lanes on a window stay on its columns
+_WINDOW_OPS = type("WindowOps", (_POOLED_OPS,), dict(add=_join(np.add), sub=_join(np.subtract)))
+_WINDOW_OPS.mul, _WINDOW_OPS.div = _scale(np.multiply), _scale(np.true_divide)
+_WINDOW_OPS.neg = _neg

@@ -23,6 +23,16 @@ are in turn the scalar ``Dual``'s own functions (``dual.py``); this
 module adds the vector side of operand handling, indexing and
 reductions.
 
+The lanes of a first-order vector that ``gradient`` or ``jacobian``
+seeds after pass 0 may be a ``pool._Window``: the columns ``[lo, hi)`` of
+the last component axis where they can be nonzero, the rest being zero.
+Such a vector keeps its full ``values``.  Indexing passes the window an
+integer or a slice with step 1 or -1, which it answers from its columns,
+and ``sum``/``mean`` reduce it in the window where that gives the same
+numbers.  Combined with full lanes (a dense vector's or a scalar
+``Dual``'s) it gives full lanes; every other index, ``reshape`` and
+``__array__`` read it as the full block.
+
 Instances are immutable by convention; operations never write to their
 operands, so values and lane blocks may be freely shared across results
 and across threads.  Each rule asks ``pool.ops`` once for the operations
@@ -42,7 +52,7 @@ import warnings
 import numpy as np
 
 from .dual import _RULES, Dual, Partials, _DualKind
-from .pool import ops
+from .pool import _EVERY_LANE, ops
 
 __all__ = ["DualVector", "NestedDualVector"]
 
@@ -95,12 +105,14 @@ class DualVector(_DualKind):
         return self.shape[0]
 
     def __getitem__(self, idx):
-        lanes = (slice(None),) + (idx if isinstance(idx, tuple) else (idx,))
+        lanes = (_EVERY_LANE,) + (idx if isinstance(idx, tuple) else (idx,))
         return self._part(self.values[idx], self.partials[lanes])
 
     def __iter__(self):
+        # self[i] for each i, without a __getitem__ call per component
+        part, values, lanes = self._part, self.values, self.partials
         for i in range(len(self)):
-            yield self[i]
+            yield part(values[i], lanes[_EVERY_LANE, i])
 
     def __repr__(self):
         return f"{type(self).__name__}(shape={self.shape}, lanes={self.n_lanes})"

@@ -927,6 +927,28 @@ def test_passes_that_hold_the_gil_stay_on_the_caller():
     assert on_workers <= 2
 
 
+def test_a_slow_pass_0_does_not_keep_a_worker_in_the_gil_convoy():
+    calls = itertools.count()
+
+    def slow_first_call(x):
+        if next(calls) == 0:  # pass 0 only: the budget must not rest on it alone
+            time.sleep(0.03)
+        end = time.perf_counter() + 0.001
+        while time.perf_counter() < end:  # pure Python: the GIL is never released
+            pass
+        return np.sum(x * x)
+
+    # the worker waits a full switch interval for the GIL, far longer than
+    # 2 x t(caller's pass 1) but less than 2 x t(pass 0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(0.05)
+    try:
+        _, on_workers = _passes_per_thread(slow_first_call, 24, 1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert on_workers <= 2
+
+
 def test_every_pass_runs_once_under_fast_thread_switching():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
