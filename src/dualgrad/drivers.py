@@ -18,7 +18,10 @@ so a Rosenbrock pass does about N x (N + 1) lane work instead of N x k.
 The columns it leaves out are exact zeros in a dense pass, because a
 coefficient that is non-finite on a column reaching the result would
 have made pass 0's lanes non-finite too; a zero derivative entry may
-come out as +0.0 where a dense pass gave -0.0.
+come out as +0.0 where a dense pass gave -0.0.  Below POOL_MIN_BYTES the
+passes stay dense: there a window's per-op bookkeeping costs more than the
+columns it skips (a Rosenbrock gradient at chunk 8 ran 1.2 to 1.7 times
+slower windowed for k from 16 to 1000, 0.92 times at k=1100).
 
 Higher-order drivers nest duals (forward-over-forward).  For a Hessian
 each pass seeds a block of M components on the float64 lanes of a

@@ -279,6 +279,7 @@ class _Window:
         return _Window(block, self.lo, self.k)
 
     def copy(self):
+        """A window on the same columns; a target may copy ``v.partials``."""
         return self.like(self.block.copy())
 
     def __array__(self, dtype=None, copy=None):
@@ -348,12 +349,16 @@ def _cut(c, win):
 
 
 def _scale(ufunc):
-    """mul or div of lanes by a coefficient: a window scales by its columns only."""
+    """mul or div of lanes by a coefficient: a window scales by its columns only.
+
+    Only a product keeps a window on the right (``sign``'s ``0.0 * lanes``):
+    a window divisor reads its full block, whose zeros give c / 0 elsewhere.
+    """
 
     def op(a, b):
         if type(a) is _Window and (c := _cut(b, a)) is not None:
             return a.like(pooled(ufunc, a.block, c))
-        if type(b) is _Window and (c := _cut(a, b)) is not None:
+        if ufunc is np.multiply and type(b) is _Window and (c := _cut(a, b)) is not None:
             return b.like(pooled(ufunc, c, b.block))
         return pooled(ufunc, _full(a), _full(b))
 

@@ -109,10 +109,8 @@ class DualVector(_DualKind):
         return self._part(self.values[idx], self.partials[lanes])
 
     def __iter__(self):
-        # self[i] for each i, without a __getitem__ call per component
-        part, values, lanes = self._part, self.values, self.partials
         for i in range(len(self)):
-            yield part(values[i], lanes[_EVERY_LANE, i])
+            yield self[i]
 
     def __repr__(self):
         return f"{type(self).__name__}(shape={self.shape}, lanes={self.n_lanes})"

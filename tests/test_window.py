@@ -165,3 +165,13 @@ def test_window_slices_match_the_dense_block():
             assert type(got) is pool._Window, i
     for idx in ((1, 6), (slice(None), 7), (np.array([2, 0]), 5), 2, (slice(None), [5, 9, 0])):
         assert np.array_equal(np.asarray(win[idx]), full[idx]), idx
+
+
+def test_window_products_and_quotients_match_the_dense_block():
+    win = pool._Window(np.arange(1.0, 13.0).reshape(3, 4), 5, 12)
+    full, coeff = np.asarray(win), np.linspace(-1.0, 1.0, 12)
+    with np.errstate(all="ignore"):
+        for op, ufunc in ((pool._WINDOW_OPS.mul, np.multiply), (pool._WINDOW_OPS.div, np.divide)):
+            for a, b, dense in ((win, coeff, (full, coeff)), (coeff, win, (coeff, full))):
+                got = np.asarray(op(a, b))
+                assert np.array_equal(got, ufunc(*dense), equal_nan=True), (op, type(a))
