@@ -253,31 +253,23 @@ def build_parser():
         description="Benchmark and verify chunked forward-mode gradients.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
     chunk_p = sub.add_parser("chunk-sweep", help="sweep chunk sizes at fixed input size")
-    chunk_p.add_argument("--function", choices=sorted(_FUNCTIONS), required=True)
-    chunk_p.add_argument("--size", type=int, required=True, metavar="K")
-    chunk_p.add_argument("--chunks", type=_int_list, required=True, metavar="N1,N2,...")
-    chunk_p.add_argument("--reps", type=int, default=3)
-    chunk_p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    chunk_p.add_argument("--csv", metavar="PATH")
-
     size_p = sub.add_parser("size-sweep", help="sweep input sizes at fixed chunk size")
-    size_p.add_argument("--function", choices=sorted(_FUNCTIONS), required=True)
+    verify_p = sub.add_parser("verify", help="oracle and invariance checks")
+    for p in (chunk_p, size_p, verify_p):
+        p.add_argument("--function", choices=sorted(_FUNCTIONS), required=True)
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    for p in (chunk_p, verify_p):
+        p.add_argument("--size", type=int, required=True, metavar="K")
+    chunk_p.add_argument("--chunks", type=_int_list, required=True, metavar="N1,N2,...")
     size_p.add_argument("--sizes", type=_int_list, required=True, metavar="K1,K2,...")
     size_p.add_argument("--chunk", type=int, default=10)
     size_p.add_argument("--threads", type=int, default=1)
-    size_p.add_argument("--reps", type=int, default=3)
-    size_p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    size_p.add_argument("--csv", metavar="PATH")
-
-    verify_p = sub.add_parser("verify", help="oracle and invariance checks")
-    verify_p.add_argument("--function", choices=sorted(_FUNCTIONS), required=True)
-    verify_p.add_argument("--size", type=int, required=True, metavar="K")
+    for p in (chunk_p, size_p):
+        p.add_argument("--reps", type=int, default=3)
+        p.add_argument("--csv", metavar="PATH")
     verify_p.add_argument("--chunk", type=int, default=None)
-    verify_p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     verify_p.add_argument("--tol", type=float, default=1e-5)
-
     return parser
 
 

@@ -10,18 +10,18 @@ than N seeds only the remaining components.  Lanes propagate independently,
 so the assembled gradient is identical, bit for bit, for every chunk size
 (the sign of an exactly-zero entry aside, see below).
 
-Pass 0 carries the full N x k lane block.  When that block is at least
+Every level's unit lanes are built one way, as a ``pool._Window`` on the
+block's columns, which pass 0 reads as the full N x k lane block.  When
+the lanes a window would skip, N x (k - 2N) float64, come to at least
 POOL_MIN_BYTES and pass 0's output lanes are all finite, every later
-pass of a gradient or Jacobian seeds a lane window instead
-(``pool._Window``): only the columns its N seeds can reach are computed,
-so a Rosenbrock pass does about N x (N + 1) lane work instead of N x k.
-The columns it leaves out are exact zeros in a dense pass, because a
-coefficient that is non-finite on a column reaching the result would
-have made pass 0's lanes non-finite too; a zero derivative entry may
-come out as +0.0 where a dense pass gave -0.0.  Below POOL_MIN_BYTES the
-passes stay dense: there a window's per-op bookkeeping costs more than the
-columns it skips (a Rosenbrock gradient at chunk 8 ran 1.2 to 1.7 times
-slower windowed for k from 16 to 1000, 0.92 times at k=1100).
+pass of a gradient or Jacobian keeps the window: only the columns its N
+seeds can reach are computed, so a Rosenbrock pass does about N x (N + 1)
+lane work instead of N x k.  The columns it leaves out are exact zeros
+in a dense pass, because a coefficient that is non-finite on a column
+reaching the result would have made pass 0's lanes non-finite too; a
+zero derivative entry may come out as +0.0 where a dense pass gave -0.0.
+Below the gate a window's per-op bookkeeping costs more than the columns
+it skips (Rosenbrock at chunk 64: 1.19x dense at k=140, 0.84x at k=256).
 
 Higher-order drivers nest duals (forward-over-forward).  For a Hessian
 each pass seeds a block of M components on the float64 lanes of a
@@ -34,9 +34,9 @@ and every thread count; only the reader of the target's result differs.
 
 Every evaluation of the target runs under ``np.errstate(all="ignore")``:
 out-of-domain points give inf/nan derivatives and never warn, in worker
-threads too (numpy's error state is per thread, so each pass enters its
-own).  Outside a driver, dual arithmetic follows numpy's current error
-state like ndarray arithmetic does.
+threads too (numpy's error state is per thread, so each thread that runs
+passes enters it once).  Outside a driver, dual arithmetic follows
+numpy's current error state like ndarray arithmetic does.
 
 Each thread that runs passes does so inside a ``pool.lane_pool``:
 float64 rule results of at least 64 KiB go into buffers reused from
@@ -278,21 +278,14 @@ def _seeded(x, blocks, windowed=False):
 
     Level 0 is a float64 DualVector; every further level wraps the one
     below in a NestedDualVector whose unit lanes are constants of the
-    levels below.  A windowed first-order input holds only the seeded
-    columns of its lane block, in a ``pool._Window``.
+    levels below.  A windowed first-order input keeps its unit lanes as
+    the ``pool._Window`` that holds only the seeded columns.
     """
-    if windowed:
-        (block,) = blocks
-        return DualVector(x, _Window(np.eye(block.stop - block.start), block.start, x.shape[0]))
+    widths = [b.stop - b.start for b in blocks]
     out = x
-    widths = []
-    for block in blocks:
-        width = block.stop - block.start
-        # np.eye(width, k, block.start): ones at (i, block.start + i)
-        unit = pooled_zeros((width, x.shape[0]))
-        unit.reshape(-1)[block.start :: x.shape[0] + 1] = 1.0
-        out = _vector(out, _constant(unit, widths))
-        widths.append(width)
+    for d, block in enumerate(blocks):
+        unit = _Window(np.eye(widths[d]), block.start, x.shape[0])
+        out = _vector(out, unit if windowed else _constant(unit.full(), widths[:d]))
     return out
 
 
@@ -341,8 +334,9 @@ def _run_passes(run, n_passes, threads):
     the caller alone would.  t_ref is t(pass 0), and from the caller's
     pass 1 on the lesser of the two: pass 0 may be slower than the rest
     (it runs without lane windows, or a collection lands in it), which
-    would make the budget lenient.  Every thread runs in its own lane
-    pool.  Passes stop at the first failure, re-raised.
+    would make the budget lenient.  Each thread enters its own lane pool
+    and ``np.errstate(all="ignore")`` once.  Passes stop at the first
+    failure, re-raised.
     """
     failures, handed_back = [], []
 
@@ -366,10 +360,10 @@ def _run_passes(run, n_passes, threads):
 
     def worker(block):
         go.wait()  # the caller starts its block first
-        with lane_pool():
+        with lane_pool(), np.errstate(all="ignore"):
             work(block, len(blocks))
 
-    with lane_pool():
+    with lane_pool(), np.errstate(all="ignore"):
         start = time.perf_counter()
         run(0)
         t_ref = time.perf_counter() - start
@@ -410,14 +404,12 @@ def _passes(f, x, chunks, threads=1, read=_scalar_output):
     # pass 0's f value, the result array that pass sizes, and whether the
     # later passes run on lane windows (see the module docstring)
     pass0 = []
-    window_ok = len(chunks) == 1 and chunks[0] * k * 8 >= POOL_MIN_BYTES
+    window_ok = len(chunks) == 1 and chunks[0] * (k - 2 * chunks[0]) * 8 >= POOL_MIN_BYTES
 
     def run(p):
         blocks = combos[p]
         widths = tuple(b.stop - b.start for b in blocks)
-        # numpy's error state is per thread, so each worker enters its own
-        with np.errstate(all="ignore"):
-            value, first, top = read(f(_seeded(x, blocks, p > 0 and pass0[2])), widths)
+        value, first, top = read(f(_seeded(x, blocks, p > 0 and pass0[2])), widths)
         outputs = top.shape[: top.ndim - len(widths)]
         if p == 0:  # pass 0 runs first and alone
             windowed = window_ok and bool(np.isfinite(top).all())

@@ -75,11 +75,22 @@ def _ufunc_rule(self, ufunc, method, *inputs, **kwargs):
     pair = _BINARY_UFUNCS.get(ufunc)
     if pair is not None and len(inputs) == 2:
         a, b = inputs
-        fwd, rev = pair
-        if a is self:
-            return getattr(self, fwd)(b)
-        return getattr(self, rev)(a)
+        name, other = (pair[0], b) if a is self else (pair[1], a)
+        if type(self) is Dual and isinstance(other, np.ndarray) and other.ndim:
+            self = _lift(self, other)
+        return getattr(self, name)(other)
     return NotImplemented
+
+
+def _lift(d, array):
+    """First-order ``d`` as a DualVector of a real ``array``'s shape; anything else as is."""
+    if isinstance(d.value, _DualKind) or array.dtype.kind not in "biuf":
+        return d
+    from .vector import DualVector  # vector.py imports this module
+
+    lanes = np.asarray(d.partials, dtype=np.float64).reshape((-1,) + (1,) * array.ndim)
+    lanes = np.broadcast_to(lanes, lanes.shape[:1] + array.shape)
+    return DualVector(np.broadcast_to(d.value, array.shape), lanes)
 
 
 class Partials(tuple):
@@ -261,7 +272,7 @@ class Dual(_DualKind):
 
     def sign(self):
         o = ops(self.partials)
-        return type(self)(o.sign(self.values), o.mul(0.0, self.partials))
+        return type(self)(o.sign(self.values), o.mul(self.partials, 0.0))
 
     # elementary functions: value = f(x), lanes scaled by f'(x)
 

@@ -282,13 +282,16 @@ class _Window:
         """A window on the same columns; a target may copy ``v.partials``."""
         return self.like(self.block.copy())
 
-    def __array__(self, dtype=None, copy=None):
+    def full(self):
         """The full block: the window's columns, and zeros around them."""
         out = _pooled_empty(self.shape)
         out[..., : self.lo] = 0.0
         out[..., self.lo : self.hi] = self.block
         out[..., self.hi :] = 0.0
-        return out if dtype is None else out.astype(dtype, copy=False)
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        return self.full() if dtype is None else self.full().astype(dtype, copy=False)
 
     def reshape(self, shape):
         return np.asarray(self).reshape(shape)
@@ -351,15 +354,13 @@ def _cut(c, win):
 def _scale(ufunc):
     """mul or div of lanes by a coefficient: a window scales by its columns only.
 
-    Only a product keeps a window on the right (``sign``'s ``0.0 * lanes``):
-    a window divisor reads its full block, whose zeros give c / 0 elsewhere.
+    Every rule puts its lanes on the left, so a window on the right reads
+    its full block (as a divisor, its zeros give c / 0 outside the columns).
     """
 
     def op(a, b):
         if type(a) is _Window and (c := _cut(b, a)) is not None:
             return a.like(pooled(ufunc, a.block, c))
-        if ufunc is np.multiply and type(b) is _Window and (c := _cut(a, b)) is not None:
-            return b.like(pooled(ufunc, c, b.block))
         return pooled(ufunc, _full(a), _full(b))
 
     return op

@@ -140,6 +140,8 @@ class DualVector(_DualKind):
                 "operands of different nesting depth"
             )
         else:
+            if isinstance(other, np.ndarray) and other.ndim > self.ndim:
+                raise TypeError(f"cannot combine {self!r} with an array of shape {other.shape}")
             return ops(sp), sp, other, None
         # nested lanes are duals, whose shape is a property: read it once
         sp_shape, op_shape = sp.shape, op.shape

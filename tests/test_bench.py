@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from dualgrad import EvalCounter, bench
+from dualgrad import EvalCounter, bench, gradient
 from dualgrad.bench import (
     BenchRecord,
     CSV_HEADER,
@@ -150,6 +150,19 @@ def test_verify_at_the_minimum_reports_exact_zeros():
     assert report.ad_vs_analytic == (0.0, 0)
 
 
+def test_verify_at_chunk_k_checks_invariance_against_chunk_k_minus_1(monkeypatch):
+    chunks = []
+
+    def recorded(f, x, cfg):
+        chunks.append(cfg.chunk_size)
+        return gradient(f, x, cfg)
+
+    monkeypatch.setattr(bench, "gradient", recorded)
+    report = verify("rosenbrock", k=8, chunk=8)
+    assert report.passed and report.passes == 1 and report.chunk_invariant
+    assert chunks == [8, 7]
+
+
 def test_verify_fails_when_tolerance_is_absurd():
     report = verify("ackley", k=40, chunk=8, tol=1e-30)
     assert not report.passed
@@ -242,6 +255,17 @@ def test_cli_usage_errors_exit_2():
 def test_cli_usage_errors_name_the_rejected_value(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "chunks, message",
+    [("1,x", "not a comma-separated integer list: '1,x'"), (",", "empty list")],
+)
+def test_cli_rejects_chunk_lists_that_are_not_integers(chunks, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["chunk-sweep", "--function", "ackley", "--size", "8", "--chunks", chunks])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
 

@@ -984,6 +984,72 @@ def test_more_threads_than_passes():
 
 
 # ----------------------------------------------------------------------
+# a scalar dual against a float array
+# ----------------------------------------------------------------------
+
+ARRAY = np.array([0.5, 1.5, -2.0, 4.0, 0.25])  # sums to 4.25 exactly
+POINT = np.array([0.5, -1.25, 2.0, 3.0])
+SUM = 4.25
+
+# (target, closed-form gradient) at POINT; v.sum() has unit lanes
+ARRAY_TARGETS = {
+    "mul": (lambda v: np.sum(ARRAY * v.sum()), np.sum(ARRAY)),
+    "rmul": (lambda v: np.sum(v.sum() * ARRAY), np.sum(ARRAY)),
+    "mul-mean": (lambda v: np.sum(ARRAY * v.mean()), np.sum(ARRAY) / 4),
+    "rmul-mean": (lambda v: np.sum(v.mean() * ARRAY), np.sum(ARRAY) / 4),
+    "add": (lambda v: np.sum(ARRAY + v.sum()), 5.0),
+    "radd": (lambda v: np.sum(v.sum() + ARRAY), 5.0),
+    "sub": (lambda v: np.sum(ARRAY - v.sum()), -5.0),
+    "rsub": (lambda v: np.sum(v.sum() - ARRAY), 5.0),
+    "div": (lambda v: np.sum(ARRAY / v.sum()), -np.sum(ARRAY) / SUM**2),
+    "rdiv": (lambda v: np.sum(v.sum() / ARRAY), np.sum(1.0 / ARRAY)),
+}
+
+
+@pytest.mark.parametrize("name", list(ARRAY_TARGETS))
+def test_scalar_dual_against_a_float_array_matches_the_closed_form(name):
+    f, want = ARRAY_TARGETS[name]
+    np.testing.assert_allclose(gradient(f, POINT).values, np.full(4, want), rtol=1e-15)
+
+
+def test_scalar_dual_against_a_float_array_is_chunk_invariant():
+    c = np.linspace(-1.0, 2.0, 6)
+
+    def f(v):
+        grid = (c.reshape(2, 3) * v[3]).sum().sum()  # a 2-D array, lanes on both axes
+        return np.sum(np.sin(c) * v.mean() + v[2] / c - (c - v[0] * v[1]) ** 2) + grid
+
+    x = np.random.default_rng(7).uniform(-2.0, 2.0, 7)
+    one = gradient(f, x, ChunkConfig(1)).values
+    assert one.tobytes() == gradient(f, x, ChunkConfig(7)).values.tobytes()
+
+
+# ----------------------------------------------------------------------
+# boundary errors
+# ----------------------------------------------------------------------
+
+
+def test_gradient_rejects_a_2d_input():
+    with pytest.raises(ValueError, match=r"input must be 1-D, got shape \(2, 2\)"):
+        gradient(rosenbrock, np.ones((2, 2)))
+
+
+def test_a_result_with_the_wrong_lane_count_is_an_error():
+    with pytest.raises(ValueError, match=r"returned lanes of shape \(3,\), expected \(2,\)"):
+        gradient(lambda v: Dual(1.0, (1.0, 2.0, 3.0)), np.ones(2))
+
+
+def test_eval_counter_reset_starts_the_count_again():
+    counted = EvalCounter(rosenbrock)
+    gradient(counted, np.ones(6), ChunkConfig(2))
+    assert counted.count == 3
+    counted.reset()
+    assert counted.count == 0
+    gradient(counted, np.ones(6), ChunkConfig(4))
+    assert counted.count == 2
+
+
+# ----------------------------------------------------------------------
 # randomized properties
 # ----------------------------------------------------------------------
 

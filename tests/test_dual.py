@@ -332,6 +332,16 @@ def test_extract_projects_components():
     assert base_value(Dual(Dual(3.0, (1.0,)), (1.0,))) == 3.0
 
 
+def test_extract_rejects_what_is_not_a_dual():
+    with pytest.raises(TypeError, match="expected a Dual, got float"):
+        extract(1.5)
+
+
+def test_bool_reads_the_base_value():
+    assert Dual(2.0, [0.0]) and not Dual(0.0, [1.0])
+    assert Dual(Dual(-1.0, (0.0,)), (0.0,)) and not Dual(Dual(0.0, (1.0,)), (1.0,))
+
+
 def test_extract_inverts_seed_unit():
     d = seed_unit(4.0, 1, 3)
     value, partials = extract(d)
@@ -364,8 +374,8 @@ def test_numpy_compares_a_dual_with_an_array_as_the_operators_do():
     assert (d == arr).tolist() == (arr == d).tolist() == np.equal(d, arr).tolist() == [False, False]
     assert (d != arr).tolist() == (arr != d).tolist() == [True, True]
     assert np.equal(arr, Dual(2.0, [0.0])).tolist() == [False, True]
-    with pytest.raises(TypeError):
-        arr + d  # lanes cannot join a float array
+    both = arr + d  # a scalar dual joins every component of a float array
+    assert both.values.tolist() == [2.5, 3.5] and both.partials.tolist() == [[1.0, 1.0]]
 
 
 def test_object_array_of_duals_computes_elementwise():

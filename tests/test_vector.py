@@ -330,3 +330,24 @@ def test_nested_vector_holds_the_dual_rule_functions():
     for name in _RULES:
         assert vars(DualVector)[name] is vars(Dual)[name], name
         assert vars(NestedDualVector)[name] is vars(Dual)[name], name
+
+
+def test_operands_of_different_nesting_depth_raise_type_error():
+    nested, scalars = nested_seeded(np.array([1.0, 2.0]))
+    with pytest.raises(TypeError, match="different nesting depth"):
+        seeded([1.0, 2.0]) + nested
+    with pytest.raises(TypeError, match="different nesting depth"):
+        nested * scalars[0]
+
+
+def test_arrays_of_higher_rank_than_the_vector_raise_type_error():
+    with pytest.raises(TypeError, match=r"with an array of shape \(2, 2\)"):
+        seeded([1.0, 2.0]) * np.ones((2, 2))
+    nested, _ = nested_seeded(np.array([1.0, 2.0]))
+    with pytest.raises(TypeError, match=r"NestedDualVector\(shape=\(\), lanes=2\)"):
+        np.arange(3.0) * nested.mean()  # a nested scalar is not lifted to the array's shape
+
+
+def test_mean_reduces_only_the_last_component_axis():
+    with pytest.raises(ValueError, match="axis/out unsupported"):
+        seeded([1.0, 2.0]).mean(axis=0)

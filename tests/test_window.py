@@ -138,6 +138,10 @@ def test_windows_only_on_large_first_order_lane_blocks():
     # below POOL_MIN_BYTES: 8 lanes x 1000 components is a 64 000 byte block
     assert _windowed_passes(rosenbrock, _point(1000), ChunkConfig(8))[1] == 0
     assert _windowed_passes(rosenbrock, _point(1100), ChunkConfig(8))[1] == 137
+    # the gate counts the columns a window skips: 64 x (140 - 128) x 8 bytes is
+    # under POOL_MIN_BYTES, 64 x (256 - 128) x 8 is just at it
+    assert _windowed_passes(rosenbrock, _point(140), ChunkConfig(64))[1] == 0
+    assert _windowed_passes(rosenbrock, _point(256), ChunkConfig(64))[1] == 3
     seen = []
 
     def recorded(v):
@@ -175,3 +179,13 @@ def test_window_products_and_quotients_match_the_dense_block():
             for a, b, dense in ((win, coeff, (full, coeff)), (coeff, win, (coeff, full))):
                 got = np.asarray(op(a, b))
                 assert np.array_equal(got, ufunc(*dense), equal_nan=True), (op, type(a))
+
+
+def test_scalar_dual_against_a_float_array_equals_one_dense_pass():
+    def f(v):
+        return np.sum(CONST * v.mean() - v[7] / CONST + (CONST + v.sum()) * v)
+
+    x = _point(K)
+    got, windowed = _windowed_passes(f, x, ChunkConfig(10))
+    assert windowed == K // 10 - 1
+    assert np.array_equal(got.values, gradient(f, x, ChunkConfig(K)).values)
