@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 import time
 from dataclasses import astuple, dataclass, fields
@@ -27,7 +26,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from . import testfns
-from .drivers import ChunkConfig, EvalCounter, _check_count, gradient
+from .drivers import ChunkConfig, EvalCounter, _check_count, _plan, gradient
 
 __all__ = [
     "BenchRecord",
@@ -165,8 +164,9 @@ def verify(function, k, chunk, seed=DEFAULT_SEED, tol=1e-5, x=None):
     """Cross-check the drivers at one point (seeded unless ``x`` is given).
 
     Compares the propagated gradient against the closed-form gradient and
-    the central-difference oracle, confirms the ceil(k / N) pass count via
-    an evaluation counter, and checks that a different chunk size yields the
+    the central-difference oracle, confirms the pass count of the drivers'
+    plan (``drivers._plan``: ceil(k / N) for an explicit chunk N) via an
+    evaluation counter, and checks that a different chunk size yields the
     identical gradient.  The finite-difference comparisons floor their
     denominators at a fraction of the gradient's scale: near critical
     points the oracle's own truncation error would otherwise swamp a
@@ -197,7 +197,7 @@ def verify(function, k, chunk, seed=DEFAULT_SEED, tol=1e-5, x=None):
         k=k,
         chunk=n,
         passes=counted.count,
-        expected_passes=math.ceil(k / n),
+        expected_passes=len(_plan(k, chunk)),
         ad_vs_analytic=testfns.worst_relative_error(ad, exact),
         ad_vs_fd=testfns.worst_relative_error(ad, fd, floor=fd_floor),
         analytic_vs_fd=testfns.worst_relative_error(exact, fd, floor=fd_floor),

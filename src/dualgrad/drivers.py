@@ -23,6 +23,13 @@ zero derivative entry may come out as +0.0 where a dense pass gave -0.0.
 Below the gate a window's per-op bookkeeping costs more than the columns
 it skips (Rosenbrock at chunk 64: 1.19x dense at k=140, 0.84x at k=256).
 
+At the default chunk, a gradient's or Jacobian's pass 0 is seeded as a
+window on all k columns whose block is the dense one, which counts each
+window f widens to its full block (fancy indexes, reshape, dense operands,
+sums of rows with over two nonzeros).  If none widened and windows apply,
+the later passes seed WIDE_CHUNK = 128 components each (``_plan``): 25
+passes, not 300, for Rosenbrock at k=3000.
+
 Higher-order drivers nest duals (forward-over-forward).  For a Hessian
 each pass seeds a block of M components on the float64 lanes of a
 DualVector and a block of N components on the lanes of a NestedDualVector
@@ -68,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import Dual, _DualKind, base_value
-from .pool import POOL_MIN_BYTES, _Window, lane_pool, pooled_zeros
+from .pool import POOL_MIN_BYTES, _Window, lane_pool, pooled_zeros, widenings
 from .vector import DualVector, NestedDualVector
 
 __all__ = [
@@ -97,8 +104,14 @@ __all__ = [
 # 37.2 / 39.9 / 45.9 MiB of RSS, as the pool keeps wider blocks, so the
 # budget stops at N=10 there.  The floor of 8 keeps k >= 4096 as it was:
 # at k=12000, N=64 ran Ackley 2.2-2.4x faster but peaked at 61.7 MiB, not 38.
+# The windowed passes after a default pass 0 take WIDE_CHUNK lanes, the
+# widest N whose window (N lanes by the 2N columns they reach) fits it:
+# perfbench rosenbrock-grad (k=3000, median of 3 seeds) read call_p50_rel
+# 4.84 / 4.21 / 4.67 and 39.5 / 40.7 / 42.1 MiB at N = 64 / 128 / 181,
+# against 20.2 and 39.2 MiB with every pass at 10.
 DEFAULT_CHUNK_LIMIT = 8
 LANE_BLOCK_BYTES = 256 * 1024
+WIDE_CHUNK = math.isqrt(LANE_BLOCK_BYTES // (2 * 8))
 
 
 def default_chunk(k, levels=1):
@@ -108,6 +121,20 @@ def default_chunk(k, levels=1):
     fits = LANE_BLOCK_BYTES // (8 * k)  # the largest N**levels in budget
     n = round(fits ** (1 / levels))  # the float root is off by at most one
     return min(k, max(DEFAULT_CHUNK_LIMIT, n - (n**levels > fits)))
+
+
+def _windows_pay(n, k):
+    """Whether later passes of n lanes keep windows: the lanes one skips fill POOL_MIN_BYTES."""
+    return n * (k - 2 * n) * 8 >= POOL_MIN_BYTES
+
+
+def _plan(k, chunk_size, wide=True):
+    """A gradient's or Jacobian's component blocks, pass 0 first: N each at an explicit
+    chunk N; else default_chunk(k) in pass 0, then WIDE_CHUNK each if windows pay and
+    ``wide`` (pass 0's lanes were finite and widened no window)."""
+    n = _resolve("chunk_size", chunk_size, k)
+    later = WIDE_CHUNK if chunk_size is None and wide and _windows_pay(n, k) else n
+    return [slice(0, n)] + _blocks(k, later, n)
 
 
 def _check_count(name, value, least=1):
@@ -130,8 +157,9 @@ def _resolve(name, value, k, levels=1):
 class ChunkConfig:
     """Runtime tuning for gradient passes.
 
-    chunk_size: lanes per pass, clamped to the input dimension; None picks
-    ``default_chunk(k)``: k up to k=181, 32 at k=1000, 8 from k=4096 on.
+    chunk_size: lanes per pass, clamped to the input dimension: ceil(k / N)
+    passes.  None picks ``default_chunk(k)`` for pass 0 (k up to k=181, 32
+    at k=1000, 8 from k=4096 on) and often WIDE_CHUNK for the rest (``_plan``).
     threads: worker count for the chunk scheduler; 1 means serial.
     """
 
@@ -184,8 +212,8 @@ class ImpureTargetError(AssertionError):
 class EvalCounter:
     """Wrapper counting evaluations of a target function (thread-safe).
 
-    Lets tests and the verifier confirm the ceil(k / N) pass accounting of
-    the chunked drivers.
+    Lets tests and the verifier confirm the pass accounting of the chunked
+    drivers.
     """
 
     def __init__(self, f):
@@ -306,9 +334,9 @@ def _scalar_output(y, widths):
     return base_value(y), first, top
 
 
-def _blocks(k, chunk):
-    """Component slices of the passes at one level: chunk wide, the last one narrower."""
-    return [slice(lo, min(lo + chunk, k)) for lo in range(0, k, chunk)]
+def _blocks(k, chunk, start=0):
+    """Component slices of [start, k) at one level: chunk wide, the last one narrower."""
+    return [slice(lo, min(lo + chunk, k)) for lo in range(start, k, chunk)]
 
 
 def _check_pure(first, value, p):
@@ -324,9 +352,10 @@ def _check_pure(first, value, p):
         )
 
 
-def _run_passes(run, n_passes, threads):
+def _run_passes(run, count, threads):
     """run(p) for every pass: pass 0 on the caller, the rest in static blocks.
 
+    count() is the number of passes, read once pass 0 has run.
     With threads=1 the caller runs every block and no thread starts.  A
     worker whose passes, timed from the fan-out, average over threads *
     t_ref hands its block's rest back for the caller to run after the
@@ -367,6 +396,7 @@ def _run_passes(run, n_passes, threads):
         start = time.perf_counter()
         run(0)
         t_ref = time.perf_counter() - start
+        n_passes = count()
         n_blocks = max(1, min(threads, n_passes - 1))
         size, extra = divmod(n_passes - 1, n_blocks)  # np.array_split's blocks
         ends = [1 + i * size + min(i, extra) for i in range(n_blocks + 1)]
@@ -389,14 +419,15 @@ def _run_passes(run, n_passes, threads):
         raise failures[0]
 
 
-def _passes(f, x, chunks, threads=1, read=_scalar_output):
+def _passes(f, x, chunks, threads=1, read=_scalar_output, wide=False):
     """One pass through f per combination of lane blocks, one block per level.
 
     chunks holds the lanes per pass at each nesting level, level 0 first.
     read(y, widths) turns f's result into (f value, the outermost level's
     first-order lanes or None, lane block of shape (outputs..., *widths)).
-    Returns (derivative array of shape (outputs...,) + (k,) * len(chunks),
-    gradient from those first-order lanes, f value).
+    With ``wide`` (default chunk) a first-order call's later passes follow
+    ``_plan``.  Returns (derivative array of shape (outputs...,) + (k,) *
+    len(chunks), gradient from those first-order lanes, f value).
     """
     k = x.shape[0]
     combos = list(itertools.product(*(_blocks(k, c) for c in chunks)))
@@ -404,16 +435,25 @@ def _passes(f, x, chunks, threads=1, read=_scalar_output):
     # pass 0's f value, the result array that pass sizes, and whether the
     # later passes run on lane windows (see the module docstring)
     pass0 = []
-    window_ok = len(chunks) == 1 and chunks[0] * (k - 2 * chunks[0]) * 8 >= POOL_MIN_BYTES
+    window_ok = len(chunks) == 1 and _windows_pay(chunks[0], k)
+    wide = wide and window_ok
 
     def run(p):
         blocks = combos[p]
         widths = tuple(b.stop - b.start for b in blocks)
-        value, first, top = read(f(_seeded(x, blocks, p > 0 and pass0[2])), widths)
+        seeded = _seeded(x, blocks, p > 0 and pass0[2])
+        if p == 0 and wide:  # a window on all k columns, to see f widen it
+            seeded = DualVector(x, _Window(seeded.partials, 0, k))
+        seen = widenings()  # f's own: not the seeding's nor the read's
+        y = f(seeded)
+        widened = widenings() != seen
+        value, first, top = read(y, widths)
         outputs = top.shape[: top.ndim - len(widths)]
         if p == 0:  # pass 0 runs first and alone
             windowed = window_ok and bool(np.isfinite(top).all())
             pass0.extend((value, np.empty(outputs + (k,) * len(widths)), windowed))
+            if wide:
+                combos[1:] = [(b,) for b in _plan(k, None, windowed and not widened)[1:]]
         f0, out, _ = pass0
         if outputs != out.shape[: len(outputs)]:
             raise ValueError(
@@ -425,7 +465,7 @@ def _passes(f, x, chunks, threads=1, read=_scalar_output):
             grad[blocks[-1]] = first
         out[(..., *blocks)] = top
 
-    _run_passes(run, len(combos), threads)
+    _run_passes(run, lambda: len(combos), threads)
     return pass0[1], grad, pass0[0]
 
 
@@ -449,7 +489,7 @@ def _config(cfg):
 
 
 def gradient(f, x, cfg=None):
-    """Gradient of scalar f at x in ceil(k / N) passes.
+    """Gradient of scalar f at x in ceil(k / N) passes at chunk size N, or fewer at the default.
 
     f receives a DualVector (a sequence of k duals) and must return a
     scalar; x is any 1-D vector of real numbers, and cfg a ChunkConfig or
@@ -459,7 +499,8 @@ def gradient(f, x, cfg=None):
     """
     cfg = _config(cfg)
     x = _as_input_vector(x)
-    values, _, f_value = _passes(f, x, (cfg.resolve(x.shape[0]),), cfg.threads)
+    chunks, wide = (cfg.resolve(x.shape[0]),), cfg.chunk_size is None
+    values, _, f_value = _passes(f, x, chunks, cfg.threads, wide=wide)
     return GradientResult(values, float(f_value))
 
 
@@ -510,7 +551,8 @@ def jacobian(f, x, cfg=None):
     """m x k Jacobian of a vector-valued f, one column block per chunk, threaded as ``gradient``."""
     cfg = _config(cfg)
     x = _as_input_vector(x)
-    entries, _, f_value = _passes(f, x, (cfg.resolve(x.shape[0]),), cfg.threads, _vector_output)
+    chunks, wide = (cfg.resolve(x.shape[0]),), cfg.chunk_size is None
+    entries, _, f_value = _passes(f, x, chunks, cfg.threads, _vector_output, wide)
     return JacobianResult(entries, f_value.copy())  # never x itself or a pooled buffer
 
 

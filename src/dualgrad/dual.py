@@ -76,7 +76,9 @@ def _ufunc_rule(self, ufunc, method, *inputs, **kwargs):
     if pair is not None and len(inputs) == 2:
         a, b = inputs
         name, other = (pair[0], b) if a is self else (pair[1], a)
-        if type(self) is Dual and isinstance(other, np.ndarray) and other.ndim:
+        if isinstance(other, np.ndarray) and not other.ndim:
+            other = other[()]  # a 0-d array is its scalar, for __pow__ too
+        elif type(self) is Dual and isinstance(other, np.ndarray):
             self = _lift(self, other)
         return getattr(self, name)(other)
     return NotImplemented
@@ -168,8 +170,11 @@ class Dual(_DualKind):
     def _operands(self, other):
         """(operations, own lanes, other's value, other's lanes or None) for a binary rule.
 
-        None for anything but a Dual or a plain scalar: the rule returns NotImplemented.
+        None for anything but a Dual or a plain scalar, which a 0-d array
+        counts as: the rule returns NotImplemented.
         """
+        if isinstance(other, np.ndarray) and not other.ndim:
+            other = other[()]
         if isinstance(other, Dual):
             return _PLAIN_OPS, self.partials, other.value, other.partials
         if isinstance(other, _PLAIN):

@@ -24,7 +24,8 @@ columns, and elementwise rules and shifted slices keep them there, so
 ``ops`` hands the rules on a window operations that compute those
 columns only, each value-shaped coefficient cut to them.  The rule
 bodies stay the same; what cannot stay in the columns reads the full
-block through ``np.asarray``.
+block through ``np.asarray``; each such widening adds one to the thread's
+``widenings()``, which the drivers' pass 0 reads to size the later passes.
 """
 
 from __future__ import annotations
@@ -114,6 +115,7 @@ _SOLE = _sole_refcount()
 class _Active(threading.local):
     pool = None  # the thread's kept pool while a driver call runs in it
     kept = None  # the thread's pool, kept between its driver calls
+    widened = 0  # lane windows this thread has computed as their full block
 
 
 _active = _Active()
@@ -284,6 +286,7 @@ class _Window:
 
     def full(self):
         """The full block: the window's columns, and zeros around them."""
+        _active.widened += 1
         out = _pooled_empty(self.shape)
         out[..., : self.lo] = 0.0
         out[..., self.lo : self.hi] = self.block
@@ -337,6 +340,11 @@ class _Window:
         return np.asarray(self).sum(axis=axis)
 
 
+def widenings():
+    """How many times a lane window in this thread gave its full block."""
+    return _active.widened
+
+
 def _full(a):
     return np.asarray(a) if type(a) is _Window else a
 
@@ -385,6 +393,7 @@ def _join(ufunc):
             shape = np.broadcast_shapes(win.shape, np.shape(full))
             if (cols := _cut(full, win)) is not None and shape[-1] == win.k:
                 # the full block, without writing the window's zeros out first
+                _active.widened += 1
                 out = _pooled_empty(shape)
                 ufunc(0.0 if wa else a, 0.0 if wb else b, out=out)
                 part = out[..., win.lo : win.hi]

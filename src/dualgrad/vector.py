@@ -25,7 +25,8 @@ reductions.
 
 The lanes of a first-order vector that ``gradient`` or ``jacobian``
 seeds after pass 0 may be a ``pool._Window``: the columns ``[lo, hi)`` of
-the last component axis where they can be nonzero, the rest being zero.
+the last component axis where they can be nonzero, the rest being zero
+(pass 0 at the default chunk gets a window on every column).
 Such a vector keeps its full ``values``.  Indexing passes the window an
 integer or a slice with step 1 or -1, which it answers from its columns,
 and ``sum``/``mean`` reduce it in the window where that gives the same

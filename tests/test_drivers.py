@@ -161,7 +161,7 @@ def test_default_chunks_set_the_pass_count():
     assert counted.count == 1
     counted = EvalCounter(ackley)
     gradient(counted, np.linspace(-0.9, 0.9, 1000))
-    assert counted.count == 32
+    assert counted.count == 9  # pass 0 of 32 lanes, then 968 components at 128 a pass
     counted = EvalCounter(rosenbrock)
     third_order_tensor(counted, x[:8])
     assert counted.count == 1
@@ -967,7 +967,7 @@ def test_workers_run_prefixes_of_array_split_blocks(n_passes, threads):
         time.sleep(0.002)  # releases the GIL, so workers start their blocks
         by_thread.setdefault(threading.get_ident(), []).append(p)
 
-    dualgrad.drivers._run_passes(run, n_passes, threads)
+    dualgrad.drivers._run_passes(run, lambda: n_passes, threads)
     assert sorted(itertools.chain(*by_thread.values())) == list(range(n_passes))
     n_blocks = max(1, min(threads, n_passes - 1))
     blocks = [b.tolist() for b in np.array_split(range(1, n_passes), n_blocks)]
@@ -1076,3 +1076,31 @@ def test_property_hessian_vs_fd_gradient():
 
 def test_property_thread_determinism():
     checks.check_thread_determinism(np.random.default_rng(206))
+
+
+# ----------------------------------------------------------------------
+# a scalar dual against a 0-d array: the array is its scalar
+# ----------------------------------------------------------------------
+
+TWO = np.array(2.0)
+
+
+def test_scalar_duals_take_a_0d_array_as_a_scalar_in_both_orders():
+    assert derivative(lambda x: x * TWO, 1.0) == 2.0
+    assert derivative(lambda x: TWO * x, 1.0) == 2.0
+    assert derivative(lambda x: TWO / x - x / np.array(4) + np.array(1) - x, 2.0) == -1.75
+    assert second_derivative(lambda x: TWO * x * x, 1.0) == 4.0
+    assert derivative(lambda x: x**TWO + np.power(x, TWO), 3.0) == 12.0
+    for f in (lambda v: v.sum() * TWO, lambda v: TWO * v.sum(), lambda v: np.sum(v**TWO)):
+        assert np.array_equal(gradient(f, np.ones(3)).values, [2.0, 2.0, 2.0])
+
+
+def test_a_0d_array_against_a_scalar_dual_is_chunk_invariant():
+    def f(v):
+        s = v[0] * v[1] + np.sin(v[2])
+        return (s * TWO - np.array(3.0) / s + s / np.array(0.5)) * (np.array(1.5) - v[3])
+
+    x = np.random.default_rng(8).uniform(1.0, 2.0, 5)
+    one = gradient(f, x, ChunkConfig(1)).values
+    for chunk in (2, 3, 5):
+        assert one.tobytes() == gradient(f, x, ChunkConfig(chunk)).values.tobytes()

@@ -1,11 +1,14 @@
 """Lane windows: later first-order passes carry only the lane columns their
 seeds can reach, and give the same bytes as one dense pass."""
 
+import math
+
 import numpy as np
 import pytest
 
-from dualgrad import ChunkConfig, ackley, gradient, hessian, jacobian, rosenbrock
-from dualgrad import pool
+from dualgrad import ChunkConfig, EvalCounter, ackley, default_chunk, gradient, hessian, jacobian
+from dualgrad import pool, rosenbrock
+from dualgrad.drivers import LANE_BLOCK_BYTES, WIDE_CHUNK
 
 K = 3000  # chunk 8 and 10 lane blocks are 192 and 240 KB, above POOL_MIN_BYTES
 CONST = np.linspace(-1.5, 2.5, K)
@@ -16,11 +19,12 @@ def _point(k, seed=11):
 
 
 def _windowed_passes(f, x, cfg):
-    """(gradient, how many passes got a lane window) of f at x."""
+    """(gradient, how many passes got a lane window narrower than the block) of f at x."""
     seen = []
 
     def recorded(v):
-        seen.append(type(v.partials) is pool._Window)
+        lanes = v.partials
+        seen.append(type(lanes) is pool._Window and lanes.block.shape[-1] < lanes.k)
         return f(v)
 
     return gradient(recorded, x, cfg), sum(seen)
@@ -189,3 +193,73 @@ def test_scalar_dual_against_a_float_array_equals_one_dense_pass():
     got, windowed = _windowed_passes(f, x, ChunkConfig(10))
     assert windowed == K // 10 - 1
     assert np.array_equal(got.values, gradient(f, x, ChunkConfig(K)).values)
+
+
+# ----------------------------------------------------------------------
+# the default plan: pass 0 at default_chunk(k), later passes at WIDE_CHUNK
+# ----------------------------------------------------------------------
+
+N0 = default_chunk(K)
+WIDE_PASSES = 1 + math.ceil((K - N0) / WIDE_CHUNK)
+# the targets whose pass 0 computes a full block: these keep ceil(K / N0) passes
+WIDENING = {"step-2", "fancy", "reshape", "centred", "scalar-dual", "dense-operand",
+            "three-nonzeros"}
+
+
+def test_wide_chunk_is_the_widest_window_in_the_lane_block_budget():
+    n = WIDE_CHUNK
+    assert n == 128 and n * 2 * n * 8 <= LANE_BLOCK_BYTES < (n + 1) * 2 * (n + 1) * 8
+    assert (N0, WIDE_PASSES) == (10, 25)
+
+
+@pytest.mark.parametrize("name", list(TARGETS))
+def test_default_plan_equals_every_chunk_size_and_threads(name):
+    f, x = TARGETS[name], _point(K)
+    counted = EvalCounter(f)
+    got = gradient(counted, x)
+    assert counted.count == (math.ceil(K / N0) if name in WIDENING else WIDE_PASSES)
+    for cfg in (ChunkConfig(8), ChunkConfig(K), ChunkConfig(threads=2)):
+        other = gradient(f, x, cfg)
+        assert np.array_equal(got.values, other.values), cfg
+        assert got.f_value == other.f_value
+
+
+@pytest.mark.parametrize("name", list(TARGETS))
+def test_default_jacobian_plan_equals_every_chunk_size_and_threads(name):
+    f, x = TARGETS[name], _point(K)
+    counted = EvalCounter(lambda v: [f(v)])
+    got = jacobian(counted, x)
+    assert counted.count == (math.ceil(K / N0) if name in WIDENING else WIDE_PASSES)
+    for cfg in (ChunkConfig(8), ChunkConfig(K), ChunkConfig(threads=2)):
+        other = jacobian(lambda v: [f(v)], x, cfg)
+        assert np.array_equal(got.entries, other.entries), cfg
+        assert np.array_equal(got.f_value, other.f_value)
+
+
+def test_reading_a_windowed_vector_result_does_not_count_as_widening():
+    # _vector_output reads the lanes of v[1:] * v[:-1] as the full block
+    x = _point(1000)
+    counted = EvalCounter(lambda v: v[1:] * v[:-1] - np.sin(v[::-1][1:]))
+    got = jacobian(counted, x)
+    assert counted.count == 1 + math.ceil((1000 - default_chunk(1000)) / WIDE_CHUNK) == 9
+    assert np.array_equal(got.entries, jacobian(counted.f, x, ChunkConfig(8)).entries)
+
+
+def test_a_target_that_widens_only_after_pass_0_keeps_wide_passes_and_its_bits():
+    # zero over the products that pass 0's seeds reach: pass 0's lane rows have
+    # no nonzeros, every later pass has rows with three, which sum() widens
+    mask = (np.arange(K - 2) >= N0 + 2).astype(float)
+    widened = []
+
+    def f(v):
+        before = pool.widenings()
+        y = np.sum(v[:-2] * v[1:-1] * v[2:] * mask)
+        widened.append(pool.widenings() > before)
+        return y
+
+    x = _point(K)
+    got = gradient(f, x)
+    assert len(widened) == WIDE_PASSES and widened == [False] + [True] * (WIDE_PASSES - 1)
+    for cfg in (ChunkConfig(8), ChunkConfig(K), ChunkConfig(threads=2)):
+        assert np.array_equal(got.values, gradient(f, x, cfg).values), cfg
+
