@@ -10,18 +10,19 @@ than N seeds only the remaining components.  Lanes propagate independently,
 so the assembled gradient is identical, bit for bit, for every chunk size
 (the sign of an exactly-zero entry aside, see below).
 
-Every level's unit lanes are built one way, as a ``pool._Window`` on the
-block's columns, which pass 0 reads as the full N x k lane block.  When
-the lanes a window would skip, N x (k - 2N) float64, come to at least
-POOL_MIN_BYTES and pass 0's output lanes are all finite, every later
-pass of a gradient or Jacobian keeps the window: only the columns its N
-seeds can reach are computed, so a Rosenbrock pass does about N x (N + 1)
-lane work instead of N x k.  The columns it leaves out are exact zeros
-in a dense pass, because a coefficient that is non-finite on a column
-reaching the result would have made pass 0's lanes non-finite too; a
-zero derivative entry may come out as +0.0 where a dense pass gave -0.0.
-Below the gate a window's per-op bookkeeping costs more than the columns
-it skips (Rosenbrock at chunk 64: 1.19x dense at k=140, 0.84x at k=256).
+Every level's unit lanes are built one way, as a ``pool._Window`` band of
+ones on the block's diagonal, which pass 0 reads as the full N x k lane
+block.  When the lanes a window would skip, N x (k - 2N) float64, come to
+at least POOL_MIN_BYTES and pass 0's output lanes are all finite, every
+later pass of a gradient or Jacobian keeps the band: only the entries its
+N seeds can reach are computed, so a Rosenbrock pass does N x 2 lane work
+(N lanes by the band's width) instead of N x k.  The entries it leaves
+out are exact zeros in a dense pass, because a coefficient that is
+non-finite on a column reaching the result would have made pass 0's lanes
+non-finite too; a zero derivative entry may come out as +0.0 where a
+dense pass gave -0.0.  Below the gate a window's per-op bookkeeping costs
+more than the columns it skips (Rosenbrock at chunk 64, median of 5
+interleaved runs: 1.05x dense at k=140, 1.16x at k=200, 0.78x at k=256).
 
 At the default chunk, a gradient's or Jacobian's pass 0 is seeded as a
 window on all k columns whose block is the dense one, which counts each
@@ -75,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import Dual, _DualKind, base_value
-from .pool import POOL_MIN_BYTES, _Window, lane_pool, pooled_zeros, widenings
+from .pool import LANE_BLOCK_BYTES, POOL_MIN_BYTES, _Window, lane_pool, pooled_zeros, widenings
 from .vector import DualVector, NestedDualVector
 
 __all__ = [
@@ -104,13 +105,15 @@ __all__ = [
 # 37.2 / 39.9 / 45.9 MiB of RSS, as the pool keeps wider blocks, so the
 # budget stops at N=10 there.  The floor of 8 keeps k >= 4096 as it was:
 # at k=12000, N=64 ran Ackley 2.2-2.4x faster but peaked at 61.7 MiB, not 38.
-# The windowed passes after a default pass 0 take WIDE_CHUNK lanes, the
-# widest N whose window (N lanes by the 2N columns they reach) fits it:
-# perfbench rosenbrock-grad (k=3000, median of 3 seeds) read call_p50_rel
-# 4.84 / 4.21 / 4.67 and 39.5 / 40.7 / 42.1 MiB at N = 64 / 128 / 181,
-# against 20.2 and 39.2 MiB with every pass at 10.
+# The windowed passes after a default pass 0 take WIDE_CHUNK lanes.  Their
+# bands hold a few entries a lane, but a band that a slice cuts (x[:-1] in
+# the pass that holds component k - 1) or that meets a reversed one falls
+# back to a window of N lanes by up to the 2N columns they reach, and
+# WIDE_CHUNK is the widest N whose such window fits the budget.  With bands,
+# perfbench (4 pairs each) read call_p50_rel 2.35 at N=128 and 1.68 at
+# N=256 on rosenbrock-grad, 1.32 and 1.05 on ackley-grad, but N=256 peaked
+# at 40.6-41.6 MiB on rosenbrock-grad against 39.2-39.3, so N stays 128.
 DEFAULT_CHUNK_LIMIT = 8
-LANE_BLOCK_BYTES = 256 * 1024
 WIDE_CHUNK = math.isqrt(LANE_BLOCK_BYTES // (2 * 8))
 
 
@@ -312,7 +315,7 @@ def _seeded(x, blocks, windowed=False):
     widths = [b.stop - b.start for b in blocks]
     out = x
     for d, block in enumerate(blocks):
-        unit = _Window(np.eye(widths[d]), block.start, x.shape[0])
+        unit = _Window(np.ones((widths[d], 1)), block.start, x.shape[0], 1)
         out = _vector(out, unit if windowed else _constant(unit.full(), widths[:d]))
     return out
 

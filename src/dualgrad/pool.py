@@ -18,13 +18,17 @@ the plain operations, which are Python's operators where there is one.
 A thread keeps its pool across driver calls: one pool per call faulted
 its blocks in anew, 275 minor faults a call for a one-pass k=30 Hessian.
 
-A ``_Window`` is a lane block that holds only the columns its seeds can
-reach.  The N unit lanes of a first-order pass are nonzero in N of its k
-columns, and elementwise rules and shifted slices keep them there, so
-``ops`` hands the rules on a window operations that compute those
-columns only, each value-shaped coefficient cut to them.  The rule
-bodies stay the same; what cannot stay in the columns reads the full
-block through ``np.asarray``; each such widening adds one to the thread's
+A ``_Window`` is a lane block that holds only the entries its seeds can
+reach.  The N unit lanes of a first-order pass are one diagonal of its
+N x k block, and elementwise rules and shifted slices keep each lane on
+a few diagonals, so a window holds them as a band: an N x w block whose
+entry (n, t) is column lo + skew * n + t, skew 1 or -1 (a reversed slice
+flips it); at skew 0 it holds w whole columns.  ``ops`` hands the rules
+on a window operations that compute its entries only, each value-shaped
+coefficient cut to them as a strided N x w view.  The rule bodies stay
+the same.  A band that cannot stay one becomes a window on the columns
+it spans; what cannot stay in those reads the full block through
+``np.asarray``; each such widening adds one to the thread's
 ``widenings()``, which the drivers' pass 0 reads to size the later passes.
 """
 
@@ -43,6 +47,10 @@ __all__ = ["POOL_MIN_BYTES", "lane_pool", "pooled", "pooled_zeros"]
 # glibc's free() consolidates blocks of this size and larger and trims
 # the heap back to the OS.  Smaller results keep numpy's own allocation.
 POOL_MIN_BYTES = 64 * 1024
+
+# The lane block budget of ``drivers.default_chunk``; a window's ``sum``
+# builds the full rows it needs in tiles of at most this size.
+LANE_BLOCK_BYTES = 256 * 1024
 
 # Buffers kept per shape.  The most a driver call had in use at once was
 # 7 (a k=300 Hessian at chunks (30, 30)); a target that keeps more than
@@ -236,7 +244,7 @@ def pooled_zeros(shape):
 
 
 # ----------------------------------------------------------------------
-# lane windows: the columns of a lane block that its seeds can reach
+# lane windows: the entries of a lane block that its seeds can reach
 # ----------------------------------------------------------------------
 
 
@@ -244,26 +252,43 @@ def pooled_zeros(shape):
 _EVERY_LANE = slice(None)
 
 
-class _Window:
-    """Lane block of full shape ``block.shape[:-1] + (k,)`` that is zero
-    outside the columns ``[lo, lo + w)`` of its last axis; ``block`` holds
-    those w columns.
+def _band(a, start, step, rows, w):
+    """The ``(rows, w)`` view of 1-D ``a`` whose entry ``(n, t)`` is ``a[start + step * n + t]``."""
+    if w == 1:  # a plain slice is cheapest; a step of 0 leaves one row
+        return a[start :: step or 1][:rows, None]
+    a = np.ascontiguousarray(a)
+    size = a.itemsize
+    return np.ndarray((rows, w), a.dtype, a, start * size, (step * size, size))
 
-    The drivers seed a first-order pass with one: its N unit lanes are
-    nonzero in N columns, and elementwise rules and shifted slices keep
-    them there.  ``ops`` gives the rules on a window operations that cut
-    value-shaped coefficients to its columns.  What cannot stay inside the
-    columns (another slice step, fancy indexes, a reshape, full lanes as
-    the other operand) gives the full block, which ``np.asarray`` builds.
+
+class _Window:
+    """Lane block of full shape ``(N, k)`` that is zero outside the entries
+    that ``block`` holds: its entry ``(n, t)`` is column ``lo + skew * n + t``.
+
+    At skew 0 ``block`` holds the w columns ``[lo, hi)``; at skew 1 or -1
+    it holds w diagonals, a band.  The drivers seed a first-order pass
+    with a band of one diagonal, its N unit lanes, and elementwise rules
+    and shifted slices keep them there.  ``ops`` gives the rules on a
+    window operations that cut value-shaped coefficients to its entries.
+    A band that cannot stay one (a slice that cuts its edge, another skew
+    or full lanes as the other operand) first becomes a window on the
+    columns it spans (``columns``).  What cannot stay in those (another
+    slice step, fancy indexes, a reshape) gives the full block, which
+    ``np.asarray`` builds.
     """
 
-    __slots__ = ("block", "lo", "hi", "k")
+    __slots__ = ("block", "lo", "hi", "k", "skew")
 
-    def __init__(self, block, lo, k):
+    def __init__(self, block, lo, k, skew=0):
         self.block = block
         self.lo = lo
         self.hi = lo + block.shape[-1]
         self.k = k
+        self.skew = skew
+        if skew:  # a band's coefficients are strided views, which read raw memory
+            first, stop = self.span()
+            if block.ndim != 2 or first < 0 or stop > k:
+                raise ValueError(f"a band of {block.shape} lanes at {lo} leaves columns [0, {k})")
 
     @property
     def shape(self):
@@ -276,22 +301,37 @@ class _Window:
     nbytes = property(lambda self: self.block.nbytes)
     flags = property(lambda self: self.block.flags)
 
+    def span(self):
+        """The columns ``[first, stop)`` that the entries lie in."""
+        reach = self.skew * (self.block.shape[0] - 1)
+        return self.lo + min(reach, 0), self.hi + max(reach, 0)
+
     def like(self, block):
-        """A window on the same columns holding ``block``."""
-        return _Window(block, self.lo, self.k)
+        """A window on the same entries holding ``block``."""
+        return _Window(block, self.lo, self.k, self.skew)
 
     def copy(self):
-        """A window on the same columns; a target may copy ``v.partials``."""
+        """A window on the same entries; a target may copy ``v.partials``."""
         return self.like(self.block.copy())
 
-    def full(self):
-        """The full block: the window's columns, and zeros around them."""
-        _active.widened += 1
-        out = _pooled_empty(self.shape)
-        out[..., : self.lo] = 0.0
-        out[..., self.lo : self.hi] = self.block
-        out[..., self.hi :] = 0.0
+    def _spread(self, shape, first=0):
+        """Lanes of ``shape`` on the columns from ``first`` on: the entries, zeros elsewhere."""
+        out = pooled_zeros(shape)
+        flat = out.reshape(-1)
+        _band(flat, self.lo - first, shape[-1] + self.skew, *self.block.shape)[...] = self.block
         return out
+
+    def full(self):
+        """The full block."""
+        _active.widened += 1
+        return self._spread(self.shape)
+
+    def columns(self):
+        """The same lanes as a window on the columns the entries span; itself at skew 0."""
+        if not self.skew:
+            return self
+        first, stop = self.span()
+        return _Window(self._spread((self.block.shape[0], stop - first), first), first, self.k)
 
     def __array__(self, dtype=None, copy=None):
         return self.full() if dtype is None else self.full().astype(dtype, copy=False)
@@ -305,39 +345,56 @@ class _Window:
         On one component axis an integer gives its column and a step-1 or
         step-(-1) slice a window; any other index reads the full block.
         """
-        block = self.block
+        block, skew = self.block, self.skew
         ours = type(idx) is tuple and len(idx) == 2 and idx[0] is _EVERY_LANE
         i = idx[1] if ours and block.ndim == 2 else None
         if type(i) is int or isinstance(i, np.integer):
-            # DualVector indexed its values first, so i is in range
+            # DualVector indexed its values first, so i is in range; the
+            # entries (n, t) in column i have t + skew * n == j
             j = i - self.lo + (self.k if i < 0 else 0)
-            return block[:, j] if 0 <= j < block.shape[1] else np.zeros(block.shape[0])
+            if not skew:
+                return block[:, j] if 0 <= j < block.shape[1] else np.zeros(block.shape[0])
+            # at most w of them, on one diagonal of the block or of its mirror
+            off = j if skew < 0 else block.shape[1] - 1 - j
+            entries = np.diagonal(block if skew < 0 else block[:, ::-1], off)
+            out = np.zeros(block.shape[0])
+            out[max(0, -off) :][: len(entries)] = entries
+            return out
         if type(i) is slice and (taken := range(self.k)[i]).step in (1, -1):
-            lo, hi = self.lo, self.hi
-            # the window's columns [a, b) that the slice takes
+            # the columns [a, b) that the slice takes
             if taken.step == 1:
-                a, b = max(lo, taken.start), min(hi, taken.stop)
+                a, b = taken.start, taken.stop
             else:
-                a, b = max(lo, taken.stop + 1), min(hi, taken.start + 1)
-            if b <= a:
+                a, b = taken.stop + 1, taken.start + 1
+            first, stop = self.span()
+            if min(b, stop) <= max(a, first):
                 return _Window(block[:, :0], 0, len(taken))
-            block = block[:, a - lo : b - lo]
+            if skew and (first < a or b < stop):  # a band would lose entries
+                return self.columns()[idx]
+            lo, hi = max(self.lo, a), min(self.hi, b)
+            block = block[:, lo - self.lo : hi - self.lo]
             if taken.step == 1:
-                return _Window(block, a - taken.start, len(taken))
-            return _Window(block[:, ::-1], taken.start - (b - 1), len(taken))
+                return _Window(block, lo - taken.start, len(taken), skew)
+            return _Window(block[:, ::-1], taken.start - (hi - 1), len(taken), -skew)
         return np.asarray(self)[idx]
 
     def sum(self, axis):
         """Sum over the last axis, in the window where that gives the full block's numbers.
 
         A row with at most two nonzero lanes sums to the same ``fl(a + b)``
-        in any order; any other row is summed over the full block, in
-        numpy's pairwise order.
+        in any order.  Any other row is summed over its full row, in numpy's
+        pairwise order, built in tiles of rows of at most LANE_BLOCK_BYTES.
         """
-        block = self.block
+        block, skew = self.block, self.skew
         if block.shape[-1] <= 2 or np.add.reduce(block != 0, -1).max() <= 2:
             return block.sum(axis=axis)
-        return np.asarray(self).sum(axis=axis)
+        _active.widened += 1
+        rows = max(1, LANE_BLOCK_BYTES // (8 * self.k))
+        out = np.empty(block.shape[0])
+        for r in range(0, block.shape[0], rows):
+            tile = _Window(block[r : r + rows], self.lo + skew * r, self.k, skew)
+            out[r : r + rows] = tile._spread(tile.shape).sum(axis=-1)
+        return out
 
 
 def widenings():
@@ -350,20 +407,22 @@ def _full(a):
 
 
 def _cut(c, win):
-    """Coefficient ``c`` on the columns of ``win``, or None when its last axis is not win's."""
+    """Coefficient ``c`` on the entries of ``win``, or None when its last axis is not win's."""
     if type(c) in _POOL_SCALARS:
         return c
     c = np.asarray(c)
     if c.ndim == 0 or c.shape[-1] == 1:
         return c
-    return c[..., win.lo : win.hi] if c.shape[-1] == win.k else None
+    if c.shape[-1] != win.k or win.skew and c.ndim != 1:
+        return None
+    return _band(c, win.lo, win.skew, *win.block.shape) if win.skew else c[..., win.lo : win.hi]
 
 
 def _scale(ufunc):
-    """mul or div of lanes by a coefficient: a window scales by its columns only.
+    """mul or div of lanes by a coefficient: a window scales its entries only.
 
     Every rule puts its lanes on the left, so a window on the right reads
-    its full block (as a divisor, its zeros give c / 0 outside the columns).
+    its full block (as a divisor, its zeros give c / 0 outside the entries).
     """
 
     def op(a, b):
@@ -375,10 +434,12 @@ def _scale(ufunc):
 
 
 def _join(ufunc):
-    """add or sub of two lane blocks: two windows combine on the union of their columns."""
+    """add or sub of two lane blocks: windows of one skew join on the union of their entries."""
 
     def op(a, b):
         wa, wb = type(a) is _Window, type(b) is _Window
+        if wa and wb and a.skew != b.skew:
+            a, b = a.columns(), b.columns()
         if wa and wb and a.k == b.k and a.block.shape[:-1] == b.block.shape[:-1]:
             if a.lo == b.lo and a.hi == b.hi:
                 return a.like(pooled(ufunc, a.block, b.block))
@@ -387,9 +448,9 @@ def _join(ufunc):
             out[..., a.lo - lo : a.hi - lo] = a.block
             part = out[..., b.lo - lo : b.hi - lo]
             ufunc(part, b.block, out=part)
-            return _Window(out, lo, a.k)
+            return _Window(out, lo, a.k, a.skew)
         if wa != wb:  # full lanes (a dense vector's, a scalar Dual's) and a window
-            win, full = (a, b) if wa else (b, a)
+            win, full = (a.columns(), b) if wa else (b.columns(), a)
             shape = np.broadcast_shapes(win.shape, np.shape(full))
             if (cols := _cut(full, win)) is not None and shape[-1] == win.k:
                 # the full block, without writing the window's zeros out first
@@ -397,7 +458,7 @@ def _join(ufunc):
                 out = _pooled_empty(shape)
                 ufunc(0.0 if wa else a, 0.0 if wb else b, out=out)
                 part = out[..., win.lo : win.hi]
-                ufunc(a.block if wa else cols, cols if wa else b.block, out=part)
+                ufunc(win.block if wa else cols, cols if wa else win.block, out=part)
                 return out
         return pooled(ufunc, _full(a), _full(b))
 
@@ -410,7 +471,7 @@ def _neg(a):
     return pooled(np.negative, a)
 
 
-# the pooled operations, but lanes on a window stay on its columns
+# the pooled operations, but lanes on a window stay on its entries
 _WINDOW_OPS = type("WindowOps", (_POOLED_OPS,), dict(add=_join(np.add), sub=_join(np.subtract)))
 _WINDOW_OPS.mul, _WINDOW_OPS.div = _scale(np.multiply), _scale(np.true_divide)
 _WINDOW_OPS.neg = _neg

@@ -24,11 +24,12 @@ module adds the vector side of operand handling, indexing and
 reductions.
 
 The lanes of a first-order vector that ``gradient`` or ``jacobian``
-seeds after pass 0 may be a ``pool._Window``: the columns ``[lo, hi)`` of
-the last component axis where they can be nonzero, the rest being zero
-(pass 0 at the default chunk gets a window on every column).
+seeds after pass 0 may be a ``pool._Window``: only the entries where
+they can be nonzero, a band of a few diagonals or the columns
+``[lo, hi)`` of the last component axis, the rest being zero (pass 0 at
+the default chunk gets a window on every column).
 Such a vector keeps its full ``values``.  Indexing passes the window an
-integer or a slice with step 1 or -1, which it answers from its columns,
+integer or a slice with step 1 or -1, which it answers from its entries,
 and ``sum``/``mean`` reduce it in the window where that gives the same
 numbers.  Combined with full lanes (a dense vector's or a scalar
 ``Dual``'s) it gives full lanes; every other index, ``reshape`` and

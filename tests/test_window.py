@@ -263,3 +263,158 @@ def test_a_target_that_widens_only_after_pass_0_keeps_wide_passes_and_its_bits()
     for cfg in (ChunkConfig(8), ChunkConfig(K), ChunkConfig(threads=2)):
         assert np.array_equal(got.values, gradient(f, x, cfg).values), cfg
 
+
+
+# ----------------------------------------------------------------------
+# bands: a window of skew 1 or -1 holds diagonals, entry (n, t) at
+# column lo + skew * n + t
+# ----------------------------------------------------------------------
+
+BAND_K = 20
+
+
+def _band_window(skew, lo, rows=5, w=3, seed=3):
+    """A band of rows x w random nonzero entries and its full block."""
+    signs = np.where(np.arange(w) % 2, -1.0, 1.0)
+    block = np.random.default_rng(seed).uniform(0.5, 2.0, (rows, w)) * signs
+    win = pool._Window(block, lo, BAND_K, skew)
+    full = np.zeros((rows, BAND_K))
+    for n in range(rows):
+        full[n, lo + skew * n : lo + skew * n + w] = block[n]
+    assert np.array_equal(np.asarray(win), full)
+    return win, full
+
+
+BANDS = [(1, 4), (1, 0), (1, 13), (-1, 9), (-1, 4), (-1, 17)]  # edges of [0, BAND_K) included
+
+
+def test_a_band_must_lie_inside_its_columns():
+    pool._Window(np.ones((5, 1)), 15, BAND_K, 1)  # columns 15..19
+    pool._Window(np.ones((5, 1)), 4, BAND_K, -1)  # columns 0..4
+    for lo, skew, w in ((16, 1, 1), (14, 1, 3), (3, -1, 1), (-1, 1, 1), (19, -1, 2)):
+        with pytest.raises(ValueError, match="leaves columns"):
+            pool._Window(np.ones((5, w)), lo, BAND_K, skew)
+    with pytest.raises(ValueError, match="leaves columns"):
+        pool._Window(np.ones((2, 5, 1)), 4, BAND_K, 1)
+
+
+@pytest.mark.parametrize("skew, lo", BANDS)
+def test_band_integer_indexes_match_the_full_block(skew, lo):
+    win, full = _band_window(skew, lo)
+    before = pool.widenings()
+    for i in list(range(-BAND_K, BAND_K)) + [np.int64(7), np.int32(-3)]:
+        got = win[(pool._EVERY_LANE, i)]
+        assert type(got) is np.ndarray and np.array_equal(got, full[:, i]), i
+    assert pool.widenings() == before
+
+
+@pytest.mark.parametrize("skew, lo", BANDS)
+def test_band_slices_match_the_full_block(skew, lo):
+    win, full = _band_window(skew, lo)
+    first, stop = win.span()
+    kept = cut = 0
+    for a in (None, 0, 1, 3, 4, 5, 9, 12, 17, 19, -2):
+        for b in (None, 0, 2, 4, 8, 11, 12, 16, 19, -1):
+            for step in (None, 1, -1):
+                i = slice(a, b, step)
+                got = win[(pool._EVERY_LANE, i)]
+                assert type(got) is pool._Window and np.array_equal(np.asarray(got), full[:, i]), i
+                taken = range(BAND_K)[i]
+                inside = all(c in taken for c in range(first, stop))
+                if got.block.size and inside:  # the band stays one, mirrored by a reversal
+                    assert got.skew == skew * taken.step and got.block.shape == win.block.shape, i
+                    kept += 1
+                elif got.block.size:  # it cuts the band's edge: a window on its columns
+                    assert got.skew == 0, i
+                    cut += 1
+    assert kept and cut
+
+
+@pytest.mark.parametrize("skew, lo", BANDS)
+def test_band_products_quotients_and_coefficients_match_the_full_block(skew, lo):
+    win, full = _band_window(skew, lo)
+    coeff = np.linspace(-1.0, 1.0, BAND_K) ** 3 + 0.25
+    rows, w = win.block.shape
+    cut = pool._cut(coeff, win)
+    assert cut.shape == (rows, w)
+    for n in range(rows):
+        assert np.array_equal(cut[n], coeff[lo + skew * n : lo + skew * n + w])
+    for c in (coeff[::-1], coeff.repeat(2)[::2]):  # strided coefficients
+        assert np.array_equal(np.asarray(pool._WINDOW_OPS.mul(win, c)), full * c)
+    for op, ufunc in ((pool._WINDOW_OPS.mul, np.multiply), (pool._WINDOW_OPS.div, np.divide)):
+        for c in (coeff, 3.0, np.float64(-2.0), np.array([0.5])):
+            got = op(win, c)
+            assert type(got) is pool._Window and got.skew == skew
+            assert np.array_equal(np.asarray(got), ufunc(full, c)), (op, c)
+    neg = pool._WINDOW_OPS.neg(win)
+    assert neg.skew == skew and np.array_equal(np.asarray(neg), -full)
+    assert pool._cut(np.ones((2, BAND_K)), win) is None  # read as the full block
+
+
+@pytest.mark.parametrize("skew, lo", BANDS)
+def test_band_unions_match_the_full_block(skew, lo):
+    win, full = _band_window(skew, lo)
+    dense = np.linspace(-3.0, 3.0, 5 * BAND_K).reshape(5, BAND_K)
+    partners = [(skew, lo, 3), (skew, lo + 1, 1), (skew, lo - 1, 2), (-skew, 9, 2), (0, 6, 4)]
+    for other_skew, other_lo, w in partners:
+        reach = other_skew * 4
+        if not 0 <= other_lo + min(reach, 0) <= other_lo + w + max(reach, 0) <= BAND_K:
+            continue  # that band would leave the columns
+        other, other_full = _band_window(other_skew, other_lo, w=w, seed=5)
+        for op, ufunc in ((pool._WINDOW_OPS.add, np.add), (pool._WINDOW_OPS.sub, np.subtract)):
+            got = op(win, other)
+            assert type(got) is pool._Window
+            assert np.array_equal(np.asarray(got), ufunc(full, other_full))
+            assert got.skew == (skew if other_skew == skew else 0)
+    for op, ufunc in ((pool._WINDOW_OPS.add, np.add), (pool._WINDOW_OPS.sub, np.subtract)):
+        assert np.array_equal(op(win, dense), ufunc(full, dense))
+        assert np.array_equal(op(dense, win), ufunc(dense, full))
+        assert np.array_equal(op(win, dense[:, :1]), ufunc(full, dense[:, :1]))
+
+
+@pytest.mark.parametrize("skew, lo", BANDS)
+def test_band_copies_and_sums_match_the_full_block(skew, lo):
+    win, full = _band_window(skew, lo)
+    copy = win.copy()
+    assert copy.skew == skew and copy.block is not win.block
+    assert np.array_equal(copy.block, win.block)
+    for w in (1, 2, 3):  # at most 2 nonzeros a row, or 3 summed over the full rows
+        band, band_full = _band_window(skew, lo, w=w)
+        assert band.sum(axis=-1).tobytes() == band_full.sum(axis=-1).tobytes(), w
+    sparse = win.like(win.block * (np.arange(3) != 1))  # a zero on each row: two nonzeros
+    assert np.array_equal(sparse.sum(axis=-1), np.asarray(sparse).sum(axis=-1))
+
+
+@pytest.mark.parametrize("k", [7, 1000, 12000])
+@pytest.mark.parametrize("skew", [0, 1, -1])
+def test_sums_over_full_rows_take_tiles_of_the_lane_block_budget(monkeypatch, k, skew):
+    w = min(k, 5)
+    rows = 127 if skew == 0 else min(127, k - w + 1)  # 127 leaves a short last tile at k=12000
+    block = np.random.default_rng(k).uniform(-1.0, 1.0, (rows, w)) * 1e3 ** np.arange(w)
+    win = pool._Window(block, 0 if skew == 1 else k - w, k, skew)
+    want = np.asarray(win).sum(axis=-1)
+    built = []
+    empty = pool._pooled_empty
+    monkeypatch.setattr(pool, "_pooled_empty", lambda shape: built.append(shape) or empty(shape))
+    before = pool.widenings()
+    got = win.sum(axis=-1)
+    assert got.tobytes() == want.tobytes()
+    assert pool.widenings() == before + 1
+    assert built and max(math.prod(s) * 8 for s in built) <= max(LANE_BLOCK_BYTES, 8 * k)
+
+
+def test_rosenbrock_wide_passes_sum_bands_of_at_most_three_entries_a_lane(monkeypatch):
+    summed = []
+    plain = pool._Window.sum
+
+    def recorded(self, axis):
+        summed.append((self.block.shape[0], self.block.size))
+        return plain(self, axis)
+
+    monkeypatch.setattr(pool._Window, "sum", recorded)
+    x = _point(K)
+    got = gradient(rosenbrock, x)
+    assert len(summed) == WIDE_PASSES and summed[0] == (N0, N0 * (K - 1))  # pass 0 is dense
+    *banded, last = summed[1:]  # the last pass holds component K - 1, which x[:-1] cuts
+    assert all(size <= n * 3 for n, size in banded) and last[1] > last[0] * 3
+    assert np.array_equal(got.values, gradient(rosenbrock, x, ChunkConfig(K)).values)
