@@ -28,8 +28,9 @@ At the default chunk, a gradient's or Jacobian's pass 0 is seeded as a
 window on all k columns whose block is the dense one, which counts each
 window f widens to its full block (fancy indexes, reshape, dense operands,
 sums of rows with over two nonzeros).  If none widened and windows apply,
-the later passes seed WIDE_CHUNK = 128 components each (``_plan``): 25
-passes, not 300, for Rosenbrock at k=3000.
+the middle passes seed WIDE_CHUNK = 512 components each and the last
+default_chunk(k) components get a pass of their own (``_plan``): 8 passes,
+not 300, for Rosenbrock at k=3000.
 
 Higher-order drivers nest duals (forward-over-forward).  For a Hessian
 each pass seeds a block of M components on the float64 lanes of a
@@ -105,16 +106,18 @@ __all__ = [
 # 37.2 / 39.9 / 45.9 MiB of RSS, as the pool keeps wider blocks, so the
 # budget stops at N=10 there.  The floor of 8 keeps k >= 4096 as it was:
 # at k=12000, N=64 ran Ackley 2.2-2.4x faster but peaked at 61.7 MiB, not 38.
-# The windowed passes after a default pass 0 take WIDE_CHUNK lanes.  Their
-# bands hold a few entries a lane, but a band that a slice cuts (x[:-1] in
-# the pass that holds component k - 1) or that meets a reversed one falls
-# back to a window of N lanes by up to the 2N columns they reach, and
-# WIDE_CHUNK is the widest N whose such window fits the budget.  With bands,
-# perfbench (4 pairs each) read call_p50_rel 2.35 at N=128 and 1.68 at
-# N=256 on rosenbrock-grad, 1.32 and 1.05 on ackley-grad, but N=256 peaked
-# at 40.6-41.6 MiB on rosenbrock-grad against 39.2-39.3, so N stays 128.
+# The windowed passes after a default pass 0 hold bands of a few entries a
+# lane.  A band that a slice cuts or that meets a reversed one falls back to
+# a window of N lanes by up to the 2N columns they reach, so the last N0
+# components, where x[:-1] cuts, get a pass as narrow as pass 0 and the
+# middle ones WIDE_CHUNK lanes a pass.  perfbench call_p50_rel (2 seeds) at
+# 128 / 256 / 512 / 1024 lanes: rosenbrock-grad 2.35 / 1.50 / 1.10 / 0.87,
+# ackley-grad 1.45 / 1.13 / 0.98 / 0.87, peak_rss_mb 38.6-39.5 MiB at each.
+# But a cut inside the components still falls back on WIDE_CHUNK lanes:
+# np.sum(v[k//3:2*k//3]**2) peaked at 35.7 / 36.6 / 39.4 / 51.1 MiB at
+# k=3000, so WIDE_CHUNK stops at 512.
 DEFAULT_CHUNK_LIMIT = 8
-WIDE_CHUNK = math.isqrt(LANE_BLOCK_BYTES // (2 * 8))
+WIDE_CHUNK = 512
 
 
 def default_chunk(k, levels=1):
@@ -133,11 +136,14 @@ def _windows_pay(n, k):
 
 def _plan(k, chunk_size, wide=True):
     """A gradient's or Jacobian's component blocks, pass 0 first: N each at an explicit
-    chunk N; else default_chunk(k) in pass 0, then WIDE_CHUNK each if windows pay and
-    ``wide`` (pass 0's lanes were finite and widened no window)."""
+    chunk N or at N = default_chunk(k).  If windows pay and ``wide`` (pass 0's lanes were
+    finite and widened no window), the default instead takes [0, N), then [N, k - N) in
+    blocks of WIDE_CHUNK, then [k - N, k): a band that a slice cuts at either end of the
+    components falls back to a window of N lanes, not WIDE_CHUNK."""
     n = _resolve("chunk_size", chunk_size, k)
-    later = WIDE_CHUNK if chunk_size is None and wide and _windows_pay(n, k) else n
-    return [slice(0, n)] + _blocks(k, later, n)
+    if chunk_size is None and wide and _windows_pay(n, k):  # then k > 2n
+        return [slice(0, n)] + _blocks(k - n, WIDE_CHUNK, n) + [slice(k - n, k)]
+    return _blocks(k, n)
 
 
 def _check_count(name, value, least=1):
@@ -162,7 +168,8 @@ class ChunkConfig:
 
     chunk_size: lanes per pass, clamped to the input dimension: ceil(k / N)
     passes.  None picks ``default_chunk(k)`` for pass 0 (k up to k=181, 32
-    at k=1000, 8 from k=4096 on) and often WIDE_CHUNK for the rest (``_plan``).
+    at k=1000, 8 from k=4096 on) and often WIDE_CHUNK for the middle passes,
+    then as many as pass 0 for the last (``_plan``).
     threads: worker count for the chunk scheduler; 1 means serial.
     """
 

@@ -17,6 +17,10 @@ Any other lanes (a scalar ``Dual``'s tuple, a nested vector's duals) get
 the plain operations, which are Python's operators where there is one.
 A thread keeps its pool across driver calls: one pool per call faulted
 its blocks in anew, 275 minor faults a call for a one-pass k=30 Hessian.
+Of a lane window's blocks only those on all its k columns at skew 0 are
+pooled (pass 0's, ``full()``): a narrower one's shape changes from pass
+to pass, and keeping them all took a reversed-slice gradient at k=12000
+to a 1164 MiB peak.
 
 A ``_Window`` is a lane block that holds only the entries its seeds can
 reach.  The N unit lanes of a first-order pass are one diagonal of its
@@ -316,7 +320,7 @@ class _Window:
 
     def _spread(self, shape, first=0):
         """Lanes of ``shape`` on the columns from ``first`` on: the entries, zeros elsewhere."""
-        out = pooled_zeros(shape)
+        out = pooled_zeros(shape) if shape[-1] == self.k else np.zeros(shape)
         flat = out.reshape(-1)
         _band(flat, self.lo - first, shape[-1] + self.skew, *self.block.shape)[...] = self.block
         return out
@@ -418,6 +422,13 @@ def _cut(c, win):
     return _band(c, win.lo, win.skew, *win.block.shape) if win.skew else c[..., win.lo : win.hi]
 
 
+def _on_entries(win, ufunc, *args):
+    """``ufunc(*args)`` for the entries of ``win``, pooled only if they are all k columns."""
+    if win.skew or win.block.shape[-1] != win.k:
+        return ufunc(*args)
+    return pooled(ufunc, *args)
+
+
 def _scale(ufunc):
     """mul or div of lanes by a coefficient: a window scales its entries only.
 
@@ -427,7 +438,7 @@ def _scale(ufunc):
 
     def op(a, b):
         if type(a) is _Window and (c := _cut(b, a)) is not None:
-            return a.like(pooled(ufunc, a.block, c))
+            return a.like(_on_entries(a, ufunc, a.block, c))
         return pooled(ufunc, _full(a), _full(b))
 
     return op
@@ -438,13 +449,19 @@ def _join(ufunc):
 
     def op(a, b):
         wa, wb = type(a) is _Window, type(b) is _Window
+        same = wa and wb and a.k == b.k and a.block.shape[:-1] == b.block.shape[:-1]
+        if same and not (a.block.size and b.block.size):
+            # a slice that missed the entries: the other's, with a dense block's signed zeros
+            if a.block.size:
+                return a.like(ufunc(a.block, 0.0))
+            return b.like(ufunc(0.0, b.block))
         if wa and wb and a.skew != b.skew:
             a, b = a.columns(), b.columns()
-        if wa and wb and a.k == b.k and a.block.shape[:-1] == b.block.shape[:-1]:
+        if same:
             if a.lo == b.lo and a.hi == b.hi:
-                return a.like(pooled(ufunc, a.block, b.block))
+                return a.like(_on_entries(a, ufunc, a.block, b.block))
             lo, hi = min(a.lo, b.lo), max(a.hi, b.hi)
-            out = pooled_zeros(a.block.shape[:-1] + (hi - lo,))
+            out = np.zeros(a.block.shape[:-1] + (hi - lo,))
             out[..., a.lo - lo : a.hi - lo] = a.block
             part = out[..., b.lo - lo : b.hi - lo]
             ufunc(part, b.block, out=part)
@@ -467,7 +484,7 @@ def _join(ufunc):
 
 def _neg(a):
     if type(a) is _Window:
-        return a.like(pooled(np.negative, a.block))
+        return a.like(_on_entries(a, np.negative, a.block))
     return pooled(np.negative, a)
 
 

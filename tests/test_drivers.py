@@ -161,7 +161,7 @@ def test_default_chunks_set_the_pass_count():
     assert counted.count == 1
     counted = EvalCounter(ackley)
     gradient(counted, np.linspace(-0.9, 0.9, 1000))
-    assert counted.count == 9  # pass 0 of 32 lanes, then 968 components at 128 a pass
+    assert counted.count == 4  # 32 lanes, 936 components at 512 a pass, the last 32 lanes
     counted = EvalCounter(rosenbrock)
     third_order_tensor(counted, x[:8])
     assert counted.count == 1

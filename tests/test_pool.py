@@ -95,6 +95,29 @@ def test_pooled_gradients_equal_unpooled_serial_and_threaded(monkeypatch, f):
         assert _same(got.f_value, want.f_value)
 
 
+def test_narrow_window_blocks_stay_out_of_the_pool(monkeypatch):
+    # band widths, unions and fallback spans change from pass to pass, so a pool
+    # that kept them would keep every one; only blocks on all k columns are pooled
+    def f(v):
+        return np.sum(v * v[::-1]) + np.sum(np.cos(v[::-1][5:]) * v[:-5])
+
+    narrow = set()
+    init = pool._Window.__init__
+
+    def recorded(self, block, lo, k, skew=0):
+        init(self, block, lo, k, skew)
+        if (skew or block.shape[-1] < k) and block.nbytes >= POOL_MIN_BYTES:
+            narrow.add(block.shape)
+
+    x = _point(K)
+    with monkeypatch.context() as m:
+        m.setattr(pool._Window, "__init__", recorded)
+        got = gradient(f, x)
+    assert narrow and not narrow & set(pool._active.kept.buffers)
+    want = _unpooled(monkeypatch, lambda: gradient(f, x))
+    assert _same(got.values, want.values) and _same(got.f_value, want.f_value)
+
+
 def test_rules_outside_a_driver_call_never_enter_the_pool():
     x = _point(K)
     v = DualVector(x, np.ones((8, K)))  # 192 KB of lanes

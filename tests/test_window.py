@@ -8,7 +8,7 @@ import pytest
 
 from dualgrad import ChunkConfig, EvalCounter, ackley, default_chunk, gradient, hessian, jacobian
 from dualgrad import pool, rosenbrock
-from dualgrad.drivers import LANE_BLOCK_BYTES, WIDE_CHUNK
+from dualgrad.drivers import LANE_BLOCK_BYTES, WIDE_CHUNK, _plan
 
 K = 3000  # chunk 8 and 10 lane blocks are 192 and 240 KB, above POOL_MIN_BYTES
 CONST = np.linspace(-1.5, 2.5, K)
@@ -196,20 +196,26 @@ def test_scalar_dual_against_a_float_array_equals_one_dense_pass():
 
 
 # ----------------------------------------------------------------------
-# the default plan: pass 0 at default_chunk(k), later passes at WIDE_CHUNK
+# the default plan: pass 0 at default_chunk(k), the middle at WIDE_CHUNK,
+# the last default_chunk(k) components in a pass of their own
 # ----------------------------------------------------------------------
 
 N0 = default_chunk(K)
-WIDE_PASSES = 1 + math.ceil((K - N0) / WIDE_CHUNK)
+WIDE_PASSES = 2 + math.ceil((K - 2 * N0) / WIDE_CHUNK)
 # the targets whose pass 0 computes a full block: these keep ceil(K / N0) passes
 WIDENING = {"step-2", "fancy", "reshape", "centred", "scalar-dual", "dense-operand",
             "three-nonzeros"}
 
 
-def test_wide_chunk_is_the_widest_window_in_the_lane_block_budget():
-    n = WIDE_CHUNK
-    assert n == 128 and n * 2 * n * 8 <= LANE_BLOCK_BYTES < (n + 1) * 2 * (n + 1) * 8
-    assert (N0, WIDE_PASSES) == (10, 25)
+def test_wide_chunk_is_512_and_the_end_passes_take_n0_lanes():
+    # a slice that cuts a band at either end of [0, K) falls back to a window of
+    # N0 lanes by up to 2 * N0 columns, inside the lane block budget
+    assert WIDE_CHUNK == 512 and N0 * 2 * N0 * 8 <= LANE_BLOCK_BYTES
+    middle = [slice(lo, min(lo + 512, K - N0)) for lo in range(N0, K - N0, 512)]
+    assert _plan(K, None) == [slice(0, N0)] + middle + [slice(K - N0, K)]
+    assert (N0, WIDE_PASSES, middle[-1]) == (10, 8, slice(2570, 2990))
+    every_n0 = [slice(p, p + N0) for p in range(0, K, N0)]
+    assert _plan(K, None, wide=False) == _plan(K, N0) == every_n0
 
 
 @pytest.mark.parametrize("name", list(TARGETS))
@@ -241,7 +247,7 @@ def test_reading_a_windowed_vector_result_does_not_count_as_widening():
     x = _point(1000)
     counted = EvalCounter(lambda v: v[1:] * v[:-1] - np.sin(v[::-1][1:]))
     got = jacobian(counted, x)
-    assert counted.count == 1 + math.ceil((1000 - default_chunk(1000)) / WIDE_CHUNK) == 9
+    assert counted.count == 2 + math.ceil((1000 - 2 * default_chunk(1000)) / WIDE_CHUNK) == 4
     assert np.array_equal(got.entries, jacobian(counted.f, x, ChunkConfig(8)).entries)
 
 
@@ -372,6 +378,23 @@ def test_band_unions_match_the_full_block(skew, lo):
         assert np.array_equal(op(win, dense[:, :1]), ufunc(full, dense[:, :1]))
 
 
+@pytest.mark.parametrize("skew, lo", BANDS + [(0, 6)])
+def test_a_window_without_entries_joins_as_the_dense_block_would(skew, lo):
+    win, _ = _band_window(skew, lo)
+    block = win.block.copy()
+    block[:, 1] = -0.0  # signed zeros that a dense zero operand turns to +0.0
+    win = win.like(block)
+    full = np.asarray(win)
+    empty = pool._Window(block[:, :0], 0, BAND_K)  # what a slice that misses the entries gives
+    zeros = np.zeros_like(full)
+    for op, ufunc in ((pool._WINDOW_OPS.add, np.add), (pool._WINDOW_OPS.sub, np.subtract)):
+        for a, b, dense in ((win, empty, (full, zeros)), (empty, win, (zeros, full))):
+            got = op(a, b)
+            assert type(got) is pool._Window and (got.lo, got.skew) == (win.lo, skew)
+            assert got.block.shape == block.shape  # no union with the empty one's columns
+            assert np.asarray(got).tobytes() == ufunc(*dense).tobytes(), (op, a is win)
+
+
 @pytest.mark.parametrize("skew, lo", BANDS)
 def test_band_copies_and_sums_match_the_full_block(skew, lo):
     win, full = _band_window(skew, lo)
@@ -416,5 +439,8 @@ def test_rosenbrock_wide_passes_sum_bands_of_at_most_three_entries_a_lane(monkey
     got = gradient(rosenbrock, x)
     assert len(summed) == WIDE_PASSES and summed[0] == (N0, N0 * (K - 1))  # pass 0 is dense
     *banded, last = summed[1:]  # the last pass holds component K - 1, which x[:-1] cuts
-    assert all(size <= n * 3 for n, size in banded) and last[1] > last[0] * 3
+    assert all(n == WIDE_CHUNK and size <= n * 3 for n, size in banded[:-1])
+    assert banded[-1][0] == K - 2 * N0 - WIDE_CHUNK * (len(banded) - 1)
+    assert banded[-1][1] <= banded[-1][0] * 3
+    assert last[0] == N0 and N0 * 3 < last[1] <= N0 * (N0 + 1)  # a fallback of N0 lanes only
     assert np.array_equal(got.values, gradient(rosenbrock, x, ChunkConfig(K)).values)
