@@ -163,12 +163,14 @@ def run_size_sweep(function, sizes, chunk, threads, reps, seed=DEFAULT_SEED):
 def verify(function, k, chunk, seed=DEFAULT_SEED, tol=1e-5, x=None):
     """Cross-check the drivers at one point (seeded unless ``x`` is given).
 
-    Compares the propagated gradient against the closed-form gradient and
-    the central-difference oracle, confirms the pass count of the drivers'
-    plan (``drivers._plan``: ceil(k / N) for an explicit chunk N) via an
-    evaluation counter, and checks that a different chunk size yields the
-    identical gradient.  The finite-difference comparisons floor their
-    denominators at a fraction of the gradient's scale: near critical
+    Compares the propagated gradient against the closed-form gradient and,
+    on a sample of min(k, 256) components drawn with ``seed``, against the
+    central-difference oracle, whose cost is two evaluations of f a
+    component; reported components index x.  Confirms the pass count of
+    the drivers' plan (``drivers._plan``: ceil(k / N) for an explicit chunk
+    N) via an evaluation counter, and checks that a different chunk size
+    yields the identical gradient.  The finite-difference comparisons floor
+    their denominators at a fraction of the gradient's scale: near critical
     points the oracle's own truncation error would otherwise swamp a
     component that the propagated gradient gets exactly right.  chunk None
     picks the drivers' default.
@@ -182,8 +184,19 @@ def verify(function, k, chunk, seed=DEFAULT_SEED, tol=1e-5, x=None):
     ad = gradient(counted, x, ChunkConfig(chunk)).values
 
     exact = analytic(x)
-    fd = testfns.fd_gradient(f, x)
+    sample = np.sort(np.random.default_rng(seed).choice(k, min(k, 256), replace=False))
+
+    def on_sample(z):  # f at x with the sampled components set to z
+        full = x.astype(z.dtype)
+        full[sample] = z
+        return f(full)
+
+    fd = testfns.fd_gradient(on_sample, x[sample])
     fd_floor = 1e-4 * max(1.0, float(np.max(np.abs(exact))))
+
+    def vs_fd(g):  # worst relative error of g against fd, at its index in x
+        err, i = testfns.worst_relative_error(g[sample], fd, floor=fd_floor)
+        return err, int(sample[i])
 
     # second chunking for the invariance check; capped so the lane block
     # stays modest at large k
@@ -199,8 +212,8 @@ def verify(function, k, chunk, seed=DEFAULT_SEED, tol=1e-5, x=None):
         passes=counted.count,
         expected_passes=len(_plan(k, chunk)),
         ad_vs_analytic=testfns.worst_relative_error(ad, exact),
-        ad_vs_fd=testfns.worst_relative_error(ad, fd, floor=fd_floor),
-        analytic_vs_fd=testfns.worst_relative_error(exact, fd, floor=fd_floor),
+        ad_vs_fd=vs_fd(ad),
+        analytic_vs_fd=vs_fd(exact),
         chunk_invariant=bool(np.array_equal(ad, ad_alt)),
         tolerance=tol,
         gradient_infnorm=float(np.max(np.abs(ad))),

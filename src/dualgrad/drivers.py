@@ -27,10 +27,10 @@ interleaved runs: 1.05x dense at k=140, 1.16x at k=200, 0.78x at k=256).
 At the default chunk, a gradient's or Jacobian's pass 0 is seeded as a
 window on all k columns whose block is the dense one, which counts each
 window f widens to its full block (fancy indexes, reshape, dense operands,
-sums of rows with over two nonzeros).  If none widened and windows apply,
-the middle passes seed WIDE_CHUNK = 512 components each and the last
-default_chunk(k) components get a pass of their own (``_plan``): 8 passes,
-not 300, for Rosenbrock at k=3000.
+sums of rows with over two nonzeros).  The later passes are planned once,
+after pass 0: if none widened and windows apply, ``_plan`` gives the middle
+components WIDE_CHUNK = 512 lanes a pass and the last default_chunk(k) a
+pass of their own (8 passes, not 300, for Rosenbrock at k=3000).
 
 Higher-order drivers nest duals (forward-over-forward).  For a Hessian
 each pass seeds a block of M components on the float64 lanes of a
@@ -435,24 +435,24 @@ def _passes(f, x, chunks, threads=1, read=_scalar_output, wide=False):
     chunks holds the lanes per pass at each nesting level, level 0 first.
     read(y, widths) turns f's result into (f value, the outermost level's
     first-order lanes or None, lane block of shape (outputs..., *widths)).
-    With ``wide`` (default chunk) a first-order call's later passes follow
-    ``_plan``.  Returns (derivative array of shape (outputs...,) + (k,) *
-    len(chunks), gradient from those first-order lanes, f value).
+    Pass 0 seeds each level's first block and then plans the other passes:
+    ``_plan``'s at the default chunk of a first-order call (``wide``).
+    Returns (derivative array of shape (outputs...,) + (k,) * len(chunks),
+    gradient from those first-order lanes, f value).
     """
     k = x.shape[0]
-    combos = list(itertools.product(*(_blocks(k, c) for c in chunks)))
+    combos = [tuple(slice(0, c) for c in chunks)]
     grad = np.empty(k)
-    # pass 0's f value, the result array that pass sizes, and whether the
-    # later passes run on lane windows (see the module docstring)
-    pass0 = []
-    window_ok = len(chunks) == 1 and _windows_pay(chunks[0], k)
-    wide = wide and window_ok
+    # later passes run on lane windows if they pay and pass 0's lanes are finite
+    windowed = len(chunks) == 1 and _windows_pay(chunks[0], k)
+    f0 = out = None  # pass 0's f value and the result array that pass sizes
 
     def run(p):
+        nonlocal windowed, f0, out
         blocks = combos[p]
         widths = tuple(b.stop - b.start for b in blocks)
-        seeded = _seeded(x, blocks, p > 0 and pass0[2])
-        if p == 0 and wide:  # a window on all k columns, to see f widen it
+        seeded = _seeded(x, blocks, p > 0 and windowed)
+        if p == 0 and wide and windowed:  # a window on all k columns, to see f widen it
             seeded = DualVector(x, _Window(seeded.partials, 0, k))
         seen = widenings()  # f's own: not the seeding's nor the read's
         y = f(seeded)
@@ -460,11 +460,13 @@ def _passes(f, x, chunks, threads=1, read=_scalar_output, wide=False):
         value, first, top = read(y, widths)
         outputs = top.shape[: top.ndim - len(widths)]
         if p == 0:  # pass 0 runs first and alone
-            windowed = window_ok and bool(np.isfinite(top).all())
-            pass0.extend((value, np.empty(outputs + (k,) * len(widths)), windowed))
+            windowed = windowed and bool(np.isfinite(top).all())
+            f0, out = value, np.empty(outputs + (k,) * len(widths))
             if wide:
-                combos[1:] = [(b,) for b in _plan(k, None, windowed and not widened)[1:]]
-        f0, out, _ = pass0
+                levels = [_plan(k, None, windowed and not widened)]
+            else:
+                levels = [_blocks(k, c) for c in chunks]
+            combos[1:] = list(itertools.product(*levels))[1:]
         if outputs != out.shape[: len(outputs)]:
             raise ValueError(
                 f"target function changed output length between passes: "
@@ -476,7 +478,7 @@ def _passes(f, x, chunks, threads=1, read=_scalar_output, wide=False):
         out[(..., *blocks)] = top
 
     _run_passes(run, lambda: len(combos), threads)
-    return pass0[1], grad, pass0[0]
+    return out, grad, f0
 
 
 def _as_input_vector(x):
@@ -491,11 +493,13 @@ def _as_input_vector(x):
     return x.astype(np.float64, copy=False)
 
 
-def _config(cfg):
-    """cfg, or the default ChunkConfig for None; anything else raises ValueError."""
+def _first_order(f, x, cfg, read=_scalar_output):
+    """``_passes`` of a gradient or Jacobian: cfg (None for the defaults) and x checked, and
+    the wide plan at the default chunk."""
     if not isinstance(cfg, (ChunkConfig, type(None))):
         raise ValueError(f"cfg must be a ChunkConfig or None, got {cfg!r}")
-    return cfg or ChunkConfig()
+    cfg, x = cfg or ChunkConfig(), _as_input_vector(x)
+    return _passes(f, x, (cfg.resolve(x.shape[0]),), cfg.threads, read, cfg.chunk_size is None)
 
 
 def gradient(f, x, cfg=None):
@@ -507,20 +511,18 @@ def gradient(f, x, cfg=None):
     distributed across the threaded scheduler, which produces bitwise
     identical results.
     """
-    cfg = _config(cfg)
-    x = _as_input_vector(x)
-    chunks, wide = (cfg.resolve(x.shape[0]),), cfg.chunk_size is None
-    values, _, f_value = _passes(f, x, chunks, cfg.threads, wide=wide)
+    values, _, f_value = _first_order(f, x, cfg)
     return GradientResult(values, float(f_value))
 
 
 def gradient_threaded(f, x, cfg=None):
     """Gradient with chunk passes split across cfg.threads threads.
 
-    The caller runs pass 0 alone; passes 1..P-1 go in contiguous blocks,
-    one per thread, and a worker slower than threads * t(pass 0) per pass
-    hands its remaining passes back to the caller.  The result equals the
-    serial gradient bitwise.  The target must tolerate concurrent calls.
+    The caller runs pass 0 alone, which plans passes 1..P-1; they go in
+    contiguous blocks, one per thread.  A worker whose passes, timed from
+    the fan-out, average over threads * min(t(pass 0), t(the caller's pass
+    1)) hands the rest back to the caller.  The result equals the serial
+    gradient bitwise.  The target must tolerate concurrent calls.
     """
     return gradient(f, x, cfg)
 
@@ -559,10 +561,7 @@ def _vector_output(y, widths):
 
 def jacobian(f, x, cfg=None):
     """m x k Jacobian of a vector-valued f, one column block per chunk, threaded as ``gradient``."""
-    cfg = _config(cfg)
-    x = _as_input_vector(x)
-    chunks, wide = (cfg.resolve(x.shape[0]),), cfg.chunk_size is None
-    entries, _, f_value = _passes(f, x, chunks, cfg.threads, _vector_output, wide)
+    entries, _, f_value = _first_order(f, x, cfg, _vector_output)
     return JacobianResult(entries, f_value.copy())  # never x itself or a pooled buffer
 
 

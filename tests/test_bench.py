@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from dualgrad import EvalCounter, bench, gradient
+from dualgrad import EvalCounter, bench, gradient, rosenbrock, rosenbrock_grad_analytic
 from dualgrad.bench import (
     BenchRecord,
     CSV_HEADER,
@@ -161,6 +161,48 @@ def test_verify_at_chunk_k_checks_invariance_against_chunk_k_minus_1(monkeypatch
     report = verify("rosenbrock", k=8, chunk=8)
     assert report.passed and report.passes == 1 and report.chunk_invariant
     assert chunks == [8, 7]
+
+
+def _patched_target(monkeypatch, f, analytic):
+    """Register f with its analytic gradient as "rosenbrock"; return a list that records,
+    per evaluation of f, whether it was the oracle's (a plain array) or a driver pass's."""
+    oracle = []
+
+    def recorded(v):
+        oracle.append(isinstance(v, np.ndarray))
+        return f(v)
+
+    monkeypatch.setitem(bench._FUNCTIONS, "rosenbrock", (recorded, analytic, (-2.0, 2.0)))
+    return oracle
+
+
+@pytest.mark.parametrize("k", [200, 256, 3000])
+def test_verify_takes_central_differences_on_at_most_256_components(monkeypatch, k):
+    oracle = _patched_target(monkeypatch, rosenbrock, rosenbrock_grad_analytic)
+    report = verify("rosenbrock", k=k, chunk=None)
+    assert report.passed
+    assert sum(oracle) == 2 * min(k, 256)
+    # the rest are the passes of the gradient and of the invariance check,
+    # which runs at chunk k up to k=1024 and at chunk 2 * N0 = 20 at k=3000
+    alt = k if k <= 1024 else 20
+    assert len(oracle) == 2 * min(k, 256) + report.passes + math.ceil(k / alt)
+
+
+def test_verify_reports_sampled_components_by_their_index_in_x(monkeypatch):
+    # the oracle alone sees a slope of 1e-3 * i on component i: at x = ones
+    # the error relative to the oracle's 2 + 1e-3 * i grows with i, so the
+    # worst sampled component is the largest index drawn, far above 256
+    k = 1000
+    slope = 1e-3 * np.arange(k)
+
+    def f(v):
+        return np.sum(v * v) + (np.sum(slope * v) if isinstance(v, np.ndarray) else 0.0)
+
+    _patched_target(monkeypatch, f, lambda x: 2.0 * x)
+    report = verify("rosenbrock", k=k, chunk=None, x=np.ones(k))
+    err, idx = report.ad_vs_fd
+    assert report.analytic_vs_fd == report.ad_vs_fd and idx > 256
+    assert err == pytest.approx(slope[idx] / (2.0 + slope[idx]), rel=1e-6)
 
 
 def test_verify_fails_when_tolerance_is_absurd():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dualgrad import ChunkConfig, EvalCounter, ackley, default_chunk, gradient, hessian, jacobian
-from dualgrad import pool, rosenbrock
+from dualgrad import drivers, pool, rosenbrock
 from dualgrad.drivers import LANE_BLOCK_BYTES, WIDE_CHUNK, _plan
 
 K = 3000  # chunk 8 and 10 lane blocks are 192 and 240 KB, above POOL_MIN_BYTES
@@ -240,6 +240,24 @@ def test_default_jacobian_plan_equals_every_chunk_size_and_threads(name):
         other = jacobian(lambda v: [f(v)], x, cfg)
         assert np.array_equal(got.entries, other.entries), cfg
         assert np.array_equal(got.f_value, other.f_value)
+
+
+def test_a_default_gradient_plans_its_passes_once_after_pass_0(monkeypatch):
+    # pass 0 seeds its own block alone, so the ceil(K / N0) blocks of the
+    # default chunk, which the wide plan replaces, are never built
+    longest = len(_plan(K, None))
+    built, blocks = [], drivers._blocks
+
+    def recorded(*args):
+        out = blocks(*args)
+        built.append(len(out))
+        return out
+
+    monkeypatch.setattr(drivers, "_blocks", recorded)
+    counted = EvalCounter(rosenbrock)
+    gradient(counted, _point(K))
+    assert counted.count == longest == WIDE_PASSES
+    assert built and max(built) <= longest
 
 
 def test_reading_a_windowed_vector_result_does_not_count_as_widening():
