@@ -21,9 +21,9 @@ The arithmetic, elementary and comparison rules of ``Dual`` and its
 Each rule reads ``values`` and ``partials``, computes with the operations
 ``pool.ops`` picks for its lanes (ones that reuse buffers for large
 float64 lanes in a driver call, plain ones otherwise) and builds its
-result with ``type(self)``.  On a ``Dual`` the lanes are a ``Partials``
-tuple, so the operations are Python's operators and numpy's ufuncs on
-scalars.
+result with ``type(self)``.  On a ``Dual`` the lanes are a float64 row
+where it was built from one (a first-order vector's index or reduction),
+else a ``Partials`` tuple.  Python's operators serve both.
 
 All three kinds subclass ``_DualKind``: one ``isinstance`` tells a dual
 from a constant, and ``value_of``/``base_value`` read the value channel
@@ -96,7 +96,8 @@ def _lift(d, array):
 
 
 class Partials(tuple):
-    """Fixed-width tuple of derivative lanes (the epsilon coefficients).
+    """Fixed-width derivative lanes (the epsilon coefficients): a 1-D float64
+    ndarray stays that array, any other sequence becomes this tuple.
 
     The width is set at construction and never changes.  Combining two
     Partials of different width raises ValueError: silently broadcasting
@@ -107,25 +108,17 @@ class Partials(tuple):
     __slots__ = ()
 
     def __new__(cls, entries):
-        self = super().__new__(cls, entries)
+        row = type(entries) is np.ndarray and entries.ndim == 1 and entries.dtype == np.float64
+        self = entries if row else super().__new__(cls, entries)
         if len(self) == 0:
             raise ValueError("Partials needs at least one lane")
         return self
 
-    def _check(self, other):
-        if len(self) != len(other):
-            raise ValueError(
-                f"lane count mismatch: {len(self)} vs {len(other)}; duals of "
-                "different widths cannot be combined"
-            )
-
     def __add__(self, other):
-        self._check(other)
-        return Partials(a + b for a, b in zip(self, other))
+        return Partials(a + b for a, b in zip(self, other, strict=True))
 
     def __sub__(self, other):
-        self._check(other)
-        return Partials(a - b for a, b in zip(self, other))
+        return Partials(a - b for a, b in zip(self, other, strict=True))
 
     def __neg__(self):
         return Partials(-a for a in self)
@@ -171,12 +164,16 @@ class Dual(_DualKind):
         """(operations, own lanes, other's value, other's lanes or None) for a binary rule.
 
         None for anything but a Dual or a plain scalar, which a 0-d array
-        counts as: the rule returns NotImplemented.
+        counts as: the rule returns NotImplemented.  ValueError for a Dual
+        of another width.
         """
         if isinstance(other, np.ndarray) and not other.ndim:
             other = other[()]
         if isinstance(other, Dual):
-            return _PLAIN_OPS, self.partials, other.value, other.partials
+            sp, op = self.partials, other.partials
+            if len(sp) != len(op):  # numpy would broadcast a one-lane array
+                raise ValueError(f"lane count mismatch: {len(sp)} vs {len(op)}")
+            return _PLAIN_OPS, sp, other.value, op
         if isinstance(other, _PLAIN):
             return _PLAIN_OPS, self.partials, other, None
         return None

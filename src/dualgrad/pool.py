@@ -13,8 +13,8 @@ and the rule's lanes are a float64 array that large, these write their
 results through ``pooled``, which hands out a buffer of the same shape
 that nothing outside the pool refers to any more.  ``out=`` gives the
 same values as a fresh ufunc result, so pooling never changes a number.
-Any other lanes (a scalar ``Dual``'s tuple, a nested vector's duals) get
-the plain operations, which are Python's operators where there is one.
+Any other lanes (a scalar ``Dual``'s float64 row or tuple, a nested
+vector's duals) get the plain operations, Python's operators where there is one.
 A thread keeps its pool across driver calls: one pool per call faulted
 its blocks in anew, 275 minor faults a call for a one-pass k=30 Hessian.
 Of a lane window's blocks only those on all its k columns at skew 0 are
@@ -212,7 +212,7 @@ _UFUNCS |= dict(div=np.true_divide, power=np.power, absolute=np.absolute, sign=n
 # k=30 Hessian (all small rules) ran 2% faster than with SimpleNamespace.
 _POOLED_OPS = type("PooledOps", (), {n: functools.partial(pooled, u) for n, u in _UFUNCS.items()})
 # Python's operators where there is one: nested lanes are duals and a
-# scalar Dual's are a tuple, not arrays
+# scalar Dual's may be a tuple, not arrays
 _OPERATORS = dict(add=operator.add, sub=operator.sub, mul=operator.mul, neg=operator.neg)
 _OPERATORS["div"] = _ieee_div
 _PLAIN_OPS = type("PlainOps", (), _UFUNCS | _OPERATORS)

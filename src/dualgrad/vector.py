@@ -53,7 +53,7 @@ import warnings
 
 import numpy as np
 
-from .dual import _RULES, Dual, Partials, _DualKind
+from .dual import _RULES, Dual, _DualKind
 from .pool import _EVERY_LANE, ops
 
 __all__ = ["DualVector", "NestedDualVector"]
@@ -90,9 +90,9 @@ class DualVector(_DualKind):
         return self.partials.shape[0]
 
     def _part(self, values, partials):
-        """Index or reduction result: a ``Dual`` if a DualVector has no component axis left."""
+        """Index or reduction result: a ``Dual`` on the lane row if a DualVector has no axis left."""
         if type(self) is DualVector and partials.ndim == 1:
-            return Dual(values, Partials(partials))
+            return Dual(values, partials)
         return type(self)(values, partials)
 
     def reshape(self, shape):

@@ -70,6 +70,43 @@ def test_mixed_width_arithmetic_rejected():
             op()
 
 
+def test_empty_array_partials_rejected_like_an_empty_list():
+    with pytest.raises(ValueError, match="at least one lane"):
+        Dual(1.0, np.empty(0))
+
+
+def test_partials_keep_a_float64_row_and_tuple_anything_else():
+    row = np.array([1.0, 2.0])
+    assert Partials(row) is row
+    assert Dual(3.0, row).partials is row
+    for entries in ([1.0, 2.0], (1.0, 2.0), np.array([1, 2]), np.array([1.0, 2.0], np.float32)):
+        assert type(Partials(entries)) is Partials
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (np.array([1.0]), np.array([1.0, 0.0, 0.0])),  # numpy alone would broadcast these
+        (np.array([1.0, 0.0, 0.0]), np.array([1.0])),
+        (np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0])),
+        ((1.0, 0.0), np.array([1.0, 0.0, 0.0])),
+        (np.array([1.0, 0.0, 0.0]), (1.0, 0.0)),
+    ],
+)
+def test_mixed_width_arithmetic_rejected_for_array_lanes(a, b):
+    x, y = Dual(1.5, a), Dual(2.0, b)
+    for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y):
+        with pytest.raises(ValueError, match="lane count mismatch"):
+            op()
+
+
+def test_tuple_and_array_lanes_of_one_width_combine():
+    x, y = Dual(1.5, (1.0, 0.0)), Dual(2.0, np.array([0.0, 1.0]))
+    for s in (x * y, y * x):
+        assert s.value == 3.0 and lanes(s) == (2.0, 1.5)
+    assert lanes(x - y) == (1.0, -1.0) and lanes(y - x) == (-1.0, 1.0)
+
+
 def test_partials_are_value_semantic():
     p = Partials((1.0, 2.0))
     assert p + p == Partials((2.0, 4.0))

@@ -137,6 +137,61 @@ def test_reductions_return_scalar_duals():
         dv.sum(axis=0)
 
 
+def _reduced(v, j):
+    """v's full reductions and two indexes, and the lane rows a dense block
+    gives them: the entries their lanes held as a tuple."""
+    full = np.asarray(v.partials)
+    rows = (full.sum(axis=-1), full.sum(axis=-1) / full.shape[-1], full[:, j], full[:, -1])
+    return [v.sum(), v.mean(), v[j], v[-1]], rows
+
+
+def _assert_float64_rows(duals, rows):
+    for d, row in zip(duals, rows, strict=True):
+        assert type(d) is Dual
+        assert type(d.partials) is np.ndarray and d.partials.dtype == np.float64
+        assert d.partials.tobytes() == row.tobytes()
+        assert tuple(d.partials) == tuple(row)
+
+
+def test_full_reductions_and_indexes_keep_float64_lane_rows():
+    dv = DualVector(np.linspace(0.5, 2.0, 6), np.random.default_rng(4).normal(size=(4, 6)))
+    _assert_float64_rows(*_reduced(dv, 2))
+    _assert_float64_rows(*_reduced(seeded([1.0, 2.0, 3.0]), 1))
+
+
+def test_band_window_reductions_and_indexes_keep_float64_lane_rows():
+    from dualgrad import pool
+
+    bands = []
+
+    def f(v):
+        lanes = v.partials
+        if type(lanes) is pool._Window and lanes.skew:  # a pass after pass 0
+            j = lanes.lo + 3
+            bands.append((v, j, [v.sum(), v.mean(), v[j], v[-1]]))
+        return np.sum(v * v)
+
+    dualgrad.gradient(f, np.linspace(-1.0, 1.0, 3000))
+    assert bands
+    for v, j, got in bands:
+        _assert_float64_rows(got, _reduced(v, j)[1])
+
+
+def test_default_gradient_builds_no_partials_tuple(monkeypatch):
+    built = []
+    new = Partials.__new__
+
+    def recorded(cls, entries):
+        out = new(cls, entries)
+        built.append(out)
+        return out
+
+    monkeypatch.setattr(Partials, "__new__", staticmethod(recorded))
+    dualgrad.gradient(dualgrad.ackley, np.random.default_rng(1).uniform(-1.0, 1.0, 1000))
+    assert built
+    assert not [p for p in built if isinstance(p, tuple)]
+
+
 def test_scalar_dual_broadcasts_against_vector():
     dv = seeded([1.0, 2.0])
     total = dv.sum()  # lanes (1, 1)
