@@ -11,12 +11,12 @@ so the assembled gradient is identical, bit for bit, for every chunk size
 (the sign of an exactly-zero entry aside, see below).
 
 Every level's unit lanes are built one way, as a ``pool._Window`` band of
-ones on the block's diagonal, which pass 0 reads as the full N x k lane
-block.  When the lanes a window would skip, N x (k - 2N) float64, come to
-at least POOL_MIN_BYTES and pass 0's output lanes are all finite, every
-later pass of a gradient or Jacobian keeps the band: only the entries its
-N seeds can reach are computed, so a Rosenbrock pass does N x 2 lane work
-(N lanes by the band's width) instead of N x k.  The entries it leaves
+ones on the block's diagonal, which pass 0 of every driver reads as the
+full N x k lane block, an ndarray.  When the lanes a window would skip,
+N x (k - 2N) float64, come to at least POOL_MIN_BYTES and pass 0's output
+lanes are all finite, every later pass of a gradient or Jacobian keeps the
+band: only the entries its N seeds can reach are computed, so a Rosenbrock
+pass does N x 2 lane work (N lanes by the band's width) instead of N x k.  The entries it leaves
 out are exact zeros in a dense pass, because a coefficient that is
 non-finite on a column reaching the result would have made pass 0's lanes
 non-finite too; a zero derivative entry may come out as +0.0 where a
@@ -24,13 +24,15 @@ dense pass gave -0.0.  Below the gate a window's per-op bookkeeping costs
 more than the columns it skips (Rosenbrock at chunk 64, median of 5
 interleaved runs: 1.05x dense at k=140, 1.16x at k=200, 0.78x at k=256).
 
-At the default chunk, a gradient's or Jacobian's pass 0 is seeded as a
-window on all k columns whose block is the dense one, which counts each
-window f widens to its full block (fancy indexes, reshape, dense operands,
-sums of rows with over two nonzeros).  The later passes are planned once,
-after pass 0: if none widened and windows apply, ``_plan`` gives the middle
-components WIDE_CHUNK = 512 lanes a pass and the last default_chunk(k) a
-pass of their own (8 passes, not 300, for Rosenbrock at k=3000).
+At the default chunk N0 = default_chunk(k), when pass 0 finds that
+windows apply, ``_plan`` runs the last N0 components second, in an end
+pass as narrow as pass 0, and the middle ones in WIDE_CHUNK = 512 lanes a
+pass (8 passes, not 300, for Rosenbrock at k=3000).  The end pass probes
+the target: if f widens one of its windows, that is, builds its full
+N x k block (fancy indexes, reshape, a dense vector or scalar dual
+operand), the middle takes N0 lanes a pass instead, so that no pass builds
+WIDE_CHUNK x k blocks.  A sum over lane rows of more than two nonzeros,
+built in tiles of at most LANE_BLOCK_BYTES, is no widening.
 
 Higher-order drivers nest duals (forward-over-forward).  For a Hessian
 each pass seeds a block of M components on the float64 lanes of a
@@ -57,8 +59,8 @@ All drivers require a pure target function: same input, same output.
 Each pass compares its value channel (every output, for a Jacobian)
 with pass 0's as soon as it has read it; a difference raises
 ImpureTargetError, and no thread starts another pass.  The runner runs
-pass 0 on the caller and the rest in one static block per thread, the
-caller's first, so a serial call is the one-thread case.  With more
+passes 0 and 1 on the caller and the rest in one static block per thread,
+the caller's first, so a serial call is the one-thread case.  With more
 threads f must be safely callable from several threads at once; a worker
 running below break-even (measured against the faster of the caller's
 first two passes) hands its block's rest back to the caller, and passes
@@ -136,13 +138,14 @@ def _windows_pay(n, k):
 
 def _plan(k, chunk_size, wide=True):
     """A gradient's or Jacobian's component blocks, pass 0 first: N each at an explicit
-    chunk N or at N = default_chunk(k).  If windows pay and ``wide`` (pass 0's lanes were
-    finite and widened no window), the default instead takes [0, N), then [N, k - N) in
-    blocks of WIDE_CHUNK, then [k - N, k): a band that a slice cuts at either end of the
-    components falls back to a window of N lanes, not WIDE_CHUNK."""
+    chunk N.  At the default N0 = default_chunk(k), if windows pay, [0, N0), then the end
+    pass [k - N0, k), then the middle [N0, k - N0) in blocks of WIDE_CHUNK, or of N0 unless
+    ``wide``: a band that a slice cuts at either end of the components falls back to a
+    window of N0 lanes, not WIDE_CHUNK, and the end pass runs second, where it shows
+    whether f widens windows before the middle passes are sized."""
     n = _resolve("chunk_size", chunk_size, k)
-    if chunk_size is None and wide and _windows_pay(n, k):  # then k > 2n
-        return [slice(0, n)] + _blocks(k - n, WIDE_CHUNK, n) + [slice(k - n, k)]
+    if chunk_size is None and _windows_pay(n, k):  # then k > 2n
+        return [slice(0, n), slice(k - n, k)] + _blocks(k - n, WIDE_CHUNK if wide else n, n)
     return _blocks(k, n)
 
 
@@ -168,8 +171,8 @@ class ChunkConfig:
 
     chunk_size: lanes per pass, clamped to the input dimension: ceil(k / N)
     passes.  None picks ``default_chunk(k)`` for pass 0 (k up to k=181, 32
-    at k=1000, 8 from k=4096 on) and often WIDE_CHUNK for the middle passes,
-    then as many as pass 0 for the last (``_plan``).
+    at k=1000, 8 from k=4096 on) and as many for the end pass, which runs
+    second, and often WIDE_CHUNK for the middle passes (``_plan``).
     threads: worker count for the chunk scheduler; 1 means serial.
     """
 
@@ -317,7 +320,8 @@ def _seeded(x, blocks, windowed=False):
     Level 0 is a float64 DualVector; every further level wraps the one
     below in a NestedDualVector whose unit lanes are constants of the
     levels below.  A windowed first-order input keeps its unit lanes as
-    the ``pool._Window`` that holds only the seeded columns.
+    the ``pool._Window`` band of ones, one entry a lane; every other input,
+    pass 0's of every driver included, gets the full block as an ndarray.
     """
     widths = [b.stop - b.start for b in blocks]
     out = x
@@ -363,35 +367,30 @@ def _check_pure(first, value, p):
 
 
 def _run_passes(run, count, threads):
-    """run(p) for every pass: pass 0 on the caller, the rest in static blocks.
+    """run(p) for every pass: passes 0 and 1 on the caller, the rest in static blocks.
 
-    count() is the number of passes, read once pass 0 has run.
-    With threads=1 the caller runs every block and no thread starts.  A
-    worker whose passes, timed from the fan-out, average over threads *
-    t_ref hands its block's rest back for the caller to run after the
-    join: all threads together then finish fewer passes per second than
-    the caller alone would.  t_ref is t(pass 0), and from the caller's
-    pass 1 on the lesser of the two: pass 0 may be slower than the rest
-    (it runs without lane windows, or a collection lands in it), which
-    would make the budget lenient.  Each thread enters its own lane pool
-    and ``np.errstate(all="ignore")`` once.  Passes stop at the first
-    failure, re-raised.
+    count() is the number of passes, read after pass 0 and again after
+    pass 1, since each may plan the passes after it.  With threads=1 the
+    caller runs every block and no thread starts.  A worker whose passes,
+    timed from the fan-out, average over threads * t_ref hands its block's
+    rest back for the caller to run after the join: all threads together
+    then finish fewer passes per second than the caller alone would.
+    t_ref is the lesser of t(pass 0) and t(pass 1): either may be slower
+    than the rest (pass 0 runs without lane windows, a collection may land
+    in one), which would make the budget lenient.  Each thread enters its
+    own lane pool and ``np.errstate(all="ignore")`` once.  Passes stop at
+    the first failure, re-raised.
     """
     failures, handed_back = [], []
 
     def work(block, budget):
         """Run block's passes; hand the rest back once they average over budget * t_ref."""
-        nonlocal t_ref
         try:
             for i, p in enumerate(block):
                 if failures:
                     return
-                start = time.perf_counter()
                 run(p)
-                end = time.perf_counter()
-                if p == 1:  # the caller's first pass after pass 0
-                    t_ref = min(t_ref, end - start)
-                elif end - fanned_out > (i + 1) * budget * t_ref:
+                if time.perf_counter() - fanned_out > (i + 1) * budget * t_ref:
                     handed_back.append(block[i + 1 :])
                     return
         except BaseException as exc:  # re-raised after the join barrier
@@ -403,13 +402,17 @@ def _run_passes(run, count, threads):
             work(block, len(blocks))
 
     with lane_pool(), np.errstate(all="ignore"):
-        start = time.perf_counter()
-        run(0)
-        t_ref = time.perf_counter() - start
+        t_ref = math.inf
+        for p in range(2):  # alone: each may plan the passes after it
+            if p < count():
+                start = time.perf_counter()
+                run(p)
+                t_ref = min(t_ref, time.perf_counter() - start)
         n_passes = count()
-        n_blocks = max(1, min(threads, n_passes - 1))
-        size, extra = divmod(n_passes - 1, n_blocks)  # np.array_split's blocks
-        ends = [1 + i * size + min(i, extra) for i in range(n_blocks + 1)]
+        first = min(2, n_passes)  # the passes left start here
+        n_blocks = max(1, min(threads, n_passes - first))
+        size, extra = divmod(n_passes - first, n_blocks)  # np.array_split's blocks
+        ends = [first + i * size + min(i, extra) for i in range(n_blocks + 1)]
         blocks = [range(lo, hi) for lo, hi in zip(ends, ends[1:])]
         workers = [threading.Thread(target=worker, args=(block,)) for block in blocks[1:]]
         go = threading.Event() if workers else None  # a serial call needs none
@@ -435,8 +438,11 @@ def _passes(f, x, chunks, threads=1, read=_scalar_output, wide=False):
     chunks holds the lanes per pass at each nesting level, level 0 first.
     read(y, widths) turns f's result into (f value, the outermost level's
     first-order lanes or None, lane block of shape (outputs..., *widths)).
-    Pass 0 seeds each level's first block and then plans the other passes:
-    ``_plan``'s at the default chunk of a first-order call (``wide``).
+    Pass 0 seeds each level's first block, dense, and then plans the other
+    passes: the product of each level's blocks, or ``_plan``'s at the
+    default chunk of a first-order call (``wide``).  There pass 1 is the end
+    pass, run alone too; if f widened one of its windows, the middle passes
+    take N0 lanes each, not WIDE_CHUNK.
     Returns (derivative array of shape (outputs...,) + (k,) * len(chunks),
     gradient from those first-order lanes, f value).
     """
@@ -452,8 +458,6 @@ def _passes(f, x, chunks, threads=1, read=_scalar_output, wide=False):
         blocks = combos[p]
         widths = tuple(b.stop - b.start for b in blocks)
         seeded = _seeded(x, blocks, p > 0 and windowed)
-        if p == 0 and wide and windowed:  # a window on all k columns, to see f widen it
-            seeded = DualVector(x, _Window(seeded.partials, 0, k))
         seen = widenings()  # f's own: not the seeding's nor the read's
         y = f(seeded)
         widened = widenings() != seen
@@ -462,11 +466,10 @@ def _passes(f, x, chunks, threads=1, read=_scalar_output, wide=False):
         if p == 0:  # pass 0 runs first and alone
             windowed = windowed and bool(np.isfinite(top).all())
             f0, out = value, np.empty(outputs + (k,) * len(widths))
-            if wide:
-                levels = [_plan(k, None, windowed and not widened)]
-            else:
-                levels = [_blocks(k, c) for c in chunks]
+            levels = [_plan(k, None, windowed)] if wide else [_blocks(k, c) for c in chunks]
             combos[1:] = list(itertools.product(*levels))[1:]
+        elif p == 1 and wide and widened:  # the end pass, also alone, widened a window
+            combos[2:] = [(b,) for b in _plan(k, None, False)[2:]]
         if outputs != out.shape[: len(outputs)]:
             raise ValueError(
                 f"target function changed output length between passes: "
@@ -518,10 +521,10 @@ def gradient(f, x, cfg=None):
 def gradient_threaded(f, x, cfg=None):
     """Gradient with chunk passes split across cfg.threads threads.
 
-    The caller runs pass 0 alone, which plans passes 1..P-1; they go in
-    contiguous blocks, one per thread.  A worker whose passes, timed from
-    the fan-out, average over threads * min(t(pass 0), t(the caller's pass
-    1)) hands the rest back to the caller.  The result equals the serial
+    The caller runs passes 0 and 1 alone, which plan passes 2..P-1; they go
+    in contiguous blocks, one per thread.  A worker whose passes, timed from
+    the fan-out, average over threads * min(t(pass 0), t(pass 1)) hands the
+    rest back to the caller.  The result equals the serial
     gradient bitwise.  The target must tolerate concurrent calls.
     """
     return gradient(f, x, cfg)

@@ -17,10 +17,10 @@ Any other lanes (a scalar ``Dual``'s float64 row or tuple, a nested
 vector's duals) get the plain operations, Python's operators where there is one.
 A thread keeps its pool across driver calls: one pool per call faulted
 its blocks in anew, 275 minor faults a call for a one-pass k=30 Hessian.
-Of a lane window's blocks only those on all its k columns at skew 0 are
-pooled (pass 0's, ``full()``): a narrower one's shape changes from pass
-to pass, and keeping them all took a reversed-slice gradient at k=12000
-to a 1164 MiB peak.
+No lane window's block is pooled: their shapes change from pass to pass,
+and keeping them all took a reversed-slice gradient at k=12000 to a
+1164 MiB peak.  Only the k-column ndarrays that a window builds are (its
+full block, the row tiles of its sums).
 
 A ``_Window`` is a lane block that holds only the entries its seeds can
 reach.  The N unit lanes of a first-order pass are one diagonal of its
@@ -31,9 +31,11 @@ flips it); at skew 0 it holds w whole columns.  ``ops`` hands the rules
 on a window operations that compute its entries only, each value-shaped
 coefficient cut to them as a strided N x w view.  The rule bodies stay
 the same.  A band that cannot stay one becomes a window on the columns
-it spans; what cannot stay in those reads the full block through
-``np.asarray``; each such widening adds one to the thread's
-``widenings()``, which the drivers' pass 0 reads to size the later passes.
+it spans; what cannot stay in those builds the full N x k block, through
+``np.asarray`` or joined with full lanes.  Each such widening adds one to
+the thread's ``widenings()``, which the drivers' end pass reads to size
+the middle passes.  A sum over rows of more than two nonzeros builds its
+full rows in tiles of at most LANE_BLOCK_BYTES and is no widening.
 """
 
 from __future__ import annotations
@@ -388,11 +390,11 @@ class _Window:
         A row with at most two nonzero lanes sums to the same ``fl(a + b)``
         in any order.  Any other row is summed over its full row, in numpy's
         pairwise order, built in tiles of rows of at most LANE_BLOCK_BYTES.
+        Neither counts in ``widenings()``: the tiles stay within the budget.
         """
         block, skew = self.block, self.skew
         if block.shape[-1] <= 2 or np.add.reduce(block != 0, -1).max() <= 2:
             return block.sum(axis=axis)
-        _active.widened += 1
         rows = max(1, LANE_BLOCK_BYTES // (8 * self.k))
         out = np.empty(block.shape[0])
         for r in range(0, block.shape[0], rows):
@@ -402,7 +404,7 @@ class _Window:
 
 
 def widenings():
-    """How many times a lane window in this thread gave its full block."""
+    """How many times a lane window in this thread built its full N x k block."""
     return _active.widened
 
 
@@ -422,13 +424,6 @@ def _cut(c, win):
     return _band(c, win.lo, win.skew, *win.block.shape) if win.skew else c[..., win.lo : win.hi]
 
 
-def _on_entries(win, ufunc, *args):
-    """``ufunc(*args)`` for the entries of ``win``, pooled only if they are all k columns."""
-    if win.skew or win.block.shape[-1] != win.k:
-        return ufunc(*args)
-    return pooled(ufunc, *args)
-
-
 def _scale(ufunc):
     """mul or div of lanes by a coefficient: a window scales its entries only.
 
@@ -438,7 +433,7 @@ def _scale(ufunc):
 
     def op(a, b):
         if type(a) is _Window and (c := _cut(b, a)) is not None:
-            return a.like(_on_entries(a, ufunc, a.block, c))
+            return a.like(ufunc(a.block, c))
         return pooled(ufunc, _full(a), _full(b))
 
     return op
@@ -459,7 +454,7 @@ def _join(ufunc):
             a, b = a.columns(), b.columns()
         if same:
             if a.lo == b.lo and a.hi == b.hi:
-                return a.like(_on_entries(a, ufunc, a.block, b.block))
+                return a.like(ufunc(a.block, b.block))
             lo, hi = min(a.lo, b.lo), max(a.hi, b.hi)
             out = np.zeros(a.block.shape[:-1] + (hi - lo,))
             out[..., a.lo - lo : a.hi - lo] = a.block
@@ -484,7 +479,7 @@ def _join(ufunc):
 
 def _neg(a):
     if type(a) is _Window:
-        return a.like(_on_entries(a, np.negative, a.block))
+        return a.like(np.negative(a.block))
     return pooled(np.negative, a)
 
 

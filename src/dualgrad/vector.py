@@ -26,8 +26,8 @@ reductions.
 The lanes of a first-order vector that ``gradient`` or ``jacobian``
 seeds after pass 0 may be a ``pool._Window``: only the entries where
 they can be nonzero, a band of a few diagonals or the columns
-``[lo, hi)`` of the last component axis, the rest being zero (pass 0 at
-the default chunk gets a window on every column).
+``[lo, hi)`` of the last component axis, the rest being zero (pass 0
+always gets the full block as an ndarray).
 Such a vector keeps its full ``values``.  Indexing passes the window an
 integer or a slice with step 1 or -1, which it answers from its entries,
 and ``sum``/``mean`` reduce it in the window where that gives the same

@@ -969,8 +969,10 @@ def test_workers_run_prefixes_of_array_split_blocks(n_passes, threads):
 
     dualgrad.drivers._run_passes(run, lambda: n_passes, threads)
     assert sorted(itertools.chain(*by_thread.values())) == list(range(n_passes))
-    n_blocks = max(1, min(threads, n_passes - 1))
-    blocks = [b.tolist() for b in np.array_split(range(1, n_passes), n_blocks)]
+    # passes 0 and 1 run on the caller, alone
+    assert by_thread[threading.get_ident()][:2] == list(range(min(2, n_passes)))
+    n_blocks = max(1, min(threads, n_passes - 2))
+    blocks = [b.tolist() for b in np.array_split(range(2, n_passes), n_blocks)]
     workers = [ps for ident, ps in by_thread.items() if ident != threading.get_ident()]
     assert len(workers) <= len(blocks) - 1
     for ps in workers:  # a worker may hand its block's rest back to the caller

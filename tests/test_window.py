@@ -202,9 +202,8 @@ def test_scalar_dual_against_a_float_array_equals_one_dense_pass():
 
 N0 = default_chunk(K)
 WIDE_PASSES = 2 + math.ceil((K - 2 * N0) / WIDE_CHUNK)
-# the targets whose pass 0 computes a full block: these keep ceil(K / N0) passes
-WIDENING = {"step-2", "fancy", "reshape", "centred", "scalar-dual", "dense-operand",
-            "three-nonzeros"}
+# the targets whose end pass computes a full block: these keep ceil(K / N0) passes
+WIDENING = {"step-2", "fancy", "reshape", "centred", "scalar-dual", "dense-operand"}
 
 
 def test_wide_chunk_is_512_and_the_end_passes_take_n0_lanes():
@@ -212,10 +211,11 @@ def test_wide_chunk_is_512_and_the_end_passes_take_n0_lanes():
     # N0 lanes by up to 2 * N0 columns, inside the lane block budget
     assert WIDE_CHUNK == 512 and N0 * 2 * N0 * 8 <= LANE_BLOCK_BYTES
     middle = [slice(lo, min(lo + 512, K - N0)) for lo in range(N0, K - N0, 512)]
-    assert _plan(K, None) == [slice(0, N0)] + middle + [slice(K - N0, K)]
+    assert _plan(K, None) == [slice(0, N0), slice(K - N0, K)] + middle
     assert (N0, WIDE_PASSES, middle[-1]) == (10, 8, slice(2570, 2990))
     every_n0 = [slice(p, p + N0) for p in range(0, K, N0)]
-    assert _plan(K, None, wide=False) == _plan(K, N0) == every_n0
+    assert _plan(K, N0) == every_n0
+    assert _plan(K, None, wide=False) == every_n0[:1] + every_n0[-1:] + every_n0[1:-1]
 
 
 @pytest.mark.parametrize("name", list(TARGETS))
@@ -271,7 +271,8 @@ def test_reading_a_windowed_vector_result_does_not_count_as_widening():
 
 def test_a_target_that_widens_only_after_pass_0_keeps_wide_passes_and_its_bits():
     # zero over the products that pass 0's seeds reach: pass 0's lane rows have
-    # no nonzeros, every later pass has rows with three, which sum() widens
+    # no nonzeros, every later pass has rows with three, which sum() adds over
+    # full rows in tiles of the lane block budget: no widening
     mask = (np.arange(K - 2) >= N0 + 2).astype(float)
     widened = []
 
@@ -283,9 +284,54 @@ def test_a_target_that_widens_only_after_pass_0_keeps_wide_passes_and_its_bits()
 
     x = _point(K)
     got = gradient(f, x)
-    assert len(widened) == WIDE_PASSES and widened == [False] + [True] * (WIDE_PASSES - 1)
+    assert len(widened) == WIDE_PASSES and not any(widened)
     for cfg in (ChunkConfig(8), ChunkConfig(K), ChunkConfig(threads=2)):
         assert np.array_equal(got.values, gradient(f, x, cfg).values), cfg
+
+
+def test_a_default_gradient_seeds_pass_0_dense_and_pass_1_as_the_end_band():
+    lanes = []
+
+    def recorded(v):
+        lanes.append(v.partials)
+        return rosenbrock(v)
+
+    gradient(recorded, _point(K))
+    assert type(lanes[0]) is np.ndarray and lanes[0].shape == (N0, K)
+    end = lanes[1]
+    assert type(end) is pool._Window and end.block.shape == (N0, 1)
+    assert (end.lo, end.skew, end.k) == (K - N0, 1, K)
+
+
+def test_the_stencil_takes_wide_passes_and_tiles_within_the_lane_block_budget(monkeypatch):
+    f, x = TARGETS["three-nonzeros"], _point(K)
+    want = [gradient(f, x, cfg) for cfg in (ChunkConfig(8), ChunkConfig(K), ChunkConfig(threads=2))]
+    built = []
+    empty, zeros = pool._pooled_empty, np.zeros
+    monkeypatch.setattr(pool, "_pooled_empty", lambda shape: built.append(shape) or empty(shape))
+    monkeypatch.setattr(np, "zeros", lambda shape, *a, **kw: built.append(shape) or zeros(shape, *a, **kw))
+    counted = EvalCounter(f)
+    got = gradient(counted, x)
+    monkeypatch.undo()
+    assert counted.count == WIDE_PASSES
+    assert built and max(math.prod(np.atleast_1d(s)) * 8 for s in built) <= max(LANE_BLOCK_BYTES, 8 * K)
+    for other in want:
+        assert got.values.tobytes() == other.values.tobytes() and got.f_value == other.f_value
+
+
+def test_a_target_that_widens_in_the_end_pass_keeps_n0_lanes_a_pass():
+    seen = []
+
+    def recorded(v):
+        lanes = v.partials
+        seen.append((type(lanes), lanes.shape[0], getattr(lanes, "lo", None)))
+        return TARGETS["fancy"](v)
+
+    gradient(recorded, _point(K))
+    assert len(seen) == math.ceil(K / N0)
+    assert seen[0] == (np.ndarray, N0, None)  # pass 0, dense
+    assert seen[1][1:] == (N0, K - N0)  # the end pass, which widens
+    assert all(kind is pool._Window and n == N0 for kind, n, _ in seen[1:])
 
 
 
@@ -440,7 +486,7 @@ def test_sums_over_full_rows_take_tiles_of_the_lane_block_budget(monkeypatch, k,
     before = pool.widenings()
     got = win.sum(axis=-1)
     assert got.tobytes() == want.tobytes()
-    assert pool.widenings() == before + 1
+    assert pool.widenings() == before  # tiles are not a widening
     assert built and max(math.prod(s) * 8 for s in built) <= max(LANE_BLOCK_BYTES, 8 * k)
 
 
@@ -455,8 +501,8 @@ def test_rosenbrock_wide_passes_sum_bands_of_at_most_three_entries_a_lane(monkey
     monkeypatch.setattr(pool._Window, "sum", recorded)
     x = _point(K)
     got = gradient(rosenbrock, x)
-    assert len(summed) == WIDE_PASSES and summed[0] == (N0, N0 * (K - 1))  # pass 0 is dense
-    *banded, last = summed[1:]  # the last pass holds component K - 1, which x[:-1] cuts
+    assert len(summed) == WIDE_PASSES - 1  # pass 0 is dense: its sums are ndarray sums
+    last, *banded = summed  # the end pass, second, holds component K - 1, which x[:-1] cuts
     assert all(n == WIDE_CHUNK and size <= n * 3 for n, size in banded[:-1])
     assert banded[-1][0] == K - 2 * N0 - WIDE_CHUNK * (len(banded) - 1)
     assert banded[-1][1] <= banded[-1][0] * 3
