@@ -25,14 +25,18 @@ more than the columns it skips (Rosenbrock at chunk 64, median of 5
 interleaved runs: 1.05x dense at k=140, 1.16x at k=200, 0.78x at k=256).
 
 At the default chunk N0 = default_chunk(k), when pass 0 finds that
-windows apply, ``_plan`` runs the last N0 components second, in an end
-pass as narrow as pass 0, and the middle ones in WIDE_CHUNK = 512 lanes a
-pass (8 passes, not 300, for Rosenbrock at k=3000).  The end pass probes
-the target: if f widens one of its windows, that is, builds its full
-N x k block (fancy indexes, reshape, a dense vector or scalar dual
-operand), the middle takes N0 lanes a pass instead, so that no pass builds
-WIDE_CHUNK x k blocks.  A sum over lane rows of more than two nonzeros,
-built in tiles of at most LANE_BLOCK_BYTES, is no widening.
+windows apply, ``_plan`` runs the middle components [N0, k - N0) in
+blocks of W lanes, 32768 for a gradient, and the last N0 in an end pass
+as narrow as pass 0, where a slice such as x[:-1] cuts the band: 3
+passes, not 300, for Rosenbrock at k=3000.  The first middle block, the
+trial, runs second, and f runs it ``pool.in_band``.  A band that f would
+turn into a window on its columns (a slice that cuts it, a reversed
+operand) or into the full N x k block (fancy indexes, reshape, a dense
+vector or scalar dual operand) stops the trial before the block is
+built, and the middle runs again in narrow blocks, where those fallbacks
+stay small: WIDE_CHUNK = 512 lanes after a column window, N0 after a full
+block.  A sum over lane rows of more than two nonzeros, built in
+tiles of at most LANE_BLOCK_BYTES, stays in band.
 
 Higher-order drivers nest duals (forward-over-forward).  For a Hessian
 each pass seeds a block of M components on the float64 lanes of a
@@ -60,7 +64,8 @@ Each pass compares its value channel (every output, for a Jacobian)
 with pass 0's as soon as it has read it; a difference raises
 ImpureTargetError, and no thread starts another pass.  The runner runs
 passes 0 and 1 on the caller and the rest in one static block per thread,
-the caller's first, so a serial call is the one-thread case.  With more
+the caller's first, so a serial call is the one-thread case (as is a
+band target's default gradient, which leaves one pass).  With more
 threads f must be safely callable from several threads at once; a worker
 running below break-even (measured against the faster of the caller's
 first two passes) hands its block's rest back to the caller, and passes
@@ -79,7 +84,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import Dual, _DualKind, base_value
-from .pool import LANE_BLOCK_BYTES, POOL_MIN_BYTES, _Window, lane_pool, pooled_zeros, widenings
+from .pool import LANE_BLOCK_BYTES, POOL_MIN_BYTES, _Window, in_band, lane_pool, pooled_zeros
 from .vector import DualVector, NestedDualVector
 
 __all__ = [
@@ -109,15 +114,13 @@ __all__ = [
 # budget stops at N=10 there.  The floor of 8 keeps k >= 4096 as it was:
 # at k=12000, N=64 ran Ackley 2.2-2.4x faster but peaked at 61.7 MiB, not 38.
 # The windowed passes after a default pass 0 hold bands of a few entries a
-# lane.  A band that a slice cuts or that meets a reversed one falls back to
-# a window of N lanes by up to the 2N columns they reach, so the last N0
-# components, where x[:-1] cuts, get a pass as narrow as pass 0 and the
-# middle ones WIDE_CHUNK lanes a pass.  perfbench call_p50_rel (2 seeds) at
-# 128 / 256 / 512 / 1024 lanes: rosenbrock-grad 2.35 / 1.50 / 1.10 / 0.87,
-# ackley-grad 1.45 / 1.13 / 0.98 / 0.87, peak_rss_mb 38.6-39.5 MiB at each.
-# But a cut inside the components still falls back on WIDE_CHUNK lanes:
-# np.sum(v[k//3:2*k//3]**2) peaked at 35.7 / 36.6 / 39.4 / 51.1 MiB at
-# k=3000, so WIDE_CHUNK stops at 512.
+# lane whatever their width, so the middle runs in one wide pass (``_plan``).
+# A band that a slice cuts or that meets a reversed one falls back to a
+# window of N lanes by up to 2N columns, so a trial that would leave its
+# band stops, and the middle runs again WIDE_CHUNK lanes a pass
+# (``_passes``): at 128 / 256 / 512 / 1024 lanes np.sum(v[k//3:2*k//3]**2)
+# peaked at 35.7 / 36.6 / 39.4 / 51.1 MiB at k=3000, and perfbench
+# call_p50_rel on rosenbrock-grad read 2.35 / 1.50 / 1.10 / 0.87.
 DEFAULT_CHUNK_LIMIT = 8
 WIDE_CHUNK = 512
 
@@ -136,16 +139,19 @@ def _windows_pay(n, k):
     return n * (k - 2 * n) * 8 >= POOL_MIN_BYTES
 
 
-def _plan(k, chunk_size, wide=True):
+def _plan(k, chunk_size, outputs=1):
     """A gradient's or Jacobian's component blocks, pass 0 first: N each at an explicit
-    chunk N.  At the default N0 = default_chunk(k), if windows pay, [0, N0), then the end
-    pass [k - N0, k), then the middle [N0, k - N0) in blocks of WIDE_CHUNK, or of N0 unless
-    ``wide``: a band that a slice cuts at either end of the components falls back to a
-    window of N0 lanes, not WIDE_CHUNK, and the end pass runs second, where it shows
-    whether f widens windows before the middle passes are sized."""
+    chunk N.  At the default N0 = default_chunk(k), if windows pay, [0, N0), then the
+    trial, the first block of the middle [N0, k - N0), then the end pass [k - N0, k), then
+    the rest of the middle.  Middle blocks are W = max(WIDE_CHUNK, LANE_BLOCK_BYTES //
+    (8 outputs)) lanes wide, so that a pass's N x outputs result fits the lane block
+    budget: one block up to k = 32768 + 2 N0 for a gradient.  A band that a slice cuts at
+    either end of the components, as x[:-1] does, then falls back in the end pass, on N0
+    lanes, and not in the trial."""
     n = _resolve("chunk_size", chunk_size, k)
     if chunk_size is None and _windows_pay(n, k):  # then k > 2n
-        return [slice(0, n), slice(k - n, k)] + _blocks(k - n, WIDE_CHUNK if wide else n, n)
+        trial, *rest = _blocks(k - n, max(WIDE_CHUNK, LANE_BLOCK_BYTES // (8 * outputs)), n)
+        return [slice(0, n), trial, slice(k - n, k)] + rest
     return _blocks(k, n)
 
 
@@ -171,8 +177,10 @@ class ChunkConfig:
 
     chunk_size: lanes per pass, clamped to the input dimension: ceil(k / N)
     passes.  None picks ``default_chunk(k)`` for pass 0 (k up to k=181, 32
-    at k=1000, 8 from k=4096 on) and as many for the end pass, which runs
-    second, and often WIDE_CHUNK for the middle passes (``_plan``).
+    at k=1000, 8 from k=4096 on) and as many for the end pass, and for a
+    gradient one trial pass on the whole middle up to k = 32768 + 2 N0
+    (``_plan``), which falls back to WIDE_CHUNK or N0 lanes a pass where f
+    would leave the lanes' band (``_passes``).
     threads: worker count for the chunk scheduler; 1 means serial.
     """
 
@@ -370,16 +378,18 @@ def _run_passes(run, count, threads):
     """run(p) for every pass: passes 0 and 1 on the caller, the rest in static blocks.
 
     count() is the number of passes, read after pass 0 and again after
-    pass 1, since each may plan the passes after it.  With threads=1 the
-    caller runs every block and no thread starts.  A worker whose passes,
-    timed from the fan-out, average over threads * t_ref hands its block's
-    rest back for the caller to run after the join: all threads together
-    then finish fewer passes per second than the caller alone would.
-    t_ref is the lesser of t(pass 0) and t(pass 1): either may be slower
-    than the rest (pass 0 runs without lane windows, a collection may land
-    in one), which would make the budget lenient.  Each thread enters its
-    own lane pool and ``np.errstate(all="ignore")`` once.  Passes stop at
-    the first failure, re-raised.
+    pass 1, since each may plan the passes after it; a true run(1) is a
+    stopped trial (``_passes``), and the caller runs the new pass 1 alone
+    too.  With threads=1, or one pass left, no thread starts.  A worker
+    whose passes, timed from the fan-out, average over threads * t_ref
+    hands its block's rest back for the caller to run after the join: all
+    threads together then finish fewer passes per second than the caller
+    alone would.  t_ref is the lesser time of passes 0 and 1, not counting
+    a stopped trial: either may be slower than the rest (pass 0 runs
+    without lane windows, a collection may land in one), which would make
+    the budget lenient.  Each thread enters its own lane pool and
+    ``np.errstate(all="ignore")`` once.  Passes stop at the first failure,
+    re-raised.
     """
     failures, handed_back = [], []
 
@@ -406,7 +416,9 @@ def _run_passes(run, count, threads):
         for p in range(2):  # alone: each may plan the passes after it
             if p < count():
                 start = time.perf_counter()
-                run(p)
+                if run(p):  # a stopped trial: pass 1 is now the end pass
+                    start = time.perf_counter()
+                    run(p)
                 t_ref = min(t_ref, time.perf_counter() - start)
         n_passes = count()
         first = min(2, n_passes)  # the passes left start here
@@ -440,36 +452,58 @@ def _passes(f, x, chunks, threads=1, read=_scalar_output, wide=False):
     first-order lanes or None, lane block of shape (outputs..., *widths)).
     Pass 0 seeds each level's first block, dense, and then plans the other
     passes: the product of each level's blocks, or ``_plan``'s at the
-    default chunk of a first-order call (``wide``).  There pass 1 is the end
-    pass, run alone too; if f widened one of its windows, the middle passes
-    take N0 lanes each, not WIDE_CHUNK.
+    default chunk of a first-order call (``wide``) when later passes keep
+    lane windows.  Then pass 1 is the trial: the first middle block, which
+    f runs ``pool.in_band``, as it does any later middle block wider than
+    WIDE_CHUNK.  If f would leave a band there, the pass stops, its result
+    is dropped, and that middle runs again in blocks of WIDE_CHUNK lanes
+    after a column window, or of N0 after a full block: for the trial the
+    whole middle, re-planned to follow the end pass, and for a later block
+    that block, in the same call of ``run``.
     Returns (derivative array of shape (outputs...,) + (k,) * len(chunks),
     gradient from those first-order lanes, f value).
     """
-    k = x.shape[0]
+    k, n = x.shape[0], chunks[0]
     combos = [tuple(slice(0, c) for c in chunks)]
     grad = np.empty(k)
     # later passes run on lane windows if they pay and pass 0's lanes are finite
-    windowed = len(chunks) == 1 and _windows_pay(chunks[0], k)
+    windowed = len(chunks) == 1 and _windows_pay(n, k)
+    guarded = False  # whether middle passes run in band: a wide plan's until its trial stops
     f0 = out = None  # pass 0's f value and the result array that pass sizes
 
     def run(p):
-        nonlocal windowed, f0, out
+        """Pass p; True if it was a trial that stopped, after re-planning the middle."""
+        nonlocal guarded
         blocks = combos[p]
+        if not guarded or p > 1 and blocks[0].stop - blocks[0].start <= WIDE_CHUNK:
+            return record(p, blocks, f(_seeded(x, blocks, p > 0 and windowed)))
+        y, left = in_band(f, _seeded(x, blocks, True))
+        if not left:
+            return record(p, blocks, y)
+        lo, hi = blocks[0].start, blocks[0].stop
+        narrow = _blocks(k - n if p == 1 else hi, WIDE_CHUNK if left == "columns" else n, lo)
+        if p == 1:
+            guarded = False
+            combos[1:] = [(slice(k - n, k),)] + [(b,) for b in narrow]
+            return True
+        for b in narrow:
+            record(p, (b,), f(_seeded(x, (b,), True)))
+
+    def record(p, blocks, y):
+        """Read pass p's result y, check it and write it out; pass 0 also plans the rest."""
+        nonlocal windowed, guarded, f0, out
         widths = tuple(b.stop - b.start for b in blocks)
-        seeded = _seeded(x, blocks, p > 0 and windowed)
-        seen = widenings()  # f's own: not the seeding's nor the read's
-        y = f(seeded)
-        widened = widenings() != seen
         value, first, top = read(y, widths)
         outputs = top.shape[: top.ndim - len(widths)]
         if p == 0:  # pass 0 runs first and alone
             windowed = windowed and bool(np.isfinite(top).all())
+            guarded = wide and windowed
             f0, out = value, np.empty(outputs + (k,) * len(widths))
-            levels = [_plan(k, None, windowed)] if wide else [_blocks(k, c) for c in chunks]
+            if guarded:
+                levels = [_plan(k, None, math.prod(outputs))]
+            else:
+                levels = [_blocks(k, c) for c in chunks]
             combos[1:] = list(itertools.product(*levels))[1:]
-        elif p == 1 and wide and widened:  # the end pass, also alone, widened a window
-            combos[2:] = [(b,) for b in _plan(k, None, False)[2:]]
         if outputs != out.shape[: len(outputs)]:
             raise ValueError(
                 f"target function changed output length between passes: "
@@ -522,10 +556,13 @@ def gradient_threaded(f, x, cfg=None):
     """Gradient with chunk passes split across cfg.threads threads.
 
     The caller runs passes 0 and 1 alone, which plan passes 2..P-1; they go
-    in contiguous blocks, one per thread.  A worker whose passes, timed from
-    the fan-out, average over threads * min(t(pass 0), t(pass 1)) hands the
-    rest back to the caller.  The result equals the serial
-    gradient bitwise.  The target must tolerate concurrent calls.
+    in contiguous blocks, one per thread.  At the default chunk pass 1 is
+    the trial on the middle, and a band target leaves only the end pass, so
+    no thread starts; a trial that stops is followed by the end pass, also
+    alone.  A worker whose passes, timed from the fan-out, average over
+    threads * t_ref (``_run_passes``) hands the rest back to the caller.
+    The result equals the serial gradient bitwise.  The target must
+    tolerate concurrent calls.
     """
     return gradient(f, x, cfg)
 

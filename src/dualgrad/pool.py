@@ -30,12 +30,16 @@ entry (n, t) is column lo + skew * n + t, skew 1 or -1 (a reversed slice
 flips it); at skew 0 it holds w whole columns.  ``ops`` hands the rules
 on a window operations that compute its entries only, each value-shaped
 coefficient cut to them as a strided N x w view.  The rule bodies stay
-the same.  A band that cannot stay one becomes a window on the columns
-it spans; what cannot stay in those builds the full N x k block, through
-``np.asarray`` or joined with full lanes.  Each such widening adds one to
-the thread's ``widenings()``, which the drivers' end pass reads to size
-the middle passes.  A sum over rows of more than two nonzeros builds its
-full rows in tiles of at most LANE_BLOCK_BYTES and is no widening.
+the same.  A band leaves its band in one of two ways.  One that cannot
+stay a band (a slice cuts its edge, it meets the other skew) becomes a
+window on the columns it spans, N lanes by up to 2N columns; what cannot
+stay in those (fancy indexes, a reshape, ``np.asarray``, full lanes as
+the other operand) builds the full N x k block.  Both are cheap at a few
+hundred lanes and not at tens of thousands, so the drivers run the wide
+middle of a default gradient through ``in_band``: there the first such
+step raises before it builds anything, and the call reports which of
+the two it was.  A sum over rows of more than two nonzeros builds its
+full rows in tiles of at most LANE_BLOCK_BYTES and stays allowed.
 """
 
 from __future__ import annotations
@@ -129,7 +133,8 @@ _SOLE = _sole_refcount()
 class _Active(threading.local):
     pool = None  # the thread's kept pool while a driver call runs in it
     kept = None  # the thread's pool, kept between its driver calls
-    widened = 0  # lane windows this thread has computed as their full block
+    guard = False  # whether a lane window that leaves its band raises (``in_band``)
+    left = None  # how a window left its band while guarded: "columns" or "full"
 
 
 _active = _Active()
@@ -329,13 +334,14 @@ class _Window:
 
     def full(self):
         """The full block."""
-        _active.widened += 1
+        _leave("full")
         return self._spread(self.shape)
 
     def columns(self):
         """The same lanes as a window on the columns the entries span; itself at skew 0."""
         if not self.skew:
             return self
+        _leave("columns")
         first, stop = self.span()
         return _Window(self._spread((self.block.shape[0], stop - first), first), first, self.k)
 
@@ -390,7 +396,7 @@ class _Window:
         A row with at most two nonzero lanes sums to the same ``fl(a + b)``
         in any order.  Any other row is summed over its full row, in numpy's
         pairwise order, built in tiles of rows of at most LANE_BLOCK_BYTES.
-        Neither counts in ``widenings()``: the tiles stay within the budget.
+        Neither leaves the band (``in_band``): the tiles stay within the budget.
         """
         block, skew = self.block, self.skew
         if block.shape[-1] <= 2 or np.add.reduce(block != 0, -1).max() <= 2:
@@ -403,9 +409,38 @@ class _Window:
         return out
 
 
-def widenings():
-    """How many times a lane window in this thread built its full N x k block."""
-    return _active.widened
+class _LeftBand(BaseException):
+    """A lane window left its band inside ``in_band``.
+
+    Not an Exception, so that a target's ``except Exception`` lets it through.
+    """
+
+
+def _leave(how):
+    """A window leaves its band, "columns" or "full": inside ``in_band``, stop there."""
+    if _active.guard:
+        if _active.left != "full":
+            _active.left = how
+        raise _LeftBand(how)
+
+
+def in_band(f, arg):
+    """``(f(arg), None)``, or ``(None, how)`` if a lane window in f would leave its band.
+
+    The first step out, to a column window or a full block, raises before
+    it builds anything; ``how`` is "columns" or "full", "full" if f caught
+    that and went on to both.  What f then returns, or raises as an
+    ``Exception``, is dropped.
+    """
+    _active.guard = True
+    try:
+        y = f(arg)
+    except (Exception, _LeftBand):
+        if _active.left is None:
+            raise
+    finally:
+        left, _active.guard, _active.left = _active.left, False, None
+    return (None, left) if left else (y, None)
 
 
 def _full(a):
@@ -462,11 +497,11 @@ def _join(ufunc):
             ufunc(part, b.block, out=part)
             return _Window(out, lo, a.k, a.skew)
         if wa != wb:  # full lanes (a dense vector's, a scalar Dual's) and a window
+            _leave("full")
             win, full = (a.columns(), b) if wa else (b.columns(), a)
             shape = np.broadcast_shapes(win.shape, np.shape(full))
             if (cols := _cut(full, win)) is not None and shape[-1] == win.k:
                 # the full block, without writing the window's zeros out first
-                _active.widened += 1
                 out = _pooled_empty(shape)
                 ufunc(0.0 if wa else a, 0.0 if wb else b, out=out)
                 part = out[..., win.lo : win.hi]

@@ -128,8 +128,9 @@ class DualVector(_DualKind):
         The operations are the ones ``ops`` picks for the own lanes, and
         other's lanes are None for a constant.  Lane blocks of different
         component rank get singleton axes after the lane axis, so that
-        (M, N, k) lanes combine with (M, k) lanes as (M, 1, k).  Scalar
-        ``Dual`` operands join first-order vectors only.
+        (M, N, k) lanes combine with (M, k) lanes as (M, 1, k), and so do
+        own lanes met by a plain array of higher rank.  Scalar ``Dual``
+        operands join first-order vectors only.
         """
         sp = self.partials
         if type(other) is type(self):
@@ -143,7 +144,7 @@ class DualVector(_DualKind):
             )
         else:
             if isinstance(other, np.ndarray) and other.ndim > self.ndim:
-                raise TypeError(f"cannot combine {self!r} with an array of shape {other.shape}")
+                sp = _widen(sp, other.ndim - self.ndim)
             return ops(sp), sp, other, None
         # nested lanes are duals, whose shape is a property: read it once
         sp_shape, op_shape = sp.shape, op.shape

@@ -395,12 +395,34 @@ def test_operands_of_different_nesting_depth_raise_type_error():
         nested * scalars[0]
 
 
-def test_arrays_of_higher_rank_than_the_vector_raise_type_error():
-    with pytest.raises(TypeError, match=r"with an array of shape \(2, 2\)"):
-        seeded([1.0, 2.0]) * np.ones((2, 2))
-    nested, _ = nested_seeded(np.array([1.0, 2.0]))
-    with pytest.raises(TypeError, match=r"NestedDualVector\(shape=\(\), lanes=2\)"):
-        np.arange(3.0) * nested.mean()  # a nested scalar is not lifted to the array's shape
+def test_a_nested_scalar_times_an_array_has_the_zero_hessian():
+    def f(v):
+        return np.sum(np.arange(3.0) * v.mean())
+
+    for chunks in ((3, 3), (1, 2)):
+        assert np.array_equal(dualgrad.hessian(f, np.ones(3), *chunks).entries, np.zeros((3, 3)))
+
+
+def test_an_array_times_two_nested_scalars_has_a_constant_hessian():
+    # sum_i i * mean(v)**2 = 3 mean(v)**2, whose Hessian is 6 / 9 everywhere
+    def f(v):
+        return np.sum(np.arange(3.0) * v.mean() * v.mean())
+
+    x = np.array([0.5, -1.0, 2.0])
+    one = dualgrad.hessian(f, x, 3, 3).entries
+    assert np.allclose(one, np.full((3, 3), 2.0 / 3.0), rtol=0, atol=1e-15)
+    assert np.array_equal(one, dualgrad.hessian(f, x, 1, 2).entries)
+
+
+def test_a_vector_times_an_array_of_higher_rank_broadcasts():
+    def f(v):
+        return np.sum(np.sum(np.ones((2, 3)) * v))  # np.sum of the (2, 3) vector: its last axis
+
+    for chunk in (None, 1, 2):
+        got = dualgrad.gradient(f, np.ones(3), dualgrad.ChunkConfig(chunk))
+        assert np.array_equal(got.values, [2.0, 2.0, 2.0]) and got.f_value == 6.0
+    lanes = (seeded([1.0, 2.0]) * np.arange(4.0).reshape(2, 2)).partials
+    assert np.array_equal(lanes, np.eye(2)[:, None, :] * np.arange(4.0).reshape(2, 2))
 
 
 def test_mean_reduces_only_the_last_component_axis():

@@ -2,6 +2,7 @@
 seeds can reach, and give the same bytes as one dense pass."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -196,26 +197,38 @@ def test_scalar_dual_against_a_float_array_equals_one_dense_pass():
 
 
 # ----------------------------------------------------------------------
-# the default plan: pass 0 at default_chunk(k), the middle at WIDE_CHUNK,
-# the last default_chunk(k) components in a pass of their own
+# the default plan: pass 0 at default_chunk(k), the middle in one trial
+# pass, the last default_chunk(k) components in a pass of their own
 # ----------------------------------------------------------------------
 
 N0 = default_chunk(K)
-WIDE_PASSES = 2 + math.ceil((K - 2 * N0) / WIDE_CHUNK)
-# the targets whose end pass computes a full block: these keep ceil(K / N0) passes
+BAND_PASSES = 3  # pass 0, the trial on the whole middle, the end pass
+# the targets whose trial would build a full block: the middle then takes N0 lanes a pass
 WIDENING = {"step-2", "fancy", "reshape", "centred", "scalar-dual", "dense-operand"}
+# the targets whose trial would fall back to a column window: the middle takes WIDE_CHUNK
+CUTTING = {"reversed", "iteration"}
+
+
+def _default_passes(name):
+    """Evaluations of TARGETS[name] in a default gradient at K: a stopped trial counts."""
+    if name in WIDENING:
+        return 1 + math.ceil(K / N0)
+    if name in CUTTING:
+        return BAND_PASSES + math.ceil((K - 2 * N0) / WIDE_CHUNK)
+    return BAND_PASSES
 
 
 def test_wide_chunk_is_512_and_the_end_passes_take_n0_lanes():
     # a slice that cuts a band at either end of [0, K) falls back to a window of
     # N0 lanes by up to 2 * N0 columns, inside the lane block budget
     assert WIDE_CHUNK == 512 and N0 * 2 * N0 * 8 <= LANE_BLOCK_BYTES
+    assert _plan(K, None) == [slice(0, N0), slice(N0, K - N0), slice(K - N0, K)]
+    # a Jacobian's N x outputs result block stays in the budget: 64 outputs keep 512 lanes
     middle = [slice(lo, min(lo + 512, K - N0)) for lo in range(N0, K - N0, 512)]
-    assert _plan(K, None) == [slice(0, N0), slice(K - N0, K)] + middle
-    assert (N0, WIDE_PASSES, middle[-1]) == (10, 8, slice(2570, 2990))
+    assert _plan(K, None, 64) == [slice(0, N0), middle[0], slice(K - N0, K)] + middle[1:]
+    assert _plan(K, None, 2) == _plan(K, None) and (N0, middle[-1]) == (10, slice(2570, 2990))
     every_n0 = [slice(p, p + N0) for p in range(0, K, N0)]
     assert _plan(K, N0) == every_n0
-    assert _plan(K, None, wide=False) == every_n0[:1] + every_n0[-1:] + every_n0[1:-1]
 
 
 @pytest.mark.parametrize("name", list(TARGETS))
@@ -223,7 +236,7 @@ def test_default_plan_equals_every_chunk_size_and_threads(name):
     f, x = TARGETS[name], _point(K)
     counted = EvalCounter(f)
     got = gradient(counted, x)
-    assert counted.count == (math.ceil(K / N0) if name in WIDENING else WIDE_PASSES)
+    assert counted.count == _default_passes(name)
     for cfg in (ChunkConfig(8), ChunkConfig(K), ChunkConfig(threads=2)):
         other = gradient(f, x, cfg)
         assert np.array_equal(got.values, other.values), cfg
@@ -235,7 +248,7 @@ def test_default_jacobian_plan_equals_every_chunk_size_and_threads(name):
     f, x = TARGETS[name], _point(K)
     counted = EvalCounter(lambda v: [f(v)])
     got = jacobian(counted, x)
-    assert counted.count == (math.ceil(K / N0) if name in WIDENING else WIDE_PASSES)
+    assert counted.count == _default_passes(name)
     for cfg in (ChunkConfig(8), ChunkConfig(K), ChunkConfig(threads=2)):
         other = jacobian(lambda v: [f(v)], x, cfg)
         assert np.array_equal(got.entries, other.entries), cfg
@@ -256,40 +269,38 @@ def test_a_default_gradient_plans_its_passes_once_after_pass_0(monkeypatch):
     monkeypatch.setattr(drivers, "_blocks", recorded)
     counted = EvalCounter(rosenbrock)
     gradient(counted, _point(K))
-    assert counted.count == longest == WIDE_PASSES
+    assert counted.count == longest == BAND_PASSES
     assert built and max(built) <= longest
 
 
 def test_reading_a_windowed_vector_result_does_not_count_as_widening():
-    # _vector_output reads the lanes of v[1:] * v[:-1] as the full block
+    # _vector_output reads the lanes of v[1:] * v[:-1] as the full block; the
+    # reversed operand stops the trial, and the middle takes 512-lane blocks
     x = _point(1000)
     counted = EvalCounter(lambda v: v[1:] * v[:-1] - np.sin(v[::-1][1:]))
     got = jacobian(counted, x)
-    assert counted.count == 2 + math.ceil((1000 - 2 * default_chunk(1000)) / WIDE_CHUNK) == 4
+    assert counted.count == 3 + math.ceil((1000 - 2 * default_chunk(1000)) / WIDE_CHUNK) == 5
     assert np.array_equal(got.entries, jacobian(counted.f, x, ChunkConfig(8)).entries)
 
 
 def test_a_target_that_widens_only_after_pass_0_keeps_wide_passes_and_its_bits():
     # zero over the products that pass 0's seeds reach: pass 0's lane rows have
     # no nonzeros, every later pass has rows with three, which sum() adds over
-    # full rows in tiles of the lane block budget: no widening
+    # full rows in tiles of the lane block budget: they do not leave the band
     mask = (np.arange(K - 2) >= N0 + 2).astype(float)
-    widened = []
 
     def f(v):
-        before = pool.widenings()
-        y = np.sum(v[:-2] * v[1:-1] * v[2:] * mask)
-        widened.append(pool.widenings() > before)
-        return y
+        return np.sum(v[:-2] * v[1:-1] * v[2:] * mask)
 
     x = _point(K)
-    got = gradient(f, x)
-    assert len(widened) == WIDE_PASSES and not any(widened)
+    counted = EvalCounter(f)
+    got = gradient(counted, x)
+    assert counted.count == BAND_PASSES  # the trial ran to the end
     for cfg in (ChunkConfig(8), ChunkConfig(K), ChunkConfig(threads=2)):
         assert np.array_equal(got.values, gradient(f, x, cfg).values), cfg
 
 
-def test_a_default_gradient_seeds_pass_0_dense_and_pass_1_as_the_end_band():
+def test_a_default_gradient_seeds_pass_0_dense_then_the_trial_and_the_end_band():
     lanes = []
 
     def recorded(v):
@@ -298,7 +309,9 @@ def test_a_default_gradient_seeds_pass_0_dense_and_pass_1_as_the_end_band():
 
     gradient(recorded, _point(K))
     assert type(lanes[0]) is np.ndarray and lanes[0].shape == (N0, K)
-    end = lanes[1]
+    trial, end = lanes[1:]
+    assert type(trial) is pool._Window and trial.block.shape == (K - 2 * N0, 1)
+    assert (trial.lo, trial.skew, trial.k) == (N0, 1, K)
     assert type(end) is pool._Window and end.block.shape == (N0, 1)
     assert (end.lo, end.skew, end.k) == (K - N0, 1, K)
 
@@ -313,13 +326,13 @@ def test_the_stencil_takes_wide_passes_and_tiles_within_the_lane_block_budget(mo
     counted = EvalCounter(f)
     got = gradient(counted, x)
     monkeypatch.undo()
-    assert counted.count == WIDE_PASSES
+    assert counted.count == BAND_PASSES
     assert built and max(math.prod(np.atleast_1d(s)) * 8 for s in built) <= max(LANE_BLOCK_BYTES, 8 * K)
     for other in want:
         assert got.values.tobytes() == other.values.tobytes() and got.f_value == other.f_value
 
 
-def test_a_target_that_widens_in_the_end_pass_keeps_n0_lanes_a_pass():
+def test_a_target_that_builds_a_full_block_in_the_trial_keeps_n0_lanes_a_pass():
     seen = []
 
     def recorded(v):
@@ -328,10 +341,137 @@ def test_a_target_that_widens_in_the_end_pass_keeps_n0_lanes_a_pass():
         return TARGETS["fancy"](v)
 
     gradient(recorded, _point(K))
-    assert len(seen) == math.ceil(K / N0)
+    assert len(seen) == 1 + math.ceil(K / N0)
     assert seen[0] == (np.ndarray, N0, None)  # pass 0, dense
-    assert seen[1][1:] == (N0, K - N0)  # the end pass, which widens
-    assert all(kind is pool._Window and n == N0 for kind, n, _ in seen[1:])
+    assert seen[1][1:] == (K - 2 * N0, N0)  # the trial, stopped at the fancy index
+    assert seen[2][1:] == (N0, K - N0)  # the end pass, run again alone
+    assert all(kind is pool._Window and n == N0 for kind, n, _ in seen[2:])
+
+
+# ----------------------------------------------------------------------
+# the trial: f runs the wide middle in band, and a step out of it stops
+# the pass before it builds anything
+# ----------------------------------------------------------------------
+
+
+def test_reading_a_vector_result_does_not_stop_the_trial():
+    # _vector_output reads the lanes of the result as the full block, after f
+    # returned: 999 outputs keep 512 lanes, so the middle takes two passes
+    x = _point(1000)
+    counted = EvalCounter(lambda v: v[1:] * v[:-1] - np.sin(v[1:]))
+    got = jacobian(counted, x)
+    assert counted.count == 2 + math.ceil((1000 - 2 * default_chunk(1000)) / WIDE_CHUNK) == 4
+    assert np.array_equal(got.entries, jacobian(counted.f, x, ChunkConfig(8)).entries)
+
+
+def test_a_target_that_catches_the_stop_is_run_again_in_narrow_blocks():
+    def f(v):
+        try:
+            return np.sum(v[K // 3 :] ** 2) + np.sum(v * v)  # the slice cuts the trial's band
+        except BaseException:
+            return 0.0
+
+    x = _point(K)
+    counted = EvalCounter(f)
+    got = gradient(counted, x)
+    assert counted.count == BAND_PASSES + math.ceil((K - 2 * N0) / WIDE_CHUNK)
+    want = gradient(f, x, ChunkConfig(8))
+    assert got.values.tobytes() == want.values.tobytes() and got.f_value == want.f_value
+
+
+@pytest.mark.parametrize("f", [rosenbrock, ackley])
+def test_a_band_target_runs_its_trial_without_leaving_the_band(monkeypatch, f):
+    lanes, seen = [], []
+
+    def recorded(v):
+        lanes.append(v.partials.shape[0])
+        return f(v)
+
+    def watch(name, method):
+        def watched(self, *args):
+            seen.append((len(lanes), name, self.block.shape))
+            return method(self, *args)
+
+        monkeypatch.setattr(pool._Window, name, watched)
+
+    watch("columns", pool._Window.columns)
+    watch("full", pool._Window.full)
+    zeros = np.zeros
+    monkeypatch.setattr(np, "zeros", lambda shape, *a, **kw: seen.append(
+        (len(lanes), "zeros", shape)) or zeros(shape, *a, **kw))
+    x = _point(K)
+    got = gradient(recorded, x)
+    monkeypatch.undo()
+    assert lanes == [N0, K - 2 * N0, N0]  # pass 0, the trial, the end pass
+    in_trial = [(name, shape) for p, name, shape in seen if p == 2]
+    assert not [name for name, _ in in_trial if name != "zeros"], in_trial
+    assert all(math.prod(np.atleast_1d(s)) * 8 <= LANE_BLOCK_BYTES for _, s in in_trial)
+    assert got.values.tobytes() == gradient(f, x, ChunkConfig(8)).values.tobytes()
+
+
+BIG_K = 40000  # N0 = 8: a middle of 39984 components, two blocks of up to 32768
+
+
+def test_a_middle_wider_than_one_block_takes_two_passes():
+    x = _point(BIG_K)
+    lanes = []
+
+    def recorded(v):
+        lanes.append(v.partials.shape[0])
+        return rosenbrock(v)
+
+    got = gradient(recorded, x)
+    assert lanes == [8, 32768, 8, BIG_K - 16 - 32768]
+    assert got.values.tobytes() == gradient(rosenbrock, x, ChunkConfig(8)).values.tobytes()
+
+
+def test_a_later_wide_block_that_leaves_its_band_runs_again_in_narrow_blocks():
+    # the slice cuts only the second middle block, which the trial does not reach
+    def f(v):
+        return np.sum(v[36000:] ** 2) + np.sum(np.sin(v) * v)
+
+    x = _point(BIG_K)
+    lanes = []
+
+    def recorded(v):
+        lanes.append(v.partials.shape[0])
+        return f(v)
+
+    got = gradient(recorded, x, ChunkConfig(threads=2))
+    rest = BIG_K - 16 - 32768
+    tail = [WIDE_CHUNK] * (rest // WIDE_CHUNK) + [rest % WIDE_CHUNK]
+    assert lanes == [8, 32768, 8, rest] + tail  # the stopped block, then its narrow blocks
+    assert got.values.tobytes() == gradient(f, x, ChunkConfig(8)).values.tobytes()
+
+
+def _threads_started(monkeypatch):
+    started = []
+    thread = threading.Thread
+
+    def counted(*args, **kwargs):
+        started.append(1)
+        return thread(*args, **kwargs)
+
+    monkeypatch.setattr(threading, "Thread", counted)
+    return started
+
+
+def test_a_band_target_leaves_no_pass_for_a_worker(monkeypatch):
+    x = _point(1000)
+    serial = gradient(ackley, x)
+    started = _threads_started(monkeypatch)
+    got = gradient(ackley, x, ChunkConfig(threads=2))
+    assert not started  # pass 0, the trial, then one pass: the end pass
+    assert got.values.tobytes() == serial.values.tobytes() and got.f_value == serial.f_value
+
+
+def test_a_target_that_stops_the_trial_still_fans_out(monkeypatch):
+    f, x = TARGETS["fancy"], _point(K)
+    serial = gradient(f, x)
+    started = _threads_started(monkeypatch)
+    got = gradient(f, x, ChunkConfig(threads=2))
+    assert started == [1]
+    assert got.values.tobytes() == serial.values.tobytes() and got.f_value == serial.f_value
 
 
 
@@ -368,14 +508,38 @@ def test_a_band_must_lie_inside_its_columns():
         pool._Window(np.ones((2, 5, 1)), 4, BAND_K, 1)
 
 
+def test_in_band_stops_at_the_first_step_out_and_drops_what_follows():
+    win, full = _band_window(1, 4)
+
+    def caught_then_full(w):
+        try:
+            w.columns()  # a band that becomes a column window: stopped
+        except BaseException:
+            pass
+        return np.asarray(w)  # stopped again; "full" wins
+
+    def caught_then_failed(w):
+        try:
+            w[(pool._EVERY_LANE, slice(5, None))]  # cuts the band's edge
+        except BaseException:
+            raise ValueError("what f raises after the stop is dropped")
+
+    assert pool.in_band(caught_then_full, win) == (None, "full")
+    assert pool.in_band(caught_then_failed, win) == (None, "columns")
+    assert pool.in_band(lambda w: w.sum(axis=-1).tobytes(), win) == (full.sum(-1).tobytes(), None)
+    with pytest.raises(ZeroDivisionError):  # an error of f's own, with no step out
+        pool.in_band(lambda w: 1 / 0, win)
+    assert np.array_equal(np.asarray(win), full)  # outside in_band nothing stops
+
+
 @pytest.mark.parametrize("skew, lo", BANDS)
 def test_band_integer_indexes_match_the_full_block(skew, lo):
     win, full = _band_window(skew, lo)
-    before = pool.widenings()
-    for i in list(range(-BAND_K, BAND_K)) + [np.int64(7), np.int32(-3)]:
-        got = win[(pool._EVERY_LANE, i)]
+    indexes = list(range(-BAND_K, BAND_K)) + [np.int64(7), np.int32(-3)]
+    rows, left = pool.in_band(lambda w: [w[(pool._EVERY_LANE, i)] for i in indexes], win)
+    assert left is None  # no index leaves the band
+    for i, got in zip(indexes, rows):
         assert type(got) is np.ndarray and np.array_equal(got, full[:, i]), i
-    assert pool.widenings() == before
 
 
 @pytest.mark.parametrize("skew, lo", BANDS)
@@ -483,10 +647,9 @@ def test_sums_over_full_rows_take_tiles_of_the_lane_block_budget(monkeypatch, k,
     built = []
     empty = pool._pooled_empty
     monkeypatch.setattr(pool, "_pooled_empty", lambda shape: built.append(shape) or empty(shape))
-    before = pool.widenings()
-    got = win.sum(axis=-1)
+    got, left = pool.in_band(lambda w: w.sum(axis=-1), win)
     assert got.tobytes() == want.tobytes()
-    assert pool.widenings() == before  # tiles are not a widening
+    assert left is None  # tiles do not leave the band
     assert built and max(math.prod(s) * 8 for s in built) <= max(LANE_BLOCK_BYTES, 8 * k)
 
 
@@ -501,10 +664,8 @@ def test_rosenbrock_wide_passes_sum_bands_of_at_most_three_entries_a_lane(monkey
     monkeypatch.setattr(pool._Window, "sum", recorded)
     x = _point(K)
     got = gradient(rosenbrock, x)
-    assert len(summed) == WIDE_PASSES - 1  # pass 0 is dense: its sums are ndarray sums
-    last, *banded = summed  # the end pass, second, holds component K - 1, which x[:-1] cuts
-    assert all(n == WIDE_CHUNK and size <= n * 3 for n, size in banded[:-1])
-    assert banded[-1][0] == K - 2 * N0 - WIDE_CHUNK * (len(banded) - 1)
-    assert banded[-1][1] <= banded[-1][0] * 3
+    assert len(summed) == BAND_PASSES - 1  # pass 0 is dense: its sums are ndarray sums
+    trial, last = summed  # the end pass, last, holds component K - 1, which x[:-1] cuts
+    assert trial[0] == K - 2 * N0 and trial[1] <= trial[0] * 3
     assert last[0] == N0 and N0 * 3 < last[1] <= N0 * (N0 + 1)  # a fallback of N0 lanes only
     assert np.array_equal(got.values, gradient(rosenbrock, x, ChunkConfig(K)).values)
