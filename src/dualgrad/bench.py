@@ -168,9 +168,10 @@ def verify(function, k, chunk, seed=DEFAULT_SEED, tol=1e-5, x=None):
     central-difference oracle, whose cost is two evaluations of f a
     component; reported components index x.  Confirms the pass count of
     the drivers' plan (``drivers._plan``: ceil(k / N) for an explicit chunk
-    N; at the default chunk 3 for both targets, whose lanes stay banded,
-    from about k=300 up to k=32784) via an evaluation counter, and checks
-    that a different chunk size yields the identical gradient.  The
+    N; at the default chunk ceil(k / 32768) band passes for both targets,
+    whose lanes stay banded, from about k=300 on) via an evaluation
+    counter, and checks that a different chunk size yields the identical
+    gradient.  The
     finite-difference comparisons floor their denominators at a fraction
     of the gradient's scale: near critical points the oracle's own
     truncation error would otherwise swamp a component that the propagated

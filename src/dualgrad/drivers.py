@@ -11,32 +11,35 @@ so the assembled gradient is identical, bit for bit, for every chunk size
 (the sign of an exactly-zero entry aside, see below).
 
 Every level's unit lanes are built one way, as a ``pool._Window`` band of
-ones on the block's diagonal, which pass 0 of every driver reads as the
-full N x k lane block, an ndarray.  When the lanes a window would skip,
-N x (k - 2N) float64, come to at least POOL_MIN_BYTES and pass 0's output
-lanes are all finite, every later pass of a gradient or Jacobian keeps the
-band: only the entries its N seeds can reach are computed, so a Rosenbrock
-pass does N x 2 lane work (N lanes by the band's width) instead of N x k.  The entries it leaves
-out are exact zeros in a dense pass, because a coefficient that is
-non-finite on a column reaching the result would have made pass 0's lanes
-non-finite too; a zero derivative entry may come out as +0.0 where a
-dense pass gave -0.0.  Below the gate a window's per-op bookkeeping costs
-more than the columns it skips (Rosenbrock at chunk 64, median of 5
-interleaved runs: 1.05x dense at k=140, 1.16x at k=200, 0.78x at k=256).
+ones on the block's diagonal, which a dense pass 0 (every driver's, unless
+it runs in band, below) reads as the full N x k lane block.  When the
+lanes a window would skip, N x (k - 2N) float64, come to at least
+POOL_MIN_BYTES and pass 0's output lanes are all finite, every later pass
+of a gradient or Jacobian keeps the band: only the entries its N seeds can
+reach are computed, so a Rosenbrock pass does N x 2 lane work (N lanes by
+the band's width) instead of N x k.  The entries it leaves out are exact
+zeros in a dense pass, because a coefficient that is non-finite on a
+column reaching the result would have made pass 0's lanes non-finite too;
+a zero derivative entry may come out as +0.0 where a dense pass gave
+-0.0.  Below the gate a window's per-op bookkeeping costs more than the
+columns it skips (Rosenbrock at chunk 64, median of 5 interleaved runs:
+1.05x dense at k=140, 1.16x at k=200, 0.78x at k=256).
 
-At the default chunk N0 = default_chunk(k), when pass 0 finds that
-windows apply, ``_plan`` runs the middle components [N0, k - N0) in
-blocks of W lanes, 32768 for a gradient, and the last N0 in an end pass
-as narrow as pass 0, where a slice such as x[:-1] cuts the band: 3
-passes, not 300, for Rosenbrock at k=3000.  The first middle block, the
-trial, runs second, and f runs it ``pool.in_band``.  A band that f would
-turn into a window on its columns (a slice that cuts it, a reversed
-operand) or into the full N x k block (fancy indexes, reshape, a dense
-vector or scalar dual operand) stops the trial before the block is
-built, and the middle runs again in narrow blocks, where those fallbacks
-stay small: WIDE_CHUNK = 512 lanes after a column window, N0 after a full
-block.  A sum over lane rows of more than two nonzeros, built in
-tiles of at most LANE_BLOCK_BYTES, stays in band.
+At the default chunk N0 = default_chunk(k), where windows pay, pass 0 is
+a band pass itself: on ``_plan``'s first block of up to 32768 components
+for a gradient (all of them up to k = 32768, so one pass for Rosenbrock
+at k=3000, not 300), on N0 for a Jacobian, whose outputs size the later
+blocks.  f runs it ``pool.in_band``, where a coefficient that would turn
+the left-out zeros into NaN stops the pass: that stands in for the dense
+pass 0's finiteness test.  So does a band that f would turn into the
+full N x k block (fancy indexes, reshape, a dense vector or scalar dual
+operand), and in a pass wider than WIDE_CHUNK one it would turn into a
+window on its columns (a reversed operand) or a union across a wide gap.
+A slice that cuts a band leaves it overhanging, still a band.  A stopped
+pass 0 runs again dense on N0 lanes, and the rest in windowed blocks
+where those fallbacks stay small: WIDE_CHUNK = 512 lanes after a column
+window, N0 after a full block or an unsafe coefficient.  Later blocks
+wider than WIDE_CHUNK stay guarded and run again narrow if they stop.
 
 Higher-order drivers nest duals (forward-over-forward).  For a Hessian
 each pass seeds a block of M components on the float64 lanes of a
@@ -65,7 +68,7 @@ with pass 0's as soon as it has read it; a difference raises
 ImpureTargetError, and no thread starts another pass.  The runner runs
 passes 0 and 1 on the caller and the rest in one static block per thread,
 the caller's first, so a serial call is the one-thread case (as is a
-band target's default gradient, which leaves one pass).  With more
+band target's default gradient up to k = 32768: one pass).  With more
 threads f must be safely callable from several threads at once; a worker
 running below break-even (measured against the faster of the caller's
 first two passes) hands its block's rest back to the caller, and passes
@@ -113,14 +116,13 @@ __all__ = [
 # 37.2 / 39.9 / 45.9 MiB of RSS, as the pool keeps wider blocks, so the
 # budget stops at N=10 there.  The floor of 8 keeps k >= 4096 as it was:
 # at k=12000, N=64 ran Ackley 2.2-2.4x faster but peaked at 61.7 MiB, not 38.
-# The windowed passes after a default pass 0 hold bands of a few entries a
-# lane whatever their width, so the middle runs in one wide pass (``_plan``).
-# A band that a slice cuts or that meets a reversed one falls back to a
-# window of N lanes by up to 2N columns, so a trial that would leave its
-# band stops, and the middle runs again WIDE_CHUNK lanes a pass
-# (``_passes``): at 128 / 256 / 512 / 1024 lanes np.sum(v[k//3:2*k//3]**2)
-# peaked at 35.7 / 36.6 / 39.4 / 51.1 MiB at k=3000, and perfbench
-# call_p50_rel on rosenbrock-grad read 2.35 / 1.50 / 1.10 / 0.87.
+# A default gradient's band passes hold a few entries a lane whatever their
+# width, so they take up to 32768 lanes (``_plan``).  A band that meets a
+# reversed one falls back to a window of N lanes by up to 2N columns, so a
+# pass that wide stops there, and the rest runs WIDE_CHUNK lanes a pass
+# (``_passes``): at 128 / 256 / 512 / 1024 lanes such a fallback (then also
+# a slice's, np.sum(v[k//3:2*k//3]**2)) peaked at 35.7 / 36.6 / 39.4 /
+# 51.1 MiB at k=3000.
 DEFAULT_CHUNK_LIMIT = 8
 WIDE_CHUNK = 512
 
@@ -139,20 +141,17 @@ def _windows_pay(n, k):
     return n * (k - 2 * n) * 8 >= POOL_MIN_BYTES
 
 
-def _plan(k, chunk_size, outputs=1):
-    """A gradient's or Jacobian's component blocks, pass 0 first: N each at an explicit
-    chunk N.  At the default N0 = default_chunk(k), if windows pay, [0, N0), then the
-    trial, the first block of the middle [N0, k - N0), then the end pass [k - N0, k), then
-    the rest of the middle.  Middle blocks are W = max(WIDE_CHUNK, LANE_BLOCK_BYTES //
-    (8 outputs)) lanes wide, so that a pass's N x outputs result fits the lane block
-    budget: one block up to k = 32768 + 2 N0 for a gradient.  A band that a slice cuts at
-    either end of the components, as x[:-1] does, then falls back in the end pass, on N0
-    lanes, and not in the trial."""
+def _wide(outputs=1):
+    """Lanes of a band pass whose N x outputs result fits LANE_BLOCK_BYTES; WIDE_CHUNK at least."""
+    return max(WIDE_CHUNK, LANE_BLOCK_BYTES // (8 * outputs))
+
+
+def _plan(k, chunk_size):
+    """A gradient's component blocks, pass 0 first, when f keeps its lanes in band: N each at
+    an explicit chunk N, and at the default N0 = default_chunk(k), if windows pay, ``_wide()``
+    = 32768 each, so one pass up to k = 32768."""
     n = _resolve("chunk_size", chunk_size, k)
-    if chunk_size is None and _windows_pay(n, k):  # then k > 2n
-        trial, *rest = _blocks(k - n, max(WIDE_CHUNK, LANE_BLOCK_BYTES // (8 * outputs)), n)
-        return [slice(0, n), trial, slice(k - n, k)] + rest
-    return _blocks(k, n)
+    return _blocks(k, _wide() if chunk_size is None and _windows_pay(n, k) else n)
 
 
 def _check_count(name, value, least=1):
@@ -176,11 +175,12 @@ class ChunkConfig:
     """Runtime tuning for gradient passes.
 
     chunk_size: lanes per pass, clamped to the input dimension: ceil(k / N)
-    passes.  None picks ``default_chunk(k)`` for pass 0 (k up to k=181, 32
-    at k=1000, 8 from k=4096 on) and as many for the end pass, and for a
-    gradient one trial pass on the whole middle up to k = 32768 + 2 N0
-    (``_plan``), which falls back to WIDE_CHUNK or N0 lanes a pass where f
-    would leave the lanes' band (``_passes``).
+    passes.  None picks ``default_chunk(k)`` = N0 (k up to k=181, 32 at
+    k=1000, 8 from k=4096 on), and where lane windows pay, one band pass
+    per 32768 components for a gradient (``_plan``).  Where f would leave
+    the lanes' band or scale them by an unsafe coefficient, pass 0 runs
+    again dense on N0 lanes and the rest WIDE_CHUNK or N0 lanes a pass
+    (``_passes``).
     threads: worker count for the chunk scheduler; 1 means serial.
     """
 
@@ -377,15 +377,13 @@ def _check_pure(first, value, p):
 def _run_passes(run, count, threads):
     """run(p) for every pass: passes 0 and 1 on the caller, the rest in static blocks.
 
-    count() is the number of passes, read after pass 0 and again after
-    pass 1, since each may plan the passes after it; a true run(1) is a
-    stopped trial (``_passes``), and the caller runs the new pass 1 alone
-    too.  With threads=1, or one pass left, no thread starts.  A worker
-    whose passes, timed from the fan-out, average over threads * t_ref
-    hands its block's rest back for the caller to run after the join: all
-    threads together then finish fewer passes per second than the caller
-    alone would.  t_ref is the lesser time of passes 0 and 1, not counting
-    a stopped trial: either may be slower than the rest (pass 0 runs
+    count() is the number of passes, read after pass 0, which plans the
+    passes after it.  With threads=1, or one pass left, no thread starts.
+    A worker whose passes, timed from the fan-out, average over threads *
+    t_ref hands its block's rest back for the caller to run after the
+    join: all threads together then finish fewer passes per second than
+    the caller alone would.  t_ref is the lesser time of passes 0 and 1:
+    either may be slower than the rest (pass 0 may stop and run again
     without lane windows, a collection may land in one), which would make
     the budget lenient.  Each thread enters its own lane pool and
     ``np.errstate(all="ignore")`` once.  Passes stop at the first failure,
@@ -413,12 +411,10 @@ def _run_passes(run, count, threads):
 
     with lane_pool(), np.errstate(all="ignore"):
         t_ref = math.inf
-        for p in range(2):  # alone: each may plan the passes after it
+        for p in range(2):  # alone: pass 0 plans the passes after it
             if p < count():
                 start = time.perf_counter()
-                if run(p):  # a stopped trial: pass 1 is now the end pass
-                    start = time.perf_counter()
-                    run(p)
+                run(p)
                 t_ref = min(t_ref, time.perf_counter() - start)
         n_passes = count()
         first = min(2, n_passes)  # the passes left start here
@@ -444,66 +440,67 @@ def _run_passes(run, count, threads):
         raise failures[0]
 
 
-def _passes(f, x, chunks, threads=1, read=_scalar_output, wide=False):
+def _passes(f, x, chunks, threads=1, read=_scalar_output, lead=None):
     """One pass through f per combination of lane blocks, one block per level.
 
     chunks holds the lanes per pass at each nesting level, level 0 first.
     read(y, widths) turns f's result into (f value, the outermost level's
     first-order lanes or None, lane block of shape (outputs..., *widths)).
     Pass 0 seeds each level's first block, dense, and then plans the other
-    passes: the product of each level's blocks, or ``_plan``'s at the
-    default chunk of a first-order call (``wide``) when later passes keep
-    lane windows.  Then pass 1 is the trial: the first middle block, which
-    f runs ``pool.in_band``, as it does any later middle block wider than
-    WIDE_CHUNK.  If f would leave a band there, the pass stops, its result
-    is dropped, and that middle runs again in blocks of WIDE_CHUNK lanes
-    after a column window, or of N0 after a full block: for the trial the
-    whole middle, re-planned to follow the end pass, and for a later block
-    that block, in the same call of ``run``.
+    passes, the product of each level's blocks.  At the default chunk N0 of
+    a first-order call where windows pay, pass 0 instead runs ``lead``
+    lanes ``pool.in_band``, and so does every later block wider than
+    WIDE_CHUNK, in ``_wide(outputs)`` blocks.  Where f would leave a band
+    that wide, or meets an unsafe coefficient in any guarded pass, the
+    pass stops and its result is dropped.  A stopped pass 0 runs again
+    dense at N0 and the rest in windowed blocks: WIDE_CHUNK lanes after a
+    column window, N0 after a full block or an unsafe coefficient, or
+    dense ones if pass 0's lanes are not finite.  A stopped later block
+    runs again in those narrow blocks, in the same call of ``run``.
     Returns (derivative array of shape (outputs...,) + (k,) * len(chunks),
     gradient from those first-order lanes, f value).
     """
     k, n = x.shape[0], chunks[0]
-    combos = [tuple(slice(0, c) for c in chunks)]
-    grad = np.empty(k)
     # later passes run on lane windows if they pay and pass 0's lanes are finite
     windowed = len(chunks) == 1 and _windows_pay(n, k)
-    guarded = False  # whether middle passes run in band: a wide plan's until its trial stops
-    f0 = out = None  # pass 0's f value and the result array that pass sizes
+    guarded = lead is not None and windowed  # whether wide passes run in band: until pass 0 stops
+    combos = [(slice(0, min(k, lead)),) if guarded else tuple(slice(0, c) for c in chunks)]
+    grad = np.empty(k)
+    f0 = out = narrow = None  # pass 0's f value, the result array it sizes, lanes after a stop
 
     def run(p):
-        """Pass p; True if it was a trial that stopped, after re-planning the middle."""
-        nonlocal guarded
+        """Pass p, in band where guarded; a stopped pass runs again in narrow blocks."""
+        nonlocal guarded, narrow
         blocks = combos[p]
-        if not guarded or p > 1 and blocks[0].stop - blocks[0].start <= WIDE_CHUNK:
+        lanes = blocks[0].stop - blocks[0].start
+        if not guarded or p and lanes <= WIDE_CHUNK:
             return record(p, blocks, f(_seeded(x, blocks, p > 0 and windowed)))
-        y, left = in_band(f, _seeded(x, blocks, True))
+        # a pass no wider than WIDE_CHUNK keeps its column windows: they are small there
+        stops = ("full", "unsafe") if lanes <= WIDE_CHUNK else ("columns", "full", "unsafe")
+        y, left = in_band(f, _seeded(x, blocks, True), stops)
         if not left:
             return record(p, blocks, y)
-        lo, hi = blocks[0].start, blocks[0].stop
-        narrow = _blocks(k - n if p == 1 else hi, WIDE_CHUNK if left == "columns" else n, lo)
-        if p == 1:
-            guarded = False
-            combos[1:] = [(slice(k - n, k),)] + [(b,) for b in narrow]
-            return True
-        for b in narrow:
+        width = WIDE_CHUNK if left == "columns" else n
+        if p == 0:  # pass 0 again, dense at N0, and the rest in blocks of width
+            guarded, narrow, combos[0] = False, width, (slice(0, n),)
+            return record(0, combos[0], f(_seeded(x, combos[0])))
+        for b in _blocks(blocks[0].stop, width, blocks[0].start):
             record(p, (b,), f(_seeded(x, (b,), True)))
 
     def record(p, blocks, y):
         """Read pass p's result y, check it and write it out; pass 0 also plans the rest."""
-        nonlocal windowed, guarded, f0, out
+        nonlocal windowed, f0, out
         widths = tuple(b.stop - b.start for b in blocks)
         value, first, top = read(y, widths)
         outputs = top.shape[: top.ndim - len(widths)]
         if p == 0:  # pass 0 runs first and alone
-            windowed = windowed and bool(np.isfinite(top).all())
-            guarded = wide and windowed
+            windowed = windowed and (guarded or bool(np.isfinite(top).all()))
             f0, out = value, np.empty(outputs + (k,) * len(widths))
-            if guarded:
-                levels = [_plan(k, None, math.prod(outputs))]
+            if guarded or narrow:
+                width = _wide(math.prod(outputs)) if guarded else narrow if windowed else n
+                combos[1:] = [(b,) for b in _blocks(k, width, widths[0])]
             else:
-                levels = [_blocks(k, c) for c in chunks]
-            combos[1:] = list(itertools.product(*levels))[1:]
+                combos[1:] = list(itertools.product(*[_blocks(k, c) for c in chunks]))[1:]
         if outputs != out.shape[: len(outputs)]:
             raise ValueError(
                 f"target function changed output length between passes: "
@@ -532,11 +529,14 @@ def _as_input_vector(x):
 
 def _first_order(f, x, cfg, read=_scalar_output):
     """``_passes`` of a gradient or Jacobian: cfg (None for the defaults) and x checked, and
-    the wide plan at the default chunk."""
+    at the default chunk a band pass 0 on ``_plan``'s first block for a gradient, on N0
+    lanes for a Jacobian, whose pass 0 reads the outputs that size the later blocks."""
     if not isinstance(cfg, (ChunkConfig, type(None))):
         raise ValueError(f"cfg must be a ChunkConfig or None, got {cfg!r}")
     cfg, x = cfg or ChunkConfig(), _as_input_vector(x)
-    return _passes(f, x, (cfg.resolve(x.shape[0]),), cfg.threads, read, cfg.chunk_size is None)
+    n = cfg.resolve(x.shape[0])
+    lead = None if cfg.chunk_size is not None else _wide() if read is _scalar_output else n
+    return _passes(f, x, (n,), cfg.threads, read, lead)
 
 
 def gradient(f, x, cfg=None):
@@ -555,14 +555,14 @@ def gradient(f, x, cfg=None):
 def gradient_threaded(f, x, cfg=None):
     """Gradient with chunk passes split across cfg.threads threads.
 
-    The caller runs passes 0 and 1 alone, which plan passes 2..P-1; they go
-    in contiguous blocks, one per thread.  At the default chunk pass 1 is
-    the trial on the middle, and a band target leaves only the end pass, so
-    no thread starts; a trial that stops is followed by the end pass, also
-    alone.  A worker whose passes, timed from the fan-out, average over
-    threads * t_ref (``_run_passes``) hands the rest back to the caller.
-    The result equals the serial gradient bitwise.  The target must
-    tolerate concurrent calls.
+    The caller runs passes 0 and 1 alone (pass 0 plans the others), and
+    passes 2..P-1 go in contiguous blocks, one per thread.  At the default
+    chunk a band target takes one pass up to k = 32768, so no thread
+    starts; one whose band pass stops runs pass 0 again, dense, and fans
+    out the narrow passes after it.  A worker whose passes, timed from the
+    fan-out, average over threads * t_ref (``_run_passes``) hands the rest
+    back to the caller.  The result equals the serial gradient bitwise.
+    The target must tolerate concurrent calls.
     """
     return gradient(f, x, cfg)
 

@@ -27,19 +27,21 @@ reach.  The N unit lanes of a first-order pass are one diagonal of its
 N x k block, and elementwise rules and shifted slices keep each lane on
 a few diagonals, so a window holds them as a band: an N x w block whose
 entry (n, t) is column lo + skew * n + t, skew 1 or -1 (a reversed slice
-flips it); at skew 0 it holds w whole columns.  ``ops`` hands the rules
-on a window operations that compute its entries only, each value-shaped
-coefficient cut to them as a strided N x w view.  The rule bodies stay
-the same.  A band leaves its band in one of two ways.  One that cannot
-stay a band (a slice cuts its edge, it meets the other skew) becomes a
-window on the columns it spans, N lanes by up to 2N columns; what cannot
-stay in those (fancy indexes, a reshape, ``np.asarray``, full lanes as
-the other operand) builds the full N x k block.  Both are cheap at a few
-hundred lanes and not at tens of thousands, so the drivers run the wide
-middle of a default gradient through ``in_band``: there the first such
-step raises before it builds anything, and the call reports which of
-the two it was.  A sum over rows of more than two nonzeros builds its
-full rows in tiles of at most LANE_BLOCK_BYTES and stays allowed.
+flips it); at skew 0 it holds w whole columns.  A band may overhang
+[0, k), as one that a slice cuts does; its entries there are zero.
+``ops`` hands the rules on a window operations that compute its entries
+only, each value-shaped coefficient cut to them as a strided N x w view.
+The rule bodies stay the same.  A band that meets the other skew
+becomes a window on the columns it spans; what cannot stay in those
+(fancy indexes, a reshape, ``np.asarray``, full lanes as the other
+operand) builds the full N x k block.  Both are cheap at a few hundred
+lanes and not at tens of thousands, so the drivers run wide passes
+through ``in_band``: there the first such step raises before it builds
+anything.  So do a union of bands far apart and a coefficient that would
+turn the left-out zeros into NaN in a dense pass, which is what lets a
+band pass stand in for a dense one.  A sum over rows of more than two
+nonzeros builds its full rows in tiles of at most LANE_BLOCK_BYTES and
+stays allowed.
 """
 
 from __future__ import annotations
@@ -133,8 +135,8 @@ _SOLE = _sole_refcount()
 class _Active(threading.local):
     pool = None  # the thread's kept pool while a driver call runs in it
     kept = None  # the thread's pool, kept between its driver calls
-    guard = False  # whether a lane window that leaves its band raises (``in_band``)
-    left = None  # how a window left its band while guarded: "columns" or "full"
+    guard = ()  # the ways out of a band that raise (``in_band``); none outside it
+    left = None  # how a window left its band while guarded: "columns", "full" or "unsafe"
 
 
 _active = _Active()
@@ -151,13 +153,15 @@ class lane_pool:
     "last": a shape's move back when the call first asks for it, and the
     exit drops the rest.  So between calls a thread keeps its last call's
     shapes, as many buffers each as were in use at once, up to
-    ``_MAX_PER_SHAPE``.  A nested block shares the active pool.
+    ``_MAX_PER_SHAPE``.  A nested block shares the active pool.  The block
+    also suspends the thread's ``in_band`` guard, so that a driver called
+    inside a guarded target neither stops it nor lifts its guard.
     """
 
-    __slots__ = ("outer",)
+    __slots__ = ("outer", "guard")
 
     def __enter__(self):
-        self.outer = _active.pool
+        self.outer, self.guard, _active.guard = _active.pool, _active.guard, ()
         if self.outer is None and _SOLE is not None:
             kept = _active.pool = _active.kept = _active.kept or _Pool(_SOLE)
             kept.last, kept.buffers = kept.buffers, {}
@@ -165,7 +169,7 @@ class lane_pool:
     def __exit__(self, *exc):
         if self.outer is None and _active.pool is not None:
             _active.pool.last = {}
-        _active.pool = self.outer
+        _active.pool, _active.guard = self.outer, self.guard
 
 
 def _out_shape(args):
@@ -277,15 +281,16 @@ class _Window:
     that ``block`` holds: its entry ``(n, t)`` is column ``lo + skew * n + t``.
 
     At skew 0 ``block`` holds the w columns ``[lo, hi)``; at skew 1 or -1
-    it holds w diagonals, a band.  The drivers seed a first-order pass
-    with a band of one diagonal, its N unit lanes, and elementwise rules
-    and shifted slices keep them there.  ``ops`` gives the rules on a
-    window operations that cut value-shaped coefficients to its entries.
-    A band that cannot stay one (a slice that cuts its edge, another skew
-    or full lanes as the other operand) first becomes a window on the
-    columns it spans (``columns``).  What cannot stay in those (another
-    slice step, fancy indexes, a reshape) gives the full block, which
-    ``np.asarray`` builds.
+    it holds w diagonals, a band, whose entries outside ``[0, k)`` are
+    zero: a slice that cuts a band leaves it overhanging.  The drivers
+    seed a first-order pass with a band of one diagonal, its N unit lanes,
+    and elementwise rules and step-1 or step-(-1) slices keep them there.
+    ``ops`` gives the rules on a window operations that cut value-shaped
+    coefficients to its entries.  A band that cannot stay one (another
+    skew or full lanes as the other operand) first becomes a window on
+    the columns in ``[0, k)`` it spans (``columns``).  What cannot stay in
+    those (another slice step, fancy indexes, a reshape) gives the full
+    block, which ``np.asarray`` builds.
     """
 
     __slots__ = ("block", "lo", "hi", "k", "skew")
@@ -296,10 +301,8 @@ class _Window:
         self.hi = lo + block.shape[-1]
         self.k = k
         self.skew = skew
-        if skew:  # a band's coefficients are strided views, which read raw memory
-            first, stop = self.span()
-            if block.ndim != 2 or first < 0 or stop > k:
-                raise ValueError(f"a band of {block.shape} lanes at {lo} leaves columns [0, {k})")
+        if skew and block.ndim != 2:
+            raise ValueError(f"a band holds an N x w block, not {block.shape}")
 
     @property
     def shape(self):
@@ -326,7 +329,12 @@ class _Window:
         return self.like(self.block.copy())
 
     def _spread(self, shape, first=0):
-        """Lanes of ``shape`` on the columns from ``first`` on: the entries, zeros elsewhere."""
+        """Lanes of ``shape`` on the columns from ``first`` on: its entries there, else zeros."""
+        lo, stop = self.span()
+        lo, stop = min(lo, first), max(stop, first + shape[-1])
+        if stop - lo > shape[-1]:  # an overhang: spread on every column the band spans, then cut
+            wide = self._spread(shape[:-1] + (stop - lo,), lo)
+            return np.ascontiguousarray(wide[..., first - lo : first - lo + shape[-1]])
         out = pooled_zeros(shape) if shape[-1] == self.k else np.zeros(shape)
         flat = out.reshape(-1)
         _band(flat, self.lo - first, shape[-1] + self.skew, *self.block.shape)[...] = self.block
@@ -338,12 +346,22 @@ class _Window:
         return self._spread(self.shape)
 
     def columns(self):
-        """The same lanes as a window on the columns the entries span; itself at skew 0."""
+        """The same lanes as a window on the columns of [0, k) they span; itself at skew 0."""
         if not self.skew:
             return self
         _leave("columns")
         first, stop = self.span()
+        first, stop = max(first, 0), min(stop, self.k)
         return _Window(self._spread((self.block.shape[0], stop - first), first), first, self.k)
+
+    def _inside(self, a, b):
+        """The block with every entry whose column is outside [a, b) set to zero."""
+        out, rows = self.block.copy(), self.block.shape[0]
+        for t, c in enumerate(range(self.lo, self.hi)):  # diagonal t: the rows inside are a run
+            ends = (a - c, b - c) if self.skew > 0 else (c - b + 1, c - a + 1)
+            first, stop = (min(max(e, 0), rows) for e in ends)
+            out[:first, t] = out[stop:, t] = 0.0
+        return out
 
     def __array__(self, dtype=None, copy=None):
         return self.full() if dtype is None else self.full().astype(dtype, copy=False)
@@ -381,10 +399,13 @@ class _Window:
             first, stop = self.span()
             if min(b, stop) <= max(a, first):
                 return _Window(block[:, :0], 0, len(taken))
-            if skew and (first < a or b < stop):  # a band would lose entries
-                return self.columns()[idx]
-            lo, hi = max(self.lo, a), min(self.hi, b)
-            block = block[:, lo - self.lo : hi - self.lo]
+            if skew:  # a band keeps its rows and overhangs the slice, zero outside it
+                lo, hi = self.lo, self.hi
+                if first < a or b < stop:
+                    block = self._inside(a, b)
+            else:
+                lo, hi = max(self.lo, a), min(self.hi, b)
+                block = block[:, lo - self.lo : hi - self.lo]
             if taken.step == 1:
                 return _Window(block, lo - taken.start, len(taken), skew)
             return _Window(block[:, ::-1], taken.start - (hi - 1), len(taken), -skew)
@@ -417,29 +438,31 @@ class _LeftBand(BaseException):
 
 
 def _leave(how):
-    """A window leaves its band, "columns" or "full": inside ``in_band``, stop there."""
-    if _active.guard:
-        if _active.left != "full":
+    """A window leaves its band ("columns", "full" or "unsafe"): stop if guarded against that."""
+    if how in _active.guard:
+        if _active.left in (None, "columns"):
             _active.left = how
         raise _LeftBand(how)
 
 
-def in_band(f, arg):
+def in_band(f, arg, stops=("columns", "full", "unsafe")):
     """``(f(arg), None)``, or ``(None, how)`` if a lane window in f would leave its band.
 
-    The first step out, to a column window or a full block, raises before
-    it builds anything; ``how`` is "columns" or "full", "full" if f caught
-    that and went on to both.  What f then returns, or raises as an
-    ``Exception``, is dropped.
+    The first step out in ``stops`` raises before it builds anything: to
+    a column window, to the full block, or a coefficient that is "unsafe"
+    (see ``_scale``).  ``how`` names it; if f caught a "columns" stop and
+    went on to one of the others, that one.  What f then returns, or
+    raises as an ``Exception``, is dropped.  The thread's guard and its
+    record of a stop are restored on the way out, so guards nest.
     """
-    _active.guard = True
+    outer, (_active.guard, _active.left) = (_active.guard, _active.left), (stops, None)
     try:
         y = f(arg)
     except (Exception, _LeftBand):
         if _active.left is None:
             raise
     finally:
-        left, _active.guard, _active.left = _active.left, False, None
+        left, (_active.guard, _active.left) = _active.left, outer
     return (None, left) if left else (y, None)
 
 
@@ -456,7 +479,13 @@ def _cut(c, win):
         return c
     if c.shape[-1] != win.k or win.skew and c.ndim != 1:
         return None
-    return _band(c, win.lo, win.skew, *win.block.shape) if win.skew else c[..., win.lo : win.hi]
+    if not win.skew:
+        return c[..., win.lo : win.hi]
+    first, stop = win.span()
+    under, over = max(0, -first), max(0, stop - win.k)
+    if under or over:  # ones where the band overhangs [0, k), whose entries are zero
+        c = np.concatenate((np.ones(under), c, np.ones(over)))
+    return _band(c, win.lo + under, win.skew, *win.block.shape)
 
 
 def _scale(ufunc):
@@ -464,10 +493,14 @@ def _scale(ufunc):
 
     Every rule puts its lanes on the left, so a window on the right reads
     its full block (as a divisor, its zeros give c / 0 outside the entries).
+    A coefficient that would turn the zeros it leaves out into NaN in a
+    dense pass (non-finite, or a divisor with a zero) stops ``in_band``.
     """
 
     def op(a, b):
         if type(a) is _Window and (c := _cut(b, a)) is not None:
+            if _active.guard and not (np.isfinite(b).all() and (ufunc is np.multiply or np.all(b))):
+                _leave("unsafe")
             return a.like(ufunc(a.block, c))
         return pooled(ufunc, _full(a), _full(b))
 
@@ -491,6 +524,9 @@ def _join(ufunc):
             if a.lo == b.lo and a.hi == b.hi:
                 return a.like(ufunc(a.block, b.block))
             lo, hi = min(a.lo, b.lo), max(a.hi, b.hi)
+            union = math.prod(a.block.shape[:-1]) * (hi - lo) * 8
+            if union > max(LANE_BLOCK_BYTES, a.block.nbytes + b.block.nbytes):
+                _leave("columns")  # a union that pays for a wide gap between the entries
             out = np.zeros(a.block.shape[:-1] + (hi - lo,))
             out[..., a.lo - lo : a.hi - lo] = a.block
             part = out[..., b.lo - lo : b.hi - lo]

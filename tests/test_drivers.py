@@ -161,7 +161,7 @@ def test_default_chunks_set_the_pass_count():
     assert counted.count == 1
     counted = EvalCounter(ackley)
     gradient(counted, np.linspace(-0.9, 0.9, 1000))
-    assert counted.count == 3  # 32 lanes, the 936 in between in one pass, the last 32 lanes
+    assert counted.count == 1  # one band pass on all 1000 components (before: 3, with 32-lane ends)
     counted = EvalCounter(rosenbrock)
     third_order_tensor(counted, x[:8])
     assert counted.count == 1

@@ -2,6 +2,9 @@
 seeds can reach, and give the same bytes as one dense pass."""
 
 import math
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -197,38 +200,44 @@ def test_scalar_dual_against_a_float_array_equals_one_dense_pass():
 
 
 # ----------------------------------------------------------------------
-# the default plan: pass 0 at default_chunk(k), the middle in one trial
-# pass, the last default_chunk(k) components in a pass of their own
+# the default plan: one band pass on up to 32768 components, which f runs
+# in band; a pass that stops runs pass 0 again dense at default_chunk(k)
 # ----------------------------------------------------------------------
 
 N0 = default_chunk(K)
-BAND_PASSES = 3  # pass 0, the trial on the whole middle, the end pass
-# the targets whose trial would build a full block: the middle then takes N0 lanes a pass
+BIG_K = 40000  # two blocks of up to 32768 lanes
+BAND_PASSES = 1  # one guarded band pass on all K components
+# the targets whose guarded pass would build a full block: pass 0 runs again
+# dense at N0 lanes, and every later pass takes N0 lanes too
 WIDENING = {"step-2", "fancy", "reshape", "centred", "scalar-dual", "dense-operand"}
-# the targets whose trial would fall back to a column window: the middle takes WIDE_CHUNK
-CUTTING = {"reversed", "iteration"}
+# the targets whose guarded pass would fall back to a column window (the
+# reversed operand): after pass 0 at N0 the rest takes WIDE_CHUNK lanes a pass
+CUTTING = {"reversed"}
 
 
-def _default_passes(name):
-    """Evaluations of TARGETS[name] in a default gradient at K: a stopped trial counts."""
+def _default_passes(name, driver=gradient):
+    """Evaluations of TARGETS[name] in a default gradient or one-output Jacobian at K,
+    a stopped pass counted."""
     if name in WIDENING:
         return 1 + math.ceil(K / N0)
     if name in CUTTING:
-        return BAND_PASSES + math.ceil((K - 2 * N0) / WIDE_CHUNK)
-    return BAND_PASSES
+        return 2 + math.ceil((K - N0) / WIDE_CHUNK)
+    # a Jacobian's pass 0 takes N0 lanes, since it reads the outputs that size the rest
+    return BAND_PASSES if driver is gradient else 2
 
 
-def test_wide_chunk_is_512_and_the_end_passes_take_n0_lanes():
-    # a slice that cuts a band at either end of [0, K) falls back to a window of
-    # N0 lanes by up to 2 * N0 columns, inside the lane block budget
-    assert WIDE_CHUNK == 512 and N0 * 2 * N0 * 8 <= LANE_BLOCK_BYTES
-    assert _plan(K, None) == [slice(0, N0), slice(N0, K - N0), slice(K - N0, K)]
+def test_wide_chunk_is_512_and_a_default_gradient_plans_blocks_of_32768_lanes():
+    # pinned before (as test_wide_chunk_is_512_and_the_end_passes_take_n0_lanes): the plan
+    # [0, N0), the middle, then an end pass [K - N0, K) as narrow as pass 0, so that a
+    # slice cutting a band fell back on N0 lanes.  A cut band now overhangs and stays one.
+    assert WIDE_CHUNK == 512 and drivers._wide() == LANE_BLOCK_BYTES // 8 == 32768
+    assert _plan(K, None) == [slice(0, K)]
+    assert _plan(BIG_K, None) == [slice(0, 32768), slice(32768, BIG_K)]
     # a Jacobian's N x outputs result block stays in the budget: 64 outputs keep 512 lanes
-    middle = [slice(lo, min(lo + 512, K - N0)) for lo in range(N0, K - N0, 512)]
-    assert _plan(K, None, 64) == [slice(0, N0), middle[0], slice(K - N0, K)] + middle[1:]
-    assert _plan(K, None, 2) == _plan(K, None) and (N0, middle[-1]) == (10, slice(2570, 2990))
-    every_n0 = [slice(p, p + N0) for p in range(0, K, N0)]
-    assert _plan(K, N0) == every_n0
+    assert drivers._wide(2) == 16384 and drivers._wide(64) == drivers._wide(999) == WIDE_CHUNK
+    assert _plan(K, N0) == [slice(p, p + N0) for p in range(0, K, N0)]
+    # below the window gate the default chunk takes its N0 lanes a pass
+    assert _plan(250, None) == [slice(0, 131), slice(131, 250)] and default_chunk(250) == 131
 
 
 @pytest.mark.parametrize("name", list(TARGETS))
@@ -248,7 +257,7 @@ def test_default_jacobian_plan_equals_every_chunk_size_and_threads(name):
     f, x = TARGETS[name], _point(K)
     counted = EvalCounter(lambda v: [f(v)])
     got = jacobian(counted, x)
-    assert counted.count == _default_passes(name)
+    assert counted.count == _default_passes(name, jacobian)
     for cfg in (ChunkConfig(8), ChunkConfig(K), ChunkConfig(threads=2)):
         other = jacobian(lambda v: [f(v)], x, cfg)
         assert np.array_equal(got.entries, other.entries), cfg
@@ -257,7 +266,7 @@ def test_default_jacobian_plan_equals_every_chunk_size_and_threads(name):
 
 def test_a_default_gradient_plans_its_passes_once_after_pass_0(monkeypatch):
     # pass 0 seeds its own block alone, so the ceil(K / N0) blocks of the
-    # default chunk, which the wide plan replaces, are never built
+    # default chunk, which the band plan replaces, are never built
     longest = len(_plan(K, None))
     built, blocks = [], drivers._blocks
 
@@ -274,19 +283,23 @@ def test_a_default_gradient_plans_its_passes_once_after_pass_0(monkeypatch):
 
 
 def test_reading_a_windowed_vector_result_does_not_count_as_widening():
-    # _vector_output reads the lanes of v[1:] * v[:-1] as the full block; the
-    # reversed operand stops the trial, and the middle takes 512-lane blocks
+    # _vector_output reads the lanes of v[1:] * v[:-1] as the full block.  Pass 0
+    # takes N0 = 32 lanes, no more than WIDE_CHUNK, so the reversed operand's column
+    # window does not stop it, and 999 outputs keep the rest at 512-lane blocks.
+    # Pinned before: 5, the trial stopped by the column window and re-planned into
+    # the same 512-lane blocks.
     x = _point(1000)
     counted = EvalCounter(lambda v: v[1:] * v[:-1] - np.sin(v[::-1][1:]))
     got = jacobian(counted, x)
-    assert counted.count == 3 + math.ceil((1000 - 2 * default_chunk(1000)) / WIDE_CHUNK) == 5
+    assert counted.count == 1 + math.ceil((1000 - default_chunk(1000)) / WIDE_CHUNK) == 3
     assert np.array_equal(got.entries, jacobian(counted.f, x, ChunkConfig(8)).entries)
 
 
 def test_a_target_that_widens_only_after_pass_0_keeps_wide_passes_and_its_bits():
-    # zero over the products that pass 0's seeds reach: pass 0's lane rows have
-    # no nonzeros, every later pass has rows with three, which sum() adds over
-    # full rows in tiles of the lane block budget: they do not leave the band
+    # zero over the products that the first N0 seeds reach, with three nonzeros a
+    # row elsewhere, which sum() adds over full rows in tiles of the lane block
+    # budget: they do not leave the band.  Pinned before: 3 passes, a dense pass 0
+    # on [0, N0) whose lane rows had no nonzeros, the trial and the end pass.
     mask = (np.arange(K - 2) >= N0 + 2).astype(float)
 
     def f(v):
@@ -295,12 +308,14 @@ def test_a_target_that_widens_only_after_pass_0_keeps_wide_passes_and_its_bits()
     x = _point(K)
     counted = EvalCounter(f)
     got = gradient(counted, x)
-    assert counted.count == BAND_PASSES  # the trial ran to the end
+    assert counted.count == BAND_PASSES
     for cfg in (ChunkConfig(8), ChunkConfig(K), ChunkConfig(threads=2)):
         assert np.array_equal(got.values, gradient(f, x, cfg).values), cfg
 
 
-def test_a_default_gradient_seeds_pass_0_dense_then_the_trial_and_the_end_band():
+def test_a_default_gradient_seeds_one_band_pass_on_every_component():
+    # pinned before (as test_a_default_gradient_seeds_pass_0_dense_then_the_trial_and_the_end_band):
+    # a dense N0 x K pass 0, the trial band on [N0, K - N0), the end band on [K - N0, K)
     lanes = []
 
     def recorded(v):
@@ -308,12 +323,9 @@ def test_a_default_gradient_seeds_pass_0_dense_then_the_trial_and_the_end_band()
         return rosenbrock(v)
 
     gradient(recorded, _point(K))
-    assert type(lanes[0]) is np.ndarray and lanes[0].shape == (N0, K)
-    trial, end = lanes[1:]
-    assert type(trial) is pool._Window and trial.block.shape == (K - 2 * N0, 1)
-    assert (trial.lo, trial.skew, trial.k) == (N0, 1, K)
-    assert type(end) is pool._Window and end.block.shape == (N0, 1)
-    assert (end.lo, end.skew, end.k) == (K - N0, 1, K)
+    (band,) = lanes
+    assert type(band) is pool._Window and band.block.shape == (K, 1)
+    assert (band.lo, band.skew, band.k) == (0, 1, K)
 
 
 def test_the_stencil_takes_wide_passes_and_tiles_within_the_lane_block_budget(monkeypatch):
@@ -333,6 +345,7 @@ def test_the_stencil_takes_wide_passes_and_tiles_within_the_lane_block_budget(mo
 
 
 def test_a_target_that_builds_a_full_block_in_the_trial_keeps_n0_lanes_a_pass():
+    # pinned before: a dense pass 0, the stopped trial on the middle, then the end pass
     seen = []
 
     def recorded(v):
@@ -342,45 +355,48 @@ def test_a_target_that_builds_a_full_block_in_the_trial_keeps_n0_lanes_a_pass():
 
     gradient(recorded, _point(K))
     assert len(seen) == 1 + math.ceil(K / N0)
-    assert seen[0] == (np.ndarray, N0, None)  # pass 0, dense
-    assert seen[1][1:] == (K - 2 * N0, N0)  # the trial, stopped at the fancy index
-    assert seen[2][1:] == (N0, K - N0)  # the end pass, run again alone
+    assert seen[0] == (pool._Window, K, 0)  # the band pass, stopped at the fancy index
+    assert seen[1] == (np.ndarray, N0, None)  # pass 0 again, dense
+    assert [lo for _, _, lo in seen[2:]] == list(range(N0, K, N0))
     assert all(kind is pool._Window and n == N0 for kind, n, _ in seen[2:])
 
 
 # ----------------------------------------------------------------------
-# the trial: f runs the wide middle in band, and a step out of it stops
-# the pass before it builds anything
+# the guard: f runs a wide pass in band, and a step out of it, or an
+# unsafe coefficient, stops the pass before it builds anything
 # ----------------------------------------------------------------------
 
 
 def test_reading_a_vector_result_does_not_stop_the_trial():
     # _vector_output reads the lanes of the result as the full block, after f
-    # returned: 999 outputs keep 512 lanes, so the middle takes two passes
+    # returned: 999 outputs keep 512 lanes, so the rest takes two passes after
+    # pass 0 on N0 lanes.  Pinned before: 4, with the end pass.
     x = _point(1000)
     counted = EvalCounter(lambda v: v[1:] * v[:-1] - np.sin(v[1:]))
     got = jacobian(counted, x)
-    assert counted.count == 2 + math.ceil((1000 - 2 * default_chunk(1000)) / WIDE_CHUNK) == 4
+    assert counted.count == 1 + math.ceil((1000 - default_chunk(1000)) / WIDE_CHUNK) == 3
     assert np.array_equal(got.entries, jacobian(counted.f, x, ChunkConfig(8)).entries)
 
 
 def test_a_target_that_catches_the_stop_is_run_again_in_narrow_blocks():
+    # pinned before with a slice that cut the band, which now overhangs instead
     def f(v):
         try:
-            return np.sum(v[K // 3 :] ** 2) + np.sum(v * v)  # the slice cuts the trial's band
+            return np.sum(v * v[::-1]) + np.sum(v * v)  # opposite skews leave the band
         except BaseException:
             return 0.0
 
     x = _point(K)
     counted = EvalCounter(f)
     got = gradient(counted, x)
-    assert counted.count == BAND_PASSES + math.ceil((K - 2 * N0) / WIDE_CHUNK)
+    assert counted.count == 2 + math.ceil((K - N0) / WIDE_CHUNK)
     want = gradient(f, x, ChunkConfig(8))
     assert got.values.tobytes() == want.values.tobytes() and got.f_value == want.f_value
 
 
 @pytest.mark.parametrize("f", [rosenbrock, ackley])
 def test_a_band_target_runs_its_trial_without_leaving_the_band(monkeypatch, f):
+    # pinned before: pass 0, the trial and the end pass, and no step out in the trial
     lanes, seen = [], []
 
     def recorded(v):
@@ -402,17 +418,15 @@ def test_a_band_target_runs_its_trial_without_leaving_the_band(monkeypatch, f):
     x = _point(K)
     got = gradient(recorded, x)
     monkeypatch.undo()
-    assert lanes == [N0, K - 2 * N0, N0]  # pass 0, the trial, the end pass
-    in_trial = [(name, shape) for p, name, shape in seen if p == 2]
-    assert not [name for name, _ in in_trial if name != "zeros"], in_trial
-    assert all(math.prod(np.atleast_1d(s)) * 8 <= LANE_BLOCK_BYTES for _, s in in_trial)
+    assert lanes == [K]  # one pass, in band
+    in_pass = [(name, shape) for p, name, shape in seen if p == 1]
+    assert not [name for name, _ in in_pass if name != "zeros"], in_pass
+    assert all(math.prod(np.atleast_1d(s)) * 8 <= LANE_BLOCK_BYTES for _, s in in_pass)
     assert got.values.tobytes() == gradient(f, x, ChunkConfig(8)).values.tobytes()
 
 
-BIG_K = 40000  # N0 = 8: a middle of 39984 components, two blocks of up to 32768
-
-
 def test_a_middle_wider_than_one_block_takes_two_passes():
+    # pinned before: [8, 32768, 8, the rest], with the dense pass 0 and the end pass
     x = _point(BIG_K)
     lanes = []
 
@@ -421,14 +435,15 @@ def test_a_middle_wider_than_one_block_takes_two_passes():
         return rosenbrock(v)
 
     got = gradient(recorded, x)
-    assert lanes == [8, 32768, 8, BIG_K - 16 - 32768]
+    assert lanes == [32768, BIG_K - 32768]
     assert got.values.tobytes() == gradient(rosenbrock, x, ChunkConfig(8)).values.tobytes()
 
 
 def test_a_later_wide_block_that_leaves_its_band_runs_again_in_narrow_blocks():
-    # the slice cuts only the second middle block, which the trial does not reach
+    # the reversed slice meets the band only in the second block; pinned before with
+    # a plain slice v[36000:], which now overhangs and stays in band
     def f(v):
-        return np.sum(v[36000:] ** 2) + np.sum(np.sin(v) * v)
+        return np.sum(v[36000:] * v[36000:][::-1]) + np.sum(np.sin(v) * v)
 
     x = _point(BIG_K)
     lanes = []
@@ -438,9 +453,9 @@ def test_a_later_wide_block_that_leaves_its_band_runs_again_in_narrow_blocks():
         return f(v)
 
     got = gradient(recorded, x, ChunkConfig(threads=2))
-    rest = BIG_K - 16 - 32768
+    rest = BIG_K - 32768
     tail = [WIDE_CHUNK] * (rest // WIDE_CHUNK) + [rest % WIDE_CHUNK]
-    assert lanes == [8, 32768, 8, rest] + tail  # the stopped block, then its narrow blocks
+    assert lanes == [32768, rest] + tail  # the stopped block, then its narrow blocks
     assert got.values.tobytes() == gradient(f, x, ChunkConfig(8)).values.tobytes()
 
 
@@ -461,7 +476,7 @@ def test_a_band_target_leaves_no_pass_for_a_worker(monkeypatch):
     serial = gradient(ackley, x)
     started = _threads_started(monkeypatch)
     got = gradient(ackley, x, ChunkConfig(threads=2))
-    assert not started  # pass 0, the trial, then one pass: the end pass
+    assert not started  # one pass, on the caller
     assert got.values.tobytes() == serial.values.tobytes() and got.f_value == serial.f_value
 
 
@@ -473,6 +488,79 @@ def test_a_target_that_stops_the_trial_still_fans_out(monkeypatch):
     assert started == [1]
     assert got.values.tobytes() == serial.values.tobytes() and got.f_value == serial.f_value
 
+
+# one bad component each; |v| ** 1.5 at 0 and tan at pi / 2 keep finite
+# coefficients (0 and 2.7e32), so nothing there stops the band pass
+POISONED = {
+    "sqrt": (np.sqrt, 0.0, True),
+    "log": (np.log, 0.0, True),
+    "reciprocal": (lambda v: 1.0 / v, 0.0, True),
+    "abs-power-0.5": (lambda v: abs(v) ** 0.5, 0.0, True),
+    "exp": (np.exp, 710.0, True),
+    "v-over-zero": (lambda v: v / (v - v), None, True),
+    "abs-power-1.5": (lambda v: abs(v) ** 1.5, 0.0, False),
+    "tan": (np.tan, np.pi / 2, False),
+}
+
+
+@pytest.mark.parametrize("driver", [gradient, jacobian])
+@pytest.mark.parametrize("name", list(POISONED))
+def test_a_non_finite_coefficient_stops_the_band_pass(name, driver):
+    rule, bad, stops = POISONED[name]
+    x = np.linspace(0.5, 1.5, K)
+    if bad is not None:
+        x[1234] = bad
+    f = (lambda v: np.sum(rule(v))) if driver is gradient else (lambda v: [np.sum(rule(v))])
+    counted = EvalCounter(f)
+    got, want = driver(counted, x), driver(f, x, ChunkConfig(K))
+    if driver is gradient:
+        assert got.values.tobytes() == want.values.tobytes() and got.f_value == want.f_value
+    else:
+        assert got.entries.tobytes() == want.entries.tobytes()
+    in_band = BAND_PASSES if driver is gradient else 2
+    assert counted.count == (1 + math.ceil(K / N0) if stops else in_band)
+
+
+def test_a_driver_called_inside_f_keeps_the_outer_guard():
+    w = _point(K, 5)
+    x = np.ones(K)
+    x[1500] = 0.0  # sqrt's coefficient is inf there: only a dense pass shows the NaNs
+    counted = EvalCounter(lambda v: float(gradient(rosenbrock, w).values[0]) * np.sum(np.sqrt(v)))
+    got = gradient(counted, x)
+    assert np.isnan(got.values).sum() == K - 1
+    assert counted.count == 1 + math.ceil(K / N0)
+    # a finite target keeps its one band pass: an inner call's dense seeding does not
+    # stop it (before, it did, and the call took ceil(K / N0) + 1 passes)
+    inners = (lambda: gradient(rosenbrock, w).values[0], lambda: hessian(ackley, w[:30]).f_value)
+    for inner in inners:
+        counted = EvalCounter(lambda v: np.sum(v * v) * float(inner()))
+        got = gradient(counted, _point(K))
+        assert counted.count == BAND_PASSES
+        want = gradient(counted.f, _point(K), ChunkConfig(8))
+        assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_a_far_apart_union_stops_the_band_pass_and_keeps_its_peak():
+    # v[:k//2] and v[k//2:] overhang as bands 6000 columns apart: their union in one
+    # band pass would be a 12000 x 6001 block, so it stops as a column window does
+    code = """if True:
+        import resource, numpy as np
+        from dualgrad import ChunkConfig, EvalCounter, gradient
+        x = np.random.default_rng(11).uniform(-2.0, 2.0, 12000)
+        f = EvalCounter(lambda v: np.sum(v[: len(v) // 2] * v[len(v) // 2 :]))
+        want = gradient(f.f, x, ChunkConfig(8))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        got = gradient(f, x)
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print(got.values.tobytes() == want.values.tobytes(), f.count, (after - before) / 1024)
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    same, count, grew = done.stdout.split()
+    assert same == "True" and int(count) == 2 + math.ceil((12000 - 8) / WIDE_CHUNK)
+    # one 512 x 6001 union (23.4 MiB) in the pass that straddles k/2, as before this
+    # plan: the peak rose by 26.7 MiB over chunk 8's before, and by 25.4 after
+    assert float(grew) <= WIDE_CHUNK * 6001 * 8 / 2**20 + 4, done.stdout
 
 
 # ----------------------------------------------------------------------
@@ -498,18 +586,77 @@ def _band_window(skew, lo, rows=5, w=3, seed=3):
 BANDS = [(1, 4), (1, 0), (1, 13), (-1, 9), (-1, 4), (-1, 17)]  # edges of [0, BAND_K) included
 
 
-def test_a_band_must_lie_inside_its_columns():
-    pool._Window(np.ones((5, 1)), 15, BAND_K, 1)  # columns 15..19
-    pool._Window(np.ones((5, 1)), 4, BAND_K, -1)  # columns 0..4
-    for lo, skew, w in ((16, 1, 1), (14, 1, 3), (3, -1, 1), (-1, 1, 1), (19, -1, 2)):
-        with pytest.raises(ValueError, match="leaves columns"):
-            pool._Window(np.ones((5, w)), lo, BAND_K, skew)
-    with pytest.raises(ValueError, match="leaves columns"):
+def _overhanging(skew, lo, k=4, rows=5, w=3):
+    """A band of rows x w entries at lo that overhangs [0, k), zero there, and its full block."""
+    block = np.random.default_rng(7).uniform(0.5, 2.0, (rows, w))
+    full = np.zeros((rows, k))
+    for n in range(rows):
+        for t in range(w):
+            col = lo + skew * n + t
+            if 0 <= col < k:
+                full[n, col] = block[n, t]
+            else:
+                block[n, t] = 0.0
+    return pool._Window(block, lo, k, skew), full
+
+
+def _checked_band_views(monkeypatch):
+    """A list that records, for each strided band view made from now on, whether it stays
+    inside its array."""
+    views, band = [], pool._band
+
+    def checked(a, start, step, rows, w):
+        ends = (start, start + step * (rows - 1))
+        views.append(not rows * w or 0 <= min(ends) and max(ends) + w <= a.size)
+        return band(a, start, step, rows, w)
+
+    monkeypatch.setattr(pool, "_band", checked)
+    return views
+
+
+@pytest.mark.parametrize("skew, lo", [(1, -2), (-1, 3)])
+def test_a_band_may_overhang_both_ends_of_its_columns(monkeypatch, skew, lo):
+    # pinned before (as test_a_band_must_lie_inside_its_columns): a band whose
+    # entries left [0, k) raised ValueError.  It now overhangs, zero there, and
+    # no strided view of its block or of a coefficient reads outside its array.
+    win, full = _overhanging(skew, lo)
+    first, stop = win.span()
+    assert first < 0 and stop > win.k  # both ends
+    views = _checked_band_views(monkeypatch)
+    assert np.array_equal(np.asarray(win), full)
+    cols = win.columns()
+    assert cols.skew == 0 and (cols.lo, cols.hi) == (0, win.k)
+    assert np.array_equal(np.asarray(cols), full)
+    coeff = np.array([0.5, -2.0, 4.0, 0.25])
+    cut = pool._cut(coeff, win)
+    for n in range(5):
+        for t in range(3):
+            col = lo + skew * n + t
+            assert cut[n, t] == (coeff[col] if 0 <= col < win.k else 1.0)  # ones outside
+    for op, ufunc in ((pool._WINDOW_OPS.mul, np.multiply), (pool._WINDOW_OPS.div, np.divide)):
+        got = op(win, coeff)
+        assert type(got) is pool._Window and np.array_equal(np.asarray(got), ufunc(full, coeff))
+    assert np.array_equal(win.sum(axis=-1), full.sum(axis=-1))
+    for i in range(-win.k, win.k):
+        assert np.array_equal(win[(pool._EVERY_LANE, i)], full[:, i])
+    for i in (slice(1, None), slice(None, 3), slice(1, 3), slice(None, None, -1), slice(2, 0, -1)):
+        got = win[(pool._EVERY_LANE, i)]
+        assert got.skew == skew * (i.step or 1) and np.array_equal(np.asarray(got), full[:, i])
+    assert views and all(views)
+    with pytest.raises(ValueError, match="N x w block"):
         pool._Window(np.ones((2, 5, 1)), 4, BAND_K, 1)
+
+
+def test_no_band_view_reads_outside_its_array(monkeypatch):
+    views = _checked_band_views(monkeypatch)
+    for f in list(TARGETS.values()) + [_program(seed) for seed in (0, 2, 5)]:
+        gradient(f, _point(K))
+    assert views and all(views)
 
 
 def test_in_band_stops_at_the_first_step_out_and_drops_what_follows():
     win, full = _band_window(1, 4)
+    reversed_ = (pool._EVERY_LANE, slice(None, None, -1))
 
     def caught_then_full(w):
         try:
@@ -520,16 +667,46 @@ def test_in_band_stops_at_the_first_step_out_and_drops_what_follows():
 
     def caught_then_failed(w):
         try:
-            w[(pool._EVERY_LANE, slice(5, None))]  # cuts the band's edge
+            pool._WINDOW_OPS.add(w, w[reversed_])  # opposite skews: a column window
         except BaseException:
             raise ValueError("what f raises after the stop is dropped")
 
     assert pool.in_band(caught_then_full, win) == (None, "full")
     assert pool.in_band(caught_then_failed, win) == (None, "columns")
     assert pool.in_band(lambda w: w.sum(axis=-1).tobytes(), win) == (full.sum(-1).tobytes(), None)
+    # a slice that cuts the band overhangs it and stays in band
+    assert pool.in_band(lambda w: w[(pool._EVERY_LANE, slice(5, None))].skew, win) == (1, None)
     with pytest.raises(ZeroDivisionError):  # an error of f's own, with no step out
         pool.in_band(lambda w: 1 / 0, win)
     assert np.array_equal(np.asarray(win), full)  # outside in_band nothing stops
+
+
+def test_in_band_takes_the_stops_it_is_given_and_restores_the_guard():
+    win, full = _band_window(1, 4)
+    coeff = np.linspace(-1.0, 1.0, BAND_K)
+    unsafe = [coeff.copy() for _ in range(3)]
+    unsafe[0][2], unsafe[1][19] = np.inf, np.nan  # outside the entries too
+    for c in unsafe[:2] + [np.float64(np.inf)]:
+        assert pool.in_band(lambda w: pool._WINDOW_OPS.mul(w, c), win) == (None, "unsafe")
+    zero = coeff.copy()
+    zero[7] = 0.0
+    assert pool.in_band(lambda w: pool._WINDOW_OPS.div(w, zero), win) == (None, "unsafe")
+    got, left = pool.in_band(lambda w: pool._WINDOW_OPS.mul(w, coeff), win)
+    assert left is None and np.array_equal(np.asarray(got), full * coeff)
+    # a narrow pass keeps its column windows, and stops on a full block only
+    narrow = ("full", "unsafe")
+    got, left = pool.in_band(lambda w: w.columns(), win, narrow)
+    assert left is None and got.skew == 0 and np.array_equal(np.asarray(got), full)
+    assert pool.in_band(np.asarray, win, narrow) == (None, "full")
+
+    def nested(w):  # an inner guard, then a step out under the outer one
+        assert pool.in_band(lambda v: v.sum(axis=-1), w, narrow)[1] is None
+        return w.columns()
+
+    assert pool.in_band(nested, win) == (None, "columns")
+    with pool.lane_pool():  # a driver call inside a guarded f runs unguarded
+        assert np.array_equal(np.asarray(win), full)
+    assert pool._active.guard == () and pool._active.left is None
 
 
 @pytest.mark.parametrize("skew, lo", BANDS)
@@ -555,12 +732,10 @@ def test_band_slices_match_the_full_block(skew, lo):
                 assert type(got) is pool._Window and np.array_equal(np.asarray(got), full[:, i]), i
                 taken = range(BAND_K)[i]
                 inside = all(c in taken for c in range(first, stop))
-                if got.block.size and inside:  # the band stays one, mirrored by a reversal
+                if got.block.size:  # the band stays one, mirrored by a reversal
                     assert got.skew == skew * taken.step and got.block.shape == win.block.shape, i
-                    kept += 1
-                elif got.block.size:  # it cuts the band's edge: a window on its columns
-                    assert got.skew == 0, i
-                    cut += 1
+                    kept += inside
+                    cut += not inside  # it cuts the band's edge, and overhangs the slice
     assert kept and cut
 
 
@@ -654,18 +829,18 @@ def test_sums_over_full_rows_take_tiles_of_the_lane_block_budget(monkeypatch, k,
 
 
 def test_rosenbrock_wide_passes_sum_bands_of_at_most_three_entries_a_lane(monkeypatch):
+    # pinned before: two sums, the trial's and the end pass's, whose N0 lanes x[:-1]
+    # cut into a column window of up to N0 x (N0 + 1) entries
     summed = []
     plain = pool._Window.sum
 
     def recorded(self, axis):
-        summed.append((self.block.shape[0], self.block.size))
+        summed.append((self.block.shape[0], self.block.size, self.span()))
         return plain(self, axis)
 
     monkeypatch.setattr(pool._Window, "sum", recorded)
     x = _point(K)
     got = gradient(rosenbrock, x)
-    assert len(summed) == BAND_PASSES - 1  # pass 0 is dense: its sums are ndarray sums
-    trial, last = summed  # the end pass, last, holds component K - 1, which x[:-1] cuts
-    assert trial[0] == K - 2 * N0 and trial[1] <= trial[0] * 3
-    assert last[0] == N0 and N0 * 3 < last[1] <= N0 * (N0 + 1)  # a fallback of N0 lanes only
+    (rows, size, span), = summed  # one band pass; x[1:] and x[:-1] overhang [0, K - 1)
+    assert rows == K and size == 2 * K and span == (-1, K)
     assert np.array_equal(got.values, gradient(rosenbrock, x, ChunkConfig(K)).values)
