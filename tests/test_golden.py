@@ -5,8 +5,8 @@ use only + - * /, sqrt, abs and sign, which IEEE 754 rounds exactly, and
 the inputs are exact rationals rather than draws from a generator, so the
 digests depend on the arithmetic the rules do (and numpy's summation
 order), not on libm or the random stream.  Pooled lane blocks (k=3000 at
-chunk 8 is 192 KB per block), the threaded scheduler and every nesting
-level are covered.  A digest that changes means a number changed: that
+chunk 8 is 192 KB per block), the default plan's lane windows, the
+threaded scheduler and every nesting level are covered.  A digest that changes means a number changed: that
 needs a declared fix, not a new digest.
 """
 
@@ -82,12 +82,21 @@ CASES = {
         lambda: _gradient(3000, ChunkConfig(8)),
         "04f3a9aac70267f4ca7e4bcec6d56b3b4b852fa8d880baff1b29929ef6c5c956",
     ),
+    # the default plan: one guarded band pass on every component
+    "gradient-k3000-default": (
+        lambda: _gradient(3000, None),
+        "04f3a9aac70267f4ca7e4bcec6d56b3b4b852fa8d880baff1b29929ef6c5c956",
+    ),
     "gradient-k3000-n24-2threads": (
         lambda: _gradient(3000, ChunkConfig(24, 2)),
         "04f3a9aac70267f4ca7e4bcec6d56b3b4b852fa8d880baff1b29929ef6c5c956",
     ),
     "jacobian-k3000-n8": (
         lambda: _jacobian(3000, ChunkConfig(8)),
+        "afd41e068970765e1451f2c273875438b5cac011c0112a473b0510724c7642d5",
+    ),
+    "jacobian-k3000-default": (
+        lambda: _jacobian(3000, None),
         "afd41e068970765e1451f2c273875438b5cac011c0112a473b0510724c7642d5",
     ),
     "hessian-k30-8x8": (
