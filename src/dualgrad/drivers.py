@@ -334,7 +334,7 @@ def _seeded(x, blocks, windowed=False):
     widths = [b.stop - b.start for b in blocks]
     out = x
     for d, block in enumerate(blocks):
-        unit = _Window(np.ones((widths[d], 1)), block.start, x.shape[0], 1)
+        unit = _Window(np.ones((1, widths[d])), block.start, x.shape[0], 1)
         out = _vector(out, unit if windowed else _constant(unit.full(), widths[:d]))
     return out
 

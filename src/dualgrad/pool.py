@@ -25,12 +25,14 @@ full block, the row tiles of its sums).
 A ``_Window`` is a lane block that holds only the entries its seeds can
 reach.  The N unit lanes of a first-order pass are one diagonal of its
 N x k block, and elementwise rules and shifted slices keep each lane on
-a few diagonals, so a window holds them as a band: an N x w block whose
-entry (n, t) is column lo + skew * n + t, skew 1 or -1 (a reversed slice
-flips it); at skew 0 it holds w whole columns.  A band may overhang
-[0, k), as one that a slice cuts does; its entries there are zero.
-``ops`` hands the rules on a window operations that compute its entries
-only, each value-shaped coefficient cut to them as a strided N x w view.
+a few diagonals, so a window holds them as a band: a w x N block whose
+entry (t, n) is lane n's column lo + skew * n + t, skew 1 or -1 (a
+reversed slice flips it); at skew 0 it holds w whole columns.  A row is
+a diagonal, so each ufunc of a rule runs over w rows of N lanes, not N
+rows of w.  A band may overhang [0, k), as one that a slice cuts does;
+its entries there are zero.  ``ops`` hands the rules on a window
+operations that compute its entries only, each value-shaped coefficient
+cut to them as a strided w x N view.
 The rule bodies stay the same.  A band that meets the other skew
 becomes a window on the columns it spans; what cannot stay in those
 (fancy indexes, a reshape, ``np.asarray``, full lanes as the other
@@ -267,46 +269,48 @@ def pooled_zeros(shape):
 _EVERY_LANE = slice(None)
 
 
-def _band(a, start, step, rows, w):
-    """The ``(rows, w)`` view of 1-D ``a`` whose entry ``(n, t)`` is ``a[start + step * n + t]``."""
-    if w == 1:  # a plain slice is cheapest; a step of 0 leaves one row
-        return a[start :: step or 1][:rows, None]
+def _band(a, start, dt, dn, shape):
+    """The ``shape`` view of 1-D ``a`` whose entry ``(t, n)`` is ``a[start + t * dt + n * dn]``."""
+    if shape[0] == 1:  # a plain slice is cheapest; a step of 0 leaves one entry
+        return a[start :: dn or 1][: shape[1]][None]
     a = np.ascontiguousarray(a)
     size = a.itemsize
-    return np.ndarray((rows, w), a.dtype, a, start * size, (step * size, size))
+    return np.ndarray(shape, a.dtype, a, start * size, (dt * size, dn * size))
 
 
 class _Window:
     """Lane block of full shape ``(N, k)`` that is zero outside the entries
-    that ``block`` holds: its entry ``(n, t)`` is column ``lo + skew * n + t``.
+    that ``block`` holds: its entry ``(t, n)`` is lane n's column ``lo + skew * n + t``.
 
-    At skew 0 ``block`` holds the w columns ``[lo, hi)``; at skew 1 or -1
-    it holds w diagonals, a band, whose entries outside ``[0, k)`` are
-    zero: a slice that cuts a band leaves it overhanging.  The drivers
-    seed a first-order pass with a band of one diagonal, its N unit lanes,
-    and elementwise rules and step-1 or step-(-1) slices keep them there.
-    ``ops`` gives the rules on a window operations that cut value-shaped
-    coefficients to its entries.  A band that cannot stay one (another
-    skew or full lanes as the other operand) first becomes a window on
-    the columns in ``[0, k)`` it spans (``columns``).  What cannot stay in
-    those (another slice step, fancy indexes, a reshape) gives the full
-    block, which ``np.asarray`` builds.
+    ``block`` is ``(w, N)`` and C-contiguous, one row a diagonal, so that
+    every rule runs its ufunc over rows of N.  At skew 0 it holds the w
+    columns ``[lo, hi)``; at skew 1 or -1 it holds w diagonals, a band,
+    whose entries outside ``[0, k)`` are zero: a slice that cuts a band
+    leaves it overhanging.  The drivers seed a first-order pass with a
+    band of one diagonal, its N unit lanes, and elementwise rules and
+    step-1 or step-(-1) slices keep them there.  ``ops`` gives the rules
+    on a window operations that cut value-shaped coefficients to its
+    entries.  A band that cannot stay one (another skew or full lanes as
+    the other operand) first becomes a window on the columns in ``[0, k)``
+    it spans (``columns``).  What cannot stay in those (another slice
+    step, fancy indexes, a reshape) gives the full block, which
+    ``np.asarray`` builds.
     """
 
     __slots__ = ("block", "lo", "hi", "k", "skew")
 
     def __init__(self, block, lo, k, skew=0):
+        if block.ndim != 2:
+            raise ValueError(f"a window holds a w x N block, not {block.shape}")
         self.block = block
         self.lo = lo
-        self.hi = lo + block.shape[-1]
+        self.hi = lo + block.shape[0]
         self.k = k
         self.skew = skew
-        if skew and block.ndim != 2:
-            raise ValueError(f"a band holds an N x w block, not {block.shape}")
 
     @property
     def shape(self):
-        return self.block.shape[:-1] + (self.k,)
+        return (self.block.shape[1], self.k)
 
     # read through to the block, for code that inspects lane arrays: the
     # dtype a scalar Dual's lanes take on, sizes for allocation counters
@@ -317,7 +321,7 @@ class _Window:
 
     def span(self):
         """The columns ``[first, stop)`` that the entries lie in."""
-        reach = self.skew * (self.block.shape[0] - 1)
+        reach = self.skew * (self.block.shape[1] - 1)
         return self.lo + min(reach, 0), self.hi + max(reach, 0)
 
     def like(self, block):
@@ -328,22 +332,25 @@ class _Window:
         """A window on the same entries; a target may copy ``v.partials``."""
         return self.like(self.block.copy())
 
-    def _spread(self, shape, first=0):
-        """Lanes of ``shape`` on the columns from ``first`` on: its entries there, else zeros."""
+    def _spread(self, cols, first=0, by_column=False):
+        """Lanes on the columns [first, first + cols), zero but its entries: N x cols, or cols x N."""
+        rows = self.block.shape[1]
         lo, stop = self.span()
-        lo, stop = min(lo, first), max(stop, first + shape[-1])
-        if stop - lo > shape[-1]:  # an overhang: spread on every column the band spans, then cut
-            wide = self._spread(shape[:-1] + (stop - lo,), lo)
-            return np.ascontiguousarray(wide[..., first - lo : first - lo + shape[-1]])
-        out = pooled_zeros(shape) if shape[-1] == self.k else np.zeros(shape)
-        flat = out.reshape(-1)
-        _band(flat, self.lo - first, shape[-1] + self.skew, *self.block.shape)[...] = self.block
+        lo, stop = min(lo, first), max(stop, first + cols)
+        if stop - lo > cols:  # an overhang: spread on every column the band spans, then cut
+            wide, cut = self._spread(stop - lo, lo, by_column), slice(first - lo, first - lo + cols)
+            return (wide[cut] if by_column else wide[:, cut]).copy()
+        shape = (cols, rows) if by_column else (rows, cols)
+        out = pooled_zeros(shape) if cols == self.k else np.zeros(shape)
+        # entry (t, n) goes to column lo + skew * n + t of lane n
+        dt, dn = (rows, self.skew * rows + 1) if by_column else (1, cols + self.skew)
+        _band(out.reshape(-1), (self.lo - first) * dt, dt, dn, self.block.shape)[...] = self.block
         return out
 
     def full(self):
         """The full block."""
         _leave("full")
-        return self._spread(self.shape)
+        return self._spread(self.k)
 
     def columns(self):
         """The same lanes as a window on the columns of [0, k) they span; itself at skew 0."""
@@ -352,15 +359,15 @@ class _Window:
         _leave("columns")
         first, stop = self.span()
         first, stop = max(first, 0), min(stop, self.k)
-        return _Window(self._spread((self.block.shape[0], stop - first), first), first, self.k)
+        return _Window(self._spread(stop - first, first, True), first, self.k)
 
     def _inside(self, a, b):
         """The block with every entry whose column is outside [a, b) set to zero."""
-        out, rows = self.block.copy(), self.block.shape[0]
-        for t, c in enumerate(range(self.lo, self.hi)):  # diagonal t: the rows inside are a run
+        out, rows = self.block.copy(), self.block.shape[1]
+        for t, c in enumerate(range(self.lo, self.hi)):  # diagonal t: the lanes inside are a run
             ends = (a - c, b - c) if self.skew > 0 else (c - b + 1, c - a + 1)
             first, stop = (min(max(e, 0), rows) for e in ends)
-            out[:first, t] = out[stop:, t] = 0.0
+            out[t, :first] = out[t, stop:] = 0.0
         return out
 
     def __array__(self, dtype=None, copy=None):
@@ -377,17 +384,17 @@ class _Window:
         """
         block, skew = self.block, self.skew
         ours = type(idx) is tuple and len(idx) == 2 and idx[0] is _EVERY_LANE
-        i = idx[1] if ours and block.ndim == 2 else None
+        i = idx[1] if ours else None
         if type(i) is int or isinstance(i, np.integer):
             # DualVector indexed its values first, so i is in range; the
-            # entries (n, t) in column i have t + skew * n == j
+            # entries (t, n) in column i have t + skew * n == j
             j = i - self.lo + (self.k if i < 0 else 0)
             if not skew:
-                return block[:, j] if 0 <= j < block.shape[1] else np.zeros(block.shape[0])
+                return block[j] if 0 <= j < block.shape[0] else np.zeros(block.shape[1])
             # at most w of them, on one diagonal of the block or of its mirror
-            off = j if skew < 0 else block.shape[1] - 1 - j
-            entries = np.diagonal(block if skew < 0 else block[:, ::-1], off)
-            out = np.zeros(block.shape[0])
+            off = j if skew < 0 else block.shape[0] - 1 - j
+            entries = np.diagonal(block if skew < 0 else block[::-1], -off)
+            out = np.zeros(block.shape[1])
             out[max(0, -off) :][: len(entries)] = entries
             return out
         if type(i) is slice and (taken := range(self.k)[i]).step in (1, -1):
@@ -398,35 +405,35 @@ class _Window:
                 a, b = taken.stop + 1, taken.start + 1
             first, stop = self.span()
             if min(b, stop) <= max(a, first):
-                return _Window(block[:, :0], 0, len(taken))
-            if skew:  # a band keeps its rows and overhangs the slice, zero outside it
+                return _Window(block[:0], 0, len(taken))
+            if skew:  # a band keeps its lanes and overhangs the slice, zero outside it
                 lo, hi = self.lo, self.hi
                 if first < a or b < stop:
                     block = self._inside(a, b)
             else:
                 lo, hi = max(self.lo, a), min(self.hi, b)
-                block = block[:, lo - self.lo : hi - self.lo]
+                block = block[lo - self.lo : hi - self.lo]
             if taken.step == 1:
                 return _Window(block, lo - taken.start, len(taken), skew)
-            return _Window(block[:, ::-1], taken.start - (hi - 1), len(taken), -skew)
+            return _Window(np.ascontiguousarray(block[::-1]), taken.start - (hi - 1), len(taken), -skew)
         return np.asarray(self)[idx]
 
     def sum(self, axis):
         """Sum over the last axis, in the window where that gives the full block's numbers.
 
-        A row with at most two nonzero lanes sums to the same ``fl(a + b)``
-        in any order.  Any other row is summed over its full row, in numpy's
-        pairwise order, built in tiles of rows of at most LANE_BLOCK_BYTES.
-        Neither leaves the band (``in_band``): the tiles stay within the budget.
+        A lane with at most two nonzero entries sums to the same ``fl(a + b)``
+        in any order: the rows add.  Any other lane is summed over its full
+        row, in numpy's pairwise order, built in tiles of lanes of at most
+        LANE_BLOCK_BYTES.  Neither leaves the band (``in_band``).
         """
         block, skew = self.block, self.skew
-        if block.shape[-1] <= 2 or np.add.reduce(block != 0, -1).max() <= 2:
-            return block.sum(axis=axis)
+        if block.shape[0] <= 2 or np.add.reduce(block != 0, 0).max() <= 2:
+            return block.sum(axis=0)
         rows = max(1, LANE_BLOCK_BYTES // (8 * self.k))
-        out = np.empty(block.shape[0])
-        for r in range(0, block.shape[0], rows):
-            tile = _Window(block[r : r + rows], self.lo + skew * r, self.k, skew)
-            out[r : r + rows] = tile._spread(tile.shape).sum(axis=-1)
+        out = np.empty(block.shape[1])
+        for r in range(0, block.shape[1], rows):
+            tile = _Window(np.ascontiguousarray(block[:, r : r + rows]), self.lo + skew * r, self.k, skew)
+            out[r : r + rows] = tile._spread(self.k).sum(axis=-1)
         return out
 
 
@@ -471,21 +478,24 @@ def _full(a):
 
 
 def _cut(c, win):
-    """Coefficient ``c`` on the entries of ``win``, or None when its last axis is not win's."""
+    """Coefficient ``c`` on the entries of ``win``, shaped to its block, or None unless c is 1-D of k."""
     if type(c) in _POOL_SCALARS:
         return c
     c = np.asarray(c)
-    if c.ndim == 0 or c.shape[-1] == 1:
+    if c.ndim == 0 or c.shape == (1,):
         return c
-    if c.shape[-1] != win.k or win.skew and c.ndim != 1:
+    if c.shape != (win.k,):
         return None
     if not win.skew:
-        return c[..., win.lo : win.hi]
+        return c[win.lo : win.hi, None]
     first, stop = win.span()
     under, over = max(0, -first), max(0, stop - win.k)
     if under or over:  # ones where the band overhangs [0, k), whose entries are zero
-        c = np.concatenate((np.ones(under), c, np.ones(over)))
-    return _band(c, win.lo + under, win.skew, *win.block.shape)
+        padded = np.empty(under + win.k + over)
+        padded[:under] = padded[under + win.k :] = 1.0
+        padded[under : under + win.k] = c
+        c = padded
+    return _band(c, win.lo + under, 1, win.skew, win.block.shape)
 
 
 def _scale(ufunc):
@@ -512,7 +522,7 @@ def _join(ufunc):
 
     def op(a, b):
         wa, wb = type(a) is _Window, type(b) is _Window
-        same = wa and wb and a.k == b.k and a.block.shape[:-1] == b.block.shape[:-1]
+        same = wa and wb and a.k == b.k and a.block.shape[1] == b.block.shape[1]
         if same and not (a.block.size and b.block.size):
             # a slice that missed the entries: the other's, with a dense block's signed zeros
             if a.block.size:
@@ -524,24 +534,25 @@ def _join(ufunc):
             if a.lo == b.lo and a.hi == b.hi:
                 return a.like(ufunc(a.block, b.block))
             lo, hi = min(a.lo, b.lo), max(a.hi, b.hi)
-            union = math.prod(a.block.shape[:-1]) * (hi - lo) * 8
+            union = (hi - lo) * a.block.shape[1] * 8
             if union > max(LANE_BLOCK_BYTES, a.block.nbytes + b.block.nbytes):
                 _leave("columns")  # a union that pays for a wide gap between the entries
-            out = np.zeros(a.block.shape[:-1] + (hi - lo,))
-            out[..., a.lo - lo : a.hi - lo] = a.block
-            part = out[..., b.lo - lo : b.hi - lo]
+            out = np.zeros((hi - lo, a.block.shape[1]))
+            out[a.lo - lo : a.hi - lo] = a.block
+            part = out[b.lo - lo : b.hi - lo]
             ufunc(part, b.block, out=part)
             return _Window(out, lo, a.k, a.skew)
         if wa != wb:  # full lanes (a dense vector's, a scalar Dual's) and a window
             _leave("full")
             win, full = (a.columns(), b) if wa else (b.columns(), a)
             shape = np.broadcast_shapes(win.shape, np.shape(full))
-            if (cols := _cut(full, win)) is not None and shape[-1] == win.k:
+            if shape[-1] == win.k:
                 # the full block, without writing the window's zeros out first
                 out = _pooled_empty(shape)
                 ufunc(0.0 if wa else a, 0.0 if wb else b, out=out)
                 part = out[..., win.lo : win.hi]
-                ufunc(win.block if wa else cols, cols if wa else win.block, out=part)
+                cols = full[..., win.lo : win.hi] if np.shape(full)[-1:] == (win.k,) else full
+                ufunc(win.block.T if wa else cols, cols if wa else win.block.T, out=part)
                 return out
         return pooled(ufunc, _full(a), _full(b))
 

@@ -54,7 +54,7 @@ import warnings
 import numpy as np
 
 from .dual import _RULES, Dual, _DualKind
-from .pool import _EVERY_LANE, ops
+from .pool import _EVERY_LANE, _leave, _Window, ops
 
 __all__ = ["DualVector", "NestedDualVector"]
 
@@ -130,12 +130,15 @@ class DualVector(_DualKind):
         component rank get singleton axes after the lane axis, so that
         (M, N, k) lanes combine with (M, k) lanes as (M, 1, k), and so do
         own lanes met by a plain array of higher rank.  Scalar ``Dual``
-        operands join first-order vectors only.
+        operands join first-order vectors only; on a lane window their
+        lanes build the full block, so a guarded pass stops first.
         """
         sp = self.partials
         if type(other) is type(self):
             ov, op = other.values, other.partials
         elif isinstance(other, Dual) and type(self) is DualVector:
+            if type(sp) is _Window:  # the rule would build the full block: stop before it
+                _leave("full")
             ov, op = other.value, np.asarray(other.partials, dtype=sp.dtype)
         elif isinstance(other, _DualKind):
             raise TypeError(

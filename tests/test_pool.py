@@ -106,7 +106,7 @@ def test_narrow_window_blocks_stay_out_of_the_pool(monkeypatch):
 
     def recorded(self, block, lo, k, skew=0):
         init(self, block, lo, k, skew)
-        if (skew or block.shape[-1] < k) and block.nbytes >= POOL_MIN_BYTES:
+        if (skew or block.shape[0] < k) and block.nbytes >= POOL_MIN_BYTES:
             narrow.add(block.shape)
 
     x = _point(K)

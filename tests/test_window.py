@@ -28,7 +28,7 @@ def _windowed_passes(f, x, cfg):
 
     def recorded(v):
         lanes = v.partials
-        seen.append(type(lanes) is pool._Window and lanes.block.shape[-1] < lanes.k)
+        seen.append(type(lanes) is pool._Window and lanes.block.shape[0] < lanes.k)
         return f(v)
 
     return gradient(recorded, x, cfg), sum(seen)
@@ -161,10 +161,11 @@ def test_windows_only_on_large_first_order_lane_blocks():
 
 
 def test_window_slices_match_the_dense_block():
-    block = np.arange(1.0, 13.0).reshape(3, 4)
-    win = pool._Window(block, 5, 12)
+    # pinned before with the lanes themselves as the block, one lane a row
+    lanes = np.arange(1.0, 13.0).reshape(3, 4)
+    win = pool._Window(np.ascontiguousarray(lanes.T), 5, 12)
     full = np.asarray(win)
-    assert full.shape == (3, 12) and np.array_equal(full[:, 5:9], block)
+    assert full.shape == (3, 12) and np.array_equal(full[:, 5:9], lanes)
     assert not full[:, :5].any() and not full[:, 9:].any()
     for i in (slice(None), slice(6, None), slice(None, 7), slice(9, 11), slice(2, 4),
               slice(None, None, -1), slice(7, 2, -1), slice(10, None, -1), slice(4, 1, -1),
@@ -180,7 +181,7 @@ def test_window_slices_match_the_dense_block():
 
 
 def test_window_products_and_quotients_match_the_dense_block():
-    win = pool._Window(np.arange(1.0, 13.0).reshape(3, 4), 5, 12)
+    win = pool._Window(np.arange(1.0, 13.0).reshape(4, 3), 5, 12)  # was (3, 4): one lane a row
     full, coeff = np.asarray(win), np.linspace(-1.0, 1.0, 12)
     with np.errstate(all="ignore"):
         for op, ufunc in ((pool._WINDOW_OPS.mul, np.multiply), (pool._WINDOW_OPS.div, np.divide)):
@@ -324,7 +325,7 @@ def test_a_default_gradient_seeds_one_band_pass_on_every_component():
 
     gradient(recorded, _point(K))
     (band,) = lanes
-    assert type(band) is pool._Window and band.block.shape == (K, 1)
+    assert type(band) is pool._Window and band.block.shape == (1, K)  # was (K, 1): one lane a row
     assert (band.lo, band.skew, band.k) == (0, 1, K)
 
 
@@ -540,14 +541,15 @@ def test_a_driver_called_inside_f_keeps_the_outer_guard():
         assert got.values.tobytes() == want.values.tobytes()
 
 
-def test_a_far_apart_union_stops_the_band_pass_and_keeps_its_peak():
-    # v[:k//2] and v[k//2:] overhang as bands 6000 columns apart: their union in one
-    # band pass would be a 12000 x 6001 block, so it stops as a column window does
-    code = """if True:
+def _peak(target, k):
+    """(result bytes equal to chunk 8's, evaluations, growth of ru_maxrss in MiB) of a
+    default gradient of ``target``, the source of a function of v, at _point(k), in a
+    fresh process."""
+    code = f"""if True:
         import resource, numpy as np
         from dualgrad import ChunkConfig, EvalCounter, gradient
-        x = np.random.default_rng(11).uniform(-2.0, 2.0, 12000)
-        f = EvalCounter(lambda v: np.sum(v[: len(v) // 2] * v[len(v) // 2 :]))
+        x = np.random.default_rng(11).uniform(-2.0, 2.0, {k})
+        f = EvalCounter({target})
         want = gradient(f.f, x, ChunkConfig(8))
         before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         got = gradient(f, x)
@@ -556,15 +558,33 @@ def test_a_far_apart_union_stops_the_band_pass_and_keeps_its_peak():
     """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
     same, count, grew = done.stdout.split()
-    assert same == "True" and int(count) == 2 + math.ceil((12000 - 8) / WIDE_CHUNK)
+    return same == "True", int(count), float(grew)
+
+
+def test_a_far_apart_union_stops_the_band_pass_and_keeps_its_peak():
+    # v[:k//2] and v[k//2:] overhang as bands 6000 columns apart: their union in one
+    # band pass would be a 12000 x 6001 block, so it stops as a column window does
+    same, count, grew = _peak("lambda v: np.sum(v[: len(v) // 2] * v[len(v) // 2 :])", 12000)
+    assert same and count == 2 + math.ceil((12000 - 8) / WIDE_CHUNK)
     # one 512 x 6001 union (23.4 MiB) in the pass that straddles k/2, as before this
     # plan: the peak rose by 26.7 MiB over chunk 8's before, and by 25.4 after
-    assert float(grew) <= WIDE_CHUNK * 6001 * 8 / 2**20 + 4, done.stdout
+    assert grew <= WIDE_CHUNK * 6001 * 8 / 2**20 + 4
+
+
+def test_a_scalar_dual_operand_stops_the_band_pass_before_its_full_block():
+    # the scalar's K lanes joined to the band make the full K x K block (68.7 MiB), so
+    # the band pass stops, and pass 0 runs again dense at N0.  Before, the rule built
+    # the scalar's plain K x K product first and stopped only at the join: the peak
+    # rose by 68.8 MiB over chunk 8's, in the same 301 evaluations
+    same, count, grew = _peak("lambda v: np.sum(v * v[0])", K)
+    assert same and count == 1 + math.ceil(K / N0) == 301
+    assert grew <= K * K * 8 / 2**20 / 8
 
 
 # ----------------------------------------------------------------------
-# bands: a window of skew 1 or -1 holds diagonals, entry (n, t) at
+# bands: a window of skew 1 or -1 holds diagonals, entry (t, n) at
 # column lo + skew * n + t
 # ----------------------------------------------------------------------
 
@@ -572,13 +592,13 @@ BAND_K = 20
 
 
 def _band_window(skew, lo, rows=5, w=3, seed=3):
-    """A band of rows x w random nonzero entries and its full block."""
+    """A band of w x rows random nonzero entries and its full block."""
     signs = np.where(np.arange(w) % 2, -1.0, 1.0)
-    block = np.random.default_rng(seed).uniform(0.5, 2.0, (rows, w)) * signs
-    win = pool._Window(block, lo, BAND_K, skew)
+    lanes = np.random.default_rng(seed).uniform(0.5, 2.0, (rows, w)) * signs
+    win = pool._Window(np.ascontiguousarray(lanes.T), lo, BAND_K, skew)
     full = np.zeros((rows, BAND_K))
     for n in range(rows):
-        full[n, lo + skew * n : lo + skew * n + w] = block[n]
+        full[n, lo + skew * n : lo + skew * n + w] = lanes[n]
     assert np.array_equal(np.asarray(win), full)
     return win, full
 
@@ -587,16 +607,16 @@ BANDS = [(1, 4), (1, 0), (1, 13), (-1, 9), (-1, 4), (-1, 17)]  # edges of [0, BA
 
 
 def _overhanging(skew, lo, k=4, rows=5, w=3):
-    """A band of rows x w entries at lo that overhangs [0, k), zero there, and its full block."""
-    block = np.random.default_rng(7).uniform(0.5, 2.0, (rows, w))
+    """A band of w x rows entries at lo that overhangs [0, k), zero there, and its full block."""
+    block = np.random.default_rng(7).uniform(0.5, 2.0, (rows, w)).T.copy()
     full = np.zeros((rows, k))
     for n in range(rows):
         for t in range(w):
             col = lo + skew * n + t
             if 0 <= col < k:
-                full[n, col] = block[n, t]
+                full[n, col] = block[t, n]
             else:
-                block[n, t] = 0.0
+                block[t, n] = 0.0
     return pool._Window(block, lo, k, skew), full
 
 
@@ -605,10 +625,10 @@ def _checked_band_views(monkeypatch):
     inside its array."""
     views, band = [], pool._band
 
-    def checked(a, start, step, rows, w):
-        ends = (start, start + step * (rows - 1))
-        views.append(not rows * w or 0 <= min(ends) and max(ends) + w <= a.size)
-        return band(a, start, step, rows, w)
+    def checked(a, start, dt, dn, shape):
+        ends = [start + dt * t + dn * n for t in (0, shape[0] - 1) for n in (0, shape[1] - 1)]
+        views.append(not math.prod(shape) or 0 <= min(ends) and max(ends) < a.size)
+        return band(a, start, dt, dn, shape)
 
     monkeypatch.setattr(pool, "_band", checked)
     return views
@@ -632,7 +652,7 @@ def test_a_band_may_overhang_both_ends_of_its_columns(monkeypatch, skew, lo):
     for n in range(5):
         for t in range(3):
             col = lo + skew * n + t
-            assert cut[n, t] == (coeff[col] if 0 <= col < win.k else 1.0)  # ones outside
+            assert cut[t, n] == (coeff[col] if 0 <= col < win.k else 1.0)  # ones outside
     for op, ufunc in ((pool._WINDOW_OPS.mul, np.multiply), (pool._WINDOW_OPS.div, np.divide)):
         got = op(win, coeff)
         assert type(got) is pool._Window and np.array_equal(np.asarray(got), ufunc(full, coeff))
@@ -643,7 +663,7 @@ def test_a_band_may_overhang_both_ends_of_its_columns(monkeypatch, skew, lo):
         got = win[(pool._EVERY_LANE, i)]
         assert got.skew == skew * (i.step or 1) and np.array_equal(np.asarray(got), full[:, i])
     assert views and all(views)
-    with pytest.raises(ValueError, match="N x w block"):
+    with pytest.raises(ValueError, match="w x N block"):
         pool._Window(np.ones((2, 5, 1)), 4, BAND_K, 1)
 
 
@@ -743,11 +763,11 @@ def test_band_slices_match_the_full_block(skew, lo):
 def test_band_products_quotients_and_coefficients_match_the_full_block(skew, lo):
     win, full = _band_window(skew, lo)
     coeff = np.linspace(-1.0, 1.0, BAND_K) ** 3 + 0.25
-    rows, w = win.block.shape
+    w, rows = win.block.shape
     cut = pool._cut(coeff, win)
-    assert cut.shape == (rows, w)
+    assert cut.shape == (w, rows)
     for n in range(rows):
-        assert np.array_equal(cut[n], coeff[lo + skew * n : lo + skew * n + w])
+        assert np.array_equal(cut[:, n], coeff[lo + skew * n : lo + skew * n + w])
     for c in (coeff[::-1], coeff.repeat(2)[::2]):  # strided coefficients
         assert np.array_equal(np.asarray(pool._WINDOW_OPS.mul(win, c)), full * c)
     for op, ufunc in ((pool._WINDOW_OPS.mul, np.multiply), (pool._WINDOW_OPS.div, np.divide)):
@@ -785,10 +805,10 @@ def test_band_unions_match_the_full_block(skew, lo):
 def test_a_window_without_entries_joins_as_the_dense_block_would(skew, lo):
     win, _ = _band_window(skew, lo)
     block = win.block.copy()
-    block[:, 1] = -0.0  # signed zeros that a dense zero operand turns to +0.0
+    block[1] = -0.0  # signed zeros that a dense zero operand turns to +0.0
     win = win.like(block)
     full = np.asarray(win)
-    empty = pool._Window(block[:, :0], 0, BAND_K)  # what a slice that misses the entries gives
+    empty = pool._Window(block[:0], 0, BAND_K)  # what a slice that misses the entries gives
     zeros = np.zeros_like(full)
     for op, ufunc in ((pool._WINDOW_OPS.add, np.add), (pool._WINDOW_OPS.sub, np.subtract)):
         for a, b, dense in ((win, empty, (full, zeros)), (empty, win, (zeros, full))):
@@ -807,7 +827,7 @@ def test_band_copies_and_sums_match_the_full_block(skew, lo):
     for w in (1, 2, 3):  # at most 2 nonzeros a row, or 3 summed over the full rows
         band, band_full = _band_window(skew, lo, w=w)
         assert band.sum(axis=-1).tobytes() == band_full.sum(axis=-1).tobytes(), w
-    sparse = win.like(win.block * (np.arange(3) != 1))  # a zero on each row: two nonzeros
+    sparse = win.like(win.block * (np.arange(3) != 1)[:, None])  # a zero in each lane: two nonzeros
     assert np.array_equal(sparse.sum(axis=-1), np.asarray(sparse).sum(axis=-1))
 
 
@@ -816,8 +836,8 @@ def test_band_copies_and_sums_match_the_full_block(skew, lo):
 def test_sums_over_full_rows_take_tiles_of_the_lane_block_budget(monkeypatch, k, skew):
     w = min(k, 5)
     rows = 127 if skew == 0 else min(127, k - w + 1)  # 127 leaves a short last tile at k=12000
-    block = np.random.default_rng(k).uniform(-1.0, 1.0, (rows, w)) * 1e3 ** np.arange(w)
-    win = pool._Window(block, 0 if skew == 1 else k - w, k, skew)
+    lanes = np.random.default_rng(k).uniform(-1.0, 1.0, (rows, w)) * 1e3 ** np.arange(w)
+    win = pool._Window(np.ascontiguousarray(lanes.T), 0 if skew == 1 else k - w, k, skew)
     want = np.asarray(win).sum(axis=-1)
     built = []
     empty = pool._pooled_empty
@@ -835,7 +855,7 @@ def test_rosenbrock_wide_passes_sum_bands_of_at_most_three_entries_a_lane(monkey
     plain = pool._Window.sum
 
     def recorded(self, axis):
-        summed.append((self.block.shape[0], self.block.size, self.span()))
+        summed.append((self.block.shape[1], self.block.size, self.span()))
         return plain(self, axis)
 
     monkeypatch.setattr(pool._Window, "sum", recorded)
@@ -844,3 +864,67 @@ def test_rosenbrock_wide_passes_sum_bands_of_at_most_three_entries_a_lane(monkey
     (rows, size, span), = summed  # one band pass; x[1:] and x[:-1] overhang [0, K - 1)
     assert rows == K and size == 2 * K and span == (-1, K)
     assert np.array_equal(got.values, gradient(rosenbrock, x, ChunkConfig(K)).values)
+
+
+# ----------------------------------------------------------------------
+# the layout: a window's block is w x N and C-contiguous, one diagonal a
+# row, so that every rule runs its ufunc over rows of N lanes
+# ----------------------------------------------------------------------
+
+# (skew, lo, k) of 5 lanes on 3 diagonals: inside [0, k), overhanging its left
+# end, its right end, and both; and column windows, which never overhang
+LAYOUTS = [(1, 4, 20), (1, -2, 20), (1, 16, 20), (-1, 9, 20), (-1, 2, 20), (-1, 19, 20)]
+LAYOUTS += [(1, -2, 4), (-1, 3, 4), (0, 6, 20), (0, 0, 20), (0, 16, 20)]
+
+
+def _signed_window(skew, lo, k, negative=(1,), seed=3):
+    """A w x N window of nonzero entries but -0.0 on the diagonals ``negative`` and
+    +0.0 outside [0, k), and its full block."""
+    block = np.random.default_rng(seed).uniform(0.5, 2.0, (3, 5)) * [[1.0], [-1.0], [1.0]]
+    block[list(negative)] = -0.0
+    full = np.zeros((5, k))
+    for t in range(3):
+        for n in range(5):
+            col = lo + skew * n + t
+            if 0 <= col < k:
+                full[n, col] = block[t, n]
+            else:
+                block[t, n] = 0.0
+    return pool._Window(block, lo, k, skew), full
+
+
+@pytest.mark.parametrize("skew, lo, k", LAYOUTS)
+def test_every_read_of_a_window_gives_the_bytes_of_its_full_block(skew, lo, k):
+    win, full = _signed_window(skew, lo, k)
+    assert win.full().tobytes() == np.asarray(win).tobytes() == full.tobytes()
+    cols = win.columns()
+    assert cols.skew == 0 and np.asarray(cols).tobytes() == full.tobytes()
+    assert cols.block.flags.c_contiguous and cols.block.shape == (cols.hi - cols.lo, 5)
+    assert win.sum(axis=-1).tobytes() == full.sum(axis=-1).tobytes()
+    for i in range(-k, k):
+        assert win[(pool._EVERY_LANE, i)].tobytes() == full[:, i].tobytes(), i
+    for a in (None, 0, 1, 3, k - 2, -1):
+        for b in (None, 0, 2, k - 1, -3):
+            for step in (None, -1):
+                got = win[(pool._EVERY_LANE, slice(a, b, step))]
+                assert got.block.flags.c_contiguous, (a, b, step)
+                assert np.asarray(got).tobytes() == full[:, a:b:step].tobytes(), (a, b, step)
+    # one diagonal on: its -0.0 diagonals 0 and 1 meet our diagonals 1 (-0.0) and 2
+    other, other_full = _signed_window(skew, lo + 1, k, (0, 1), seed=5)
+    for op, ufunc in ((pool._WINDOW_OPS.add, np.add), (pool._WINDOW_OPS.sub, np.subtract)):
+        got = op(win, other)
+        assert (got.skew, got.lo, got.block.shape) == (skew, lo, (4, 5))
+        assert np.asarray(got).tobytes() == ufunc(full, other_full).tobytes()
+
+
+def test_every_window_of_a_band_pass_holds_a_c_contiguous_block(monkeypatch):
+    built, init = [], pool._Window.__init__
+
+    def recorded(self, block, lo, k, skew=0):
+        init(self, block, lo, k, skew)
+        built.append(block.flags.c_contiguous)
+
+    monkeypatch.setattr(pool._Window, "__init__", recorded)
+    for f in TARGETS.values():
+        gradient(f, _point(K))
+    assert built and all(built)
