@@ -107,6 +107,15 @@ CASES = {
         lambda: _hessian(300, (30, 30)),
         "14928af48c48d5b82bc6070453e3cb2892dd5686f9f3c016f7ca47fe0a9d1733",
     ),
+    # the default plan: chunks of default_chunk(k, 2), one pass at k=30
+    "hessian-k30-default": (
+        lambda: _hessian(30, (None, None)),
+        "3c82556f3aef143491e1183cc571f9a854925c55fab936541682b8a414add8e7",
+    ),
+    "hessian-k300-default": (
+        lambda: _hessian(300, (None, None)),
+        "14928af48c48d5b82bc6070453e3cb2892dd5686f9f3c016f7ca47fe0a9d1733",
+    ),
     "tensor-k6": (
         lambda: _tensor(6),
         "0a179b77d97e5d21ea9e8020e408a0f0bedcfcfaaa4c82ce97245d0f07c54bb6",
