@@ -46,7 +46,13 @@ each pass seeds a block of M components on the float64 lanes of a
 DualVector and a block of N components on the lanes of a NestedDualVector
 wrapped around it, so one pass fills an M x N block of the k x k matrix
 and ceil(k/M) * ceil(k/N) passes fill all of it; the third-order tensor
-adds one more nesting level.  Every level is float64 arrays, and one pass
+adds one more nesting level.  A default Hessian from k = 27 seeds all k
+components (up to ``_wide()``) on its outer lanes as one guarded band, so
+it takes ceil(k/N) passes at N = default_chunk(k, 2): its first-order
+lanes are the band of a gradient's pass, its second-order lanes (M x N x
+k) a band w x N x M, and its inner lanes stay dense.  Any stop runs the
+dense plan instead: from pass 0 at N0 x N0 if pass 0 stopped, or a later
+pass's inner block at N0 x N.  Every level is float64 arrays, and one pass
 loop, one seeding helper and one runner serve all orders, the Jacobian
 and every thread count; only the reader of the target's result differs.
 
@@ -130,7 +136,9 @@ WIDE_CHUNK = 512
 def default_chunk(k, levels=1):
     """Lanes per level at nesting depth ``levels`` (2 for a Hessian) when the
     caller picks none: the widest N <= k whose lane block of N**levels * k
-    float64 lanes fits LANE_BLOCK_BYTES, but never fewer than min(k, 8)."""
+    float64 lanes fits LANE_BLOCK_BYTES, but never fewer than min(k, 8).
+    A default Hessian from k = 27 seeds its outer lanes on all k components
+    in band, so only its inner level takes blocks of this N."""
     fits = LANE_BLOCK_BYTES // (8 * k)  # the largest N**levels in budget
     n = round(fits ** (1 / levels))  # the float root is off by at most one
     return min(k, max(DEFAULT_CHUNK_LIMIT, n - (n**levels > fits)))
@@ -327,15 +335,21 @@ def _seeded(x, blocks, windowed=False):
 
     Level 0 is a float64 DualVector; every further level wraps the one
     below in a NestedDualVector whose unit lanes are constants of the
-    levels below.  A windowed first-order input keeps its unit lanes as
-    the ``pool._Window`` band of ones, one entry a lane; every other input,
-    pass 0's of every driver included, gets the full block as an ndarray.
+    levels below.  A windowed input keeps its level-0 unit lanes as the
+    ``pool._Window`` band of ones, one entry a lane; a windowed Hessian's
+    inner unit lanes are dense, and their zero level-0 lanes a window
+    without entries.  Every other input, a dense pass 0's included, gets
+    the full blocks as ndarrays.
     """
-    widths = [b.stop - b.start for b in blocks]
+    k, widths = x.shape[0], [b.stop - b.start for b in blocks]
     out = x
     for d, block in enumerate(blocks):
-        unit = _Window(np.ones((1, widths[d])), block.start, x.shape[0], 1)
-        out = _vector(out, unit if windowed else _constant(unit.full(), widths[:d]))
+        unit = _Window(np.ones((1, widths[d])), block.start, k, 1)
+        if not windowed:
+            unit = _constant(unit.full(), widths[:d])
+        elif d:  # a Hessian's inner units are dense, their outer lanes an empty window
+            unit = DualVector(unit.full(), _Window(np.empty((0, widths[d], widths[0])), 0, k))
+        out = _vector(out, unit)
     return out
 
 
@@ -447,24 +461,26 @@ def _passes(f, x, chunks, threads=1, read=_scalar_output, lead=None):
     read(y, widths) turns f's result into (f value, the outermost level's
     first-order lanes or None, lane block of shape (outputs..., *widths)).
     Pass 0 seeds each level's first block, dense, and then plans the other
-    passes, the product of each level's blocks.  At the default chunk N0 of
-    a first-order call where windows pay, pass 0 instead runs ``lead``
-    lanes ``pool.in_band``, and so does every later block wider than
-    WIDE_CHUNK, in ``_wide(outputs)`` blocks.  Where f would leave a band
-    that wide, or meets an unsafe coefficient in any guarded pass, the
-    pass stops and its result is dropped.  A stopped pass 0 runs again
-    dense at N0 and the rest in windowed blocks: WIDE_CHUNK lanes after a
-    column window, N0 after a full block or an unsafe coefficient, or
-    dense ones if pass 0's lanes are not finite.  A stopped later block
+    passes, the product of each level's blocks.  Given ``lead`` (at the
+    default chunk N0 of a first-order call where windows pay, or of a
+    Hessian in band), pass 0 instead seeds ``lead`` outer lanes and runs
+    ``pool.in_band``, and so does every later block wider than
+    WIDE_CHUNK, in ``_wide(outputs)`` outer blocks; every pass of a
+    Hessian is guarded.  Where f would leave a band that wide, or meets an
+    unsafe coefficient in any guarded pass, the pass stops and its result
+    is dropped.  A stopped pass 0 runs again dense at N0 and the rest in
+    windowed blocks: WIDE_CHUNK lanes after a column window, N0 after a
+    full block or an unsafe coefficient, or dense ones if pass 0's lanes
+    are not finite (a Hessian: the dense plan).  A stopped later block
     runs again in those narrow blocks, in the same call of ``run``.
     Returns (derivative array of shape (outputs...,) + (k,) * len(chunks),
     gradient from those first-order lanes, f value).
     """
     k, n = x.shape[0], chunks[0]
-    # later passes run on lane windows if they pay and pass 0's lanes are finite
+    # later first-order passes run on lane windows if they pay and pass 0's lanes are finite
     windowed = len(chunks) == 1 and _windows_pay(n, k)
-    guarded = lead is not None and windowed  # whether wide passes run in band: until pass 0 stops
-    combos = [(slice(0, min(k, lead)),) if guarded else tuple(slice(0, c) for c in chunks)]
+    guarded = lead is not None  # whether wide passes run in band: until pass 0 stops
+    combos = [(slice(0, min(k, lead if guarded else n)), *(slice(0, c) for c in chunks[1:]))]
     grad = np.empty(k)
     f0 = out = narrow = None  # pass 0's f value, the result array it sizes, lanes after a stop
 
@@ -472,20 +488,20 @@ def _passes(f, x, chunks, threads=1, read=_scalar_output, lead=None):
         """Pass p, in band where guarded; a stopped pass runs again in narrow blocks."""
         nonlocal guarded, narrow
         blocks = combos[p]
-        lanes = blocks[0].stop - blocks[0].start
-        if not guarded or p and lanes <= WIDE_CHUNK:
+        narrow_pass = windowed and blocks[0].stop - blocks[0].start <= WIDE_CHUNK
+        if not guarded or p and narrow_pass:
             return record(p, blocks, f(_seeded(x, blocks, p > 0 and windowed)))
-        # a pass no wider than WIDE_CHUNK keeps its column windows: they are small there
-        stops = ("full", "unsafe") if lanes <= WIDE_CHUNK else ("columns", "full", "unsafe")
+        # a first-order pass no wider than WIDE_CHUNK keeps its column windows: they are small there
+        stops = ("full", "unsafe") if narrow_pass else ("columns", "full", "unsafe")
         y, left = in_band(f, _seeded(x, blocks, True), stops)
         if not left:
             return record(p, blocks, y)
-        width = WIDE_CHUNK if left == "columns" else n
+        width = WIDE_CHUNK if left == "columns" and windowed else n
         if p == 0:  # pass 0 again, dense at N0, and the rest in blocks of width
-            guarded, narrow, combos[0] = False, width, (slice(0, n),)
+            guarded, narrow, combos[0] = False, width, (slice(0, n), *blocks[1:])
             return record(0, combos[0], f(_seeded(x, combos[0])))
         for b in _blocks(blocks[0].stop, width, blocks[0].start):
-            record(p, (b,), f(_seeded(x, (b,), True)))
+            record(p, (b, *blocks[1:]), f(_seeded(x, (b, *blocks[1:]), windowed)))
 
     def record(p, blocks, y):
         """Read pass p's result y, check it and write it out; pass 0 also plans the rest."""
@@ -496,11 +512,9 @@ def _passes(f, x, chunks, threads=1, read=_scalar_output, lead=None):
         if p == 0:  # pass 0 runs first and alone
             windowed = windowed and (guarded or bool(np.isfinite(top).all()))
             f0, out = value, np.empty(outputs + (k,) * len(widths))
-            if guarded or narrow:
-                width = _wide(math.prod(outputs)) if guarded else narrow if windowed else n
-                combos[1:] = [(b,) for b in _blocks(k, width, widths[0])]
-            else:
-                combos[1:] = list(itertools.product(*[_blocks(k, c) for c in chunks]))[1:]
+            width = _wide(math.prod(outputs)) if guarded else narrow if narrow and windowed else n
+            firsts = [blocks[0], *_blocks(k, width, widths[0])]
+            combos[1:] = list(itertools.product(firsts, *[_blocks(k, c) for c in chunks[1:]]))[1:]
         if outputs != out.shape[: len(outputs)]:
             raise ValueError(
                 f"target function changed output length between passes: "
@@ -535,7 +549,8 @@ def _first_order(f, x, cfg, read=_scalar_output):
         raise ValueError(f"cfg must be a ChunkConfig or None, got {cfg!r}")
     cfg, x = cfg or ChunkConfig(), _as_input_vector(x)
     n = cfg.resolve(x.shape[0])
-    lead = None if cfg.chunk_size is not None else _wide() if read is _scalar_output else n
+    band = cfg.chunk_size is None and _windows_pay(n, x.shape[0])
+    lead = (_wide() if read is _scalar_output else n) if band else None
     return _passes(f, x, (n,), cfg.threads, read, lead)
 
 
@@ -618,6 +633,10 @@ def hessian(f, x, outer_chunk=None, inner_chunk=None):
     matrix in ceil(k/M) * ceil(k/N) passes through f.  The first-order
     gradient and f(x) come from the same evaluations.  A chunk left None is
     ``default_chunk(k, 2)``: k up to k=32 (one pass), 18 at k=100, 8 from k=405.
+    With both left None, from k = 27 every pass seeds all k components on
+    the outer lanes as one guarded band (``_passes``): ceil(k/N) passes, 6
+    at k=100 and 30 at k=300, with the dense plan's bytes.  A target that
+    leaves the band takes the dense plan and one more evaluation.
     """
     x = _as_input_vector(x)
     k = x.shape[0]
@@ -625,7 +644,11 @@ def hessian(f, x, outer_chunk=None, inner_chunk=None):
         _resolve("outer_chunk", outer_chunk, k, 2),
         _resolve("inner_chunk", inner_chunk, k, 2),
     )
-    entries, grad, f_value = _passes(f, x, chunks)
+    # in band where the second-order entries it leaves out, k x N x (k - 2) float64, fill
+    # twice POOL_MIN_BYTES: from k = 27, below which a Rosenbrock Hessian measured faster dense
+    band = outer_chunk is None and inner_chunk is None
+    band = band and k * chunks[1] * (k - 2) * 8 >= 2 * POOL_MIN_BYTES
+    entries, grad, f_value = _passes(f, x, chunks, lead=_wide() if band else None)
     return HessianResult(entries, grad, float(f_value))
 
 

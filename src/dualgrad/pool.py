@@ -1,5 +1,5 @@
 """Per-thread pool of large float64 buffers, kept across a thread's driver
-calls, and the lane windows of first-order passes.
+calls, and the lane windows of first-order and Hessian band passes.
 
 A gradient pass allocates a fresh lane block for every intermediate.
 Blocks of ``POOL_MIN_BYTES`` and more are the ones glibc hands back to the
@@ -32,7 +32,10 @@ a diagonal, so each ufunc of a rule runs over w rows of N lanes, not N
 rows of w.  A band may overhang [0, k), as one that a slice cuts does;
 its entries there are zero.  ``ops`` hands the rules on a window
 operations that compute its entries only, each value-shaped coefficient
-cut to them as a strided w x N view.
+cut to them as a strided w x N view.  A Hessian's band pass keeps its
+N x E x k second-order lanes (E inner lanes, dense) as a w x E x N
+window, which starts without entries; a coefficient of shape (E, k)
+or (k,) is cut to it along the same diagonals.
 The rule bodies stay the same.  A band that meets the other skew
 becomes a window on the columns it spans; what cannot stay in those
 (fancy indexes, a reshape, ``np.asarray``, full lanes as the other
@@ -269,13 +272,20 @@ def pooled_zeros(shape):
 _EVERY_LANE = slice(None)
 
 
-def _band(a, start, dt, dn, shape):
-    """The ``shape`` view of 1-D ``a`` whose entry ``(t, n)`` is ``a[start + t * dt + n * dn]``."""
-    if shape[0] == 1:  # a plain slice is cheapest; a step of 0 leaves one entry
+def _band(a, start, dt, dn, shape, *de):
+    """The ``shape`` view of 1-D ``a`` whose entry ``(t, n)`` is ``a[start + t * dt + n * dn]``,
+    steps ``de`` along the extra axes of a shape ``(w, *extra, N)``."""
+    if shape[0] == 1 and not de:  # a plain slice is cheapest; a step of 0 leaves one entry
         return a[start :: dn or 1][: shape[1]][None]
     a = np.ascontiguousarray(a)
     size = a.itemsize
-    return np.ndarray(shape, a.dtype, a, start * size, (dt * size, dn * size))
+    strides = tuple(d * size for d in (dt, *de, dn)) if de else (dt * size, dn * size)
+    return np.ndarray(shape, a.dtype, a, start * size, strides)
+
+
+def _lanes_first(a):
+    """A ``(*extra, N)`` array as lanes-first ``(N, *extra)``; 1-D as it is."""
+    return a if a.ndim == 1 else a.transpose(-1, *range(a.ndim - 1))
 
 
 class _Window:
@@ -283,7 +293,10 @@ class _Window:
     that ``block`` holds: its entry ``(t, n)`` is lane n's column ``lo + skew * n + t``.
 
     ``block`` is ``(w, N)`` and C-contiguous, one row a diagonal, so that
-    every rule runs its ufunc over rows of N.  At skew 0 it holds the w
+    every rule runs its ufunc over rows of N.  A lane block with component
+    axes before the last, ``(N, *extra, k)``, is a ``(w, *extra, N)``
+    block whose entry ``(t, *e, n)`` is lane n's ``(*e, lo + skew * n + t)``:
+    the second-order lanes of a Hessian's band pass.  At skew 0 it holds the w
     columns ``[lo, hi)``; at skew 1 or -1 it holds w diagonals, a band,
     whose entries outside ``[0, k)`` are zero: a slice that cuts a band
     leaves it overhanging.  The drivers seed a first-order pass with a
@@ -297,20 +310,18 @@ class _Window:
     ``np.asarray`` builds.
     """
 
-    __slots__ = ("block", "lo", "hi", "k", "skew")
+    __slots__ = ("block", "lo", "hi", "k", "skew", "shape")
 
     def __init__(self, block, lo, k, skew=0):
-        if block.ndim != 2:
-            raise ValueError(f"a window holds a w x N block, not {block.shape}")
+        dims = block.shape
+        if len(dims) < 2:
+            raise ValueError(f"a window holds a w x N block, or w x ... x N, not {dims}")
+        self.shape = (dims[1], k) if len(dims) == 2 else (dims[-1], *dims[1:-1], k)  # the full block's
         self.block = block
         self.lo = lo
-        self.hi = lo + block.shape[0]
+        self.hi = lo + dims[0]
         self.k = k
         self.skew = skew
-
-    @property
-    def shape(self):
-        return (self.block.shape[1], self.k)
 
     # read through to the block, for code that inspects lane arrays: the
     # dtype a scalar Dual's lanes take on, sizes for allocation counters
@@ -321,7 +332,7 @@ class _Window:
 
     def span(self):
         """The columns ``[first, stop)`` that the entries lie in."""
-        reach = self.skew * (self.block.shape[1] - 1)
+        reach = self.skew * (self.block.shape[-1] - 1)
         return self.lo + min(reach, 0), self.hi + max(reach, 0)
 
     def like(self, block):
@@ -333,18 +344,28 @@ class _Window:
         return self.like(self.block.copy())
 
     def _spread(self, cols, first=0, by_column=False):
-        """Lanes on the columns [first, first + cols), zero but its entries: N x cols, or cols x N."""
-        rows = self.block.shape[1]
-        lo, stop = self.span()
-        lo, stop = min(lo, first), max(stop, first + cols)
-        if stop - lo > cols:  # an overhang: spread on every column the band spans, then cut
-            wide, cut = self._spread(stop - lo, lo, by_column), slice(first - lo, first - lo + cols)
-            return (wide[cut] if by_column else wide[:, cut]).copy()
-        shape = (cols, rows) if by_column else (rows, cols)
+        """Lanes on the columns [first, first + cols), zero but its entries: N x cols, or cols x N
+        (N x extra x cols, or cols x extra x N)."""
+        block = self.block
+        rows, extra = block.shape[-1], block.shape[1:-1]
+        shape = (cols, *extra, rows) if by_column else (rows, *extra, cols)
         out = pooled_zeros(shape) if cols == self.k else np.zeros(shape)
-        # entry (t, n) goes to column lo + skew * n + t of lane n
-        dt, dn = (rows, self.skew * rows + 1) if by_column else (1, cols + self.skew)
-        _band(out.reshape(-1), (self.lo - first) * dt, dt, dn, self.block.shape)[...] = self.block
+        # entry (t, *e, n) goes to column lo + skew * n + t of lane n; the steps are out's
+        unit = rows if by_column else cols
+        de = [unit * math.prod(extra[i + 1 :]) for i in range(len(extra))]
+        size = unit * math.prod(extra)
+        dt, dn = (size, self.skew * size + 1) if by_column else (1, size + self.skew)
+        flat, start = out.reshape(-1), (self.lo - first) * dt
+        lo, stop = self.span()
+        if first <= lo and stop <= first + cols:
+            _band(flat, start, dt, dn, block.shape, *de)[...] = block
+            return out
+        # an overhang, whose entries are zero: each diagonal's lanes inside the columns are a run
+        for t, c in enumerate(range(self.lo, self.hi)):
+            n, end = self._run(c, first, first + cols)
+            if n < end:
+                view = _band(flat, start + t * dt + n * dn, dt, dn, (1, *extra, end - n), *de)
+                view[...] = block[t : t + 1, ..., n:end]
         return out
 
     def full(self):
@@ -361,13 +382,18 @@ class _Window:
         first, stop = max(first, 0), min(stop, self.k)
         return _Window(self._spread(stop - first, first, True), first, self.k)
 
+    def _run(self, c, a, b):
+        """The lanes ``[first, stop)`` whose entry on the diagonal at column c (lane 0's) lies in [a, b)."""
+        ends = (a - c, b - c) if self.skew > 0 else (c - b + 1, c - a + 1)
+        rows = self.block.shape[-1]
+        return [min(max(e, 0), rows) for e in ends]
+
     def _inside(self, a, b):
         """The block with every entry whose column is outside [a, b) set to zero."""
-        out, rows = self.block.copy(), self.block.shape[1]
+        out = self.block.copy()
         for t, c in enumerate(range(self.lo, self.hi)):  # diagonal t: the lanes inside are a run
-            ends = (a - c, b - c) if self.skew > 0 else (c - b + 1, c - a + 1)
-            first, stop = (min(max(e, 0), rows) for e in ends)
-            out[t, :first] = out[t, stop:] = 0.0
+            first, stop = self._run(c, a, b)
+            out[t, ..., :first] = out[t, ..., stop:] = 0.0
         return out
 
     def __array__(self, dtype=None, copy=None):
@@ -377,26 +403,29 @@ class _Window:
         return np.asarray(self).reshape(shape)
 
     def __getitem__(self, idx):
-        """Lanes at ``(_EVERY_LANE, i)``, the index ``DualVector.__getitem__`` passes.
+        """Lanes at ``(_EVERY_LANE, ..., i)``, the index ``DualVector.__getitem__`` passes.
 
-        On one component axis an integer gives its column and a step-1 or
-        step-(-1) slice a window; any other index reads the full block.
+        On the last component axis, every other one taken whole, an integer
+        gives its column and a step-1 or step-(-1) slice a window; any
+        other index reads the full block.
         """
         block, skew = self.block, self.skew
-        ours = type(idx) is tuple and len(idx) == 2 and idx[0] is _EVERY_LANE
-        i = idx[1] if ours else None
+        ours = type(idx) is tuple and len(idx) == block.ndim and idx[0] is _EVERY_LANE
+        if ours and len(idx) > 2:
+            ours = all(e is _EVERY_LANE for e in idx[1:-1])
+        i = idx[-1] if ours else None
         if type(i) is int or isinstance(i, np.integer):
             # DualVector indexed its values first, so i is in range; the
             # entries (t, n) in column i have t + skew * n == j
             j = i - self.lo + (self.k if i < 0 else 0)
             if not skew:
-                return block[j] if 0 <= j < block.shape[0] else np.zeros(block.shape[1])
+                return _lanes_first(block[j] if 0 <= j < block.shape[0] else np.zeros(block.shape[1:]))
             # at most w of them, on one diagonal of the block or of its mirror
             off = j if skew < 0 else block.shape[0] - 1 - j
-            entries = np.diagonal(block if skew < 0 else block[::-1], -off)
-            out = np.zeros(block.shape[1])
-            out[max(0, -off) :][: len(entries)] = entries
-            return out
+            entries = np.diagonal(block if skew < 0 else block[::-1], -off, 0, block.ndim - 1)
+            out = np.zeros(block.shape[1:])
+            out[..., max(0, -off) :][..., : entries.shape[-1]] = entries
+            return _lanes_first(out)
         if type(i) is slice and (taken := range(self.k)[i]).step in (1, -1):
             # the columns [a, b) that the slice takes
             if taken.step == 1:
@@ -428,11 +457,13 @@ class _Window:
         """
         block, skew = self.block, self.skew
         if block.shape[0] <= 2 or np.add.reduce(block != 0, 0).max() <= 2:
-            return block.sum(axis=0)
-        rows = max(1, LANE_BLOCK_BYTES // (8 * self.k))
-        out = np.empty(block.shape[1])
-        for r in range(0, block.shape[1], rows):
-            tile = _Window(np.ascontiguousarray(block[:, r : r + rows]), self.lo + skew * r, self.k, skew)
+            rows = block.sum(axis=0)
+            return rows if block.ndim == 2 else _lanes_first(rows)
+        lanes, extra = block.shape[-1], block.shape[1:-1]
+        rows = max(1, LANE_BLOCK_BYTES // (8 * self.k * math.prod(extra)))
+        out = np.empty((lanes, *extra))
+        for r in range(0, lanes, rows):
+            tile = _Window(np.ascontiguousarray(block[..., r : r + rows]), self.lo + skew * r, self.k, skew)
             out[r : r + rows] = tile._spread(self.k).sum(axis=-1)
         return out
 
@@ -478,12 +509,15 @@ def _full(a):
 
 
 def _cut(c, win):
-    """Coefficient ``c`` on the entries of ``win``, shaped to its block, or None unless c is 1-D of k."""
+    """Coefficient ``c`` on the entries of ``win``, shaped to its block, or None unless c is 1-D
+    of k (on a block with extra axes, ``(*lead, k)`` or ``(*lead, 1)``, lead no more axes than those)."""
     if type(c) in _POOL_SCALARS:
         return c
     c = np.asarray(c)
     if c.ndim == 0 or c.shape == (1,):
         return c
+    if win.block.ndim > 2:
+        return _cut_extra(c, win)
     if c.shape != (win.k,):
         return None
     if not win.skew:
@@ -496,6 +530,30 @@ def _cut(c, win):
         padded[under : under + win.k] = c
         c = padded
     return _band(c, win.lo + under, 1, win.skew, win.block.shape)
+
+
+def _cut_extra(c, win):
+    """``_cut`` on a ``(w, *extra, N)`` block: a ``(w, *lead, N)`` view of c, lead padded with 1s."""
+    block, k = win.block, win.k
+    gap = block.ndim - 1 - c.ndim  # the extra axes that c leaves to broadcasting
+    if gap < 0 or c.shape[-1] not in (1, k):
+        return None
+    if c.shape[-1] == 1:  # the same on every column: broadcasts as it is
+        return c
+    lead = (1,) * gap + c.shape[:-1]
+    if not win.skew:
+        return _lanes_first(c[..., win.lo : win.hi]).reshape((win.hi - win.lo, *lead, 1))
+    first, stop = win.span()
+    under, over = max(0, -first), max(0, stop - k)
+    if under or over:  # ones where the band overhangs [0, k), whose entries are zero
+        padded = np.empty(c.shape[:-1] + (under + k + over,))
+        padded[..., :under] = padded[..., under + k :] = 1.0
+        padded[..., under : under + k] = c
+        c = padded
+    c = np.ascontiguousarray(c)
+    # a step of 0 along the axes that c lacks, the rows of c along its own
+    de = [0] * gap + [s // c.itemsize for s in c.strides[:-1]]
+    return _band(c.reshape(-1), win.lo + under, 1, win.skew, (block.shape[0], *lead, block.shape[-1]), *de)
 
 
 def _scale(ufunc):
@@ -511,7 +569,9 @@ def _scale(ufunc):
         if type(a) is _Window and (c := _cut(b, a)) is not None:
             if _active.guard and not (np.isfinite(b).all() and (ufunc is np.multiply or np.all(b))):
                 _leave("unsafe")
-            return a.like(ufunc(a.block, c))
+            if a.block.ndim == 2:
+                return a.like(ufunc(a.block, c))
+            return a.like(ufunc(a.block, c, order="C"))  # not the cut's order, which may step back
         return pooled(ufunc, _full(a), _full(b))
 
     return op
@@ -522,7 +582,7 @@ def _join(ufunc):
 
     def op(a, b):
         wa, wb = type(a) is _Window, type(b) is _Window
-        same = wa and wb and a.k == b.k and a.block.shape[1] == b.block.shape[1]
+        same = wa and wb and a.shape == b.shape
         if same and not (a.block.size and b.block.size):
             # a slice that missed the entries: the other's, with a dense block's signed zeros
             if a.block.size:
@@ -534,10 +594,10 @@ def _join(ufunc):
             if a.lo == b.lo and a.hi == b.hi:
                 return a.like(ufunc(a.block, b.block))
             lo, hi = min(a.lo, b.lo), max(a.hi, b.hi)
-            union = (hi - lo) * a.block.shape[1] * 8
+            union = (hi - lo) * (a.block.nbytes // a.block.shape[0])
             if union > max(LANE_BLOCK_BYTES, a.block.nbytes + b.block.nbytes):
                 _leave("columns")  # a union that pays for a wide gap between the entries
-            out = np.zeros((hi - lo, a.block.shape[1]))
+            out = np.zeros((hi - lo, *a.block.shape[1:]))
             out[a.lo - lo : a.hi - lo] = a.block
             part = out[b.lo - lo : b.hi - lo]
             ufunc(part, b.block, out=part)
@@ -552,7 +612,8 @@ def _join(ufunc):
                 ufunc(0.0 if wa else a, 0.0 if wb else b, out=out)
                 part = out[..., win.lo : win.hi]
                 cols = full[..., win.lo : win.hi] if np.shape(full)[-1:] == (win.k,) else full
-                ufunc(win.block.T if wa else cols, cols if wa else win.block.T, out=part)
+                block = win.block.swapaxes(0, -1)  # lanes first, columns last
+                ufunc(block if wa else cols, cols if wa else block, out=part)
                 return out
         return pooled(ufunc, _full(a), _full(b))
 

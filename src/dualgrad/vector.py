@@ -24,10 +24,12 @@ module adds the vector side of operand handling, indexing and
 reductions.
 
 The lanes of a first-order vector that ``gradient`` or ``jacobian``
-seeds after pass 0 may be a ``pool._Window``: only the entries where
-they can be nonzero, a band of a few diagonals or the columns
-``[lo, hi)`` of the last component axis, the rest being zero (pass 0
-always gets the full block as an ndarray).
+seeds in a windowed pass may be a ``pool._Window``: only the entries
+where they can be nonzero, a band of a few diagonals or the columns
+``[lo, hi)`` of the last component axis, the rest being zero.  So may
+the outer lanes of a default Hessian's vectors, at both levels: their
+second-order lanes are a window with the inner lanes as an extra axis,
+and ``_widen`` keeps a window a window.
 Such a vector keeps its full ``values``.  Indexing passes the window an
 integer or a slice with step 1 or -1, which it answers from its entries,
 and ``sum``/``mean`` reduce it in the window where that gives the same
@@ -60,7 +62,10 @@ __all__ = ["DualVector", "NestedDualVector"]
 
 
 def _widen(lanes, gap):
-    """Lane block with ``gap`` singleton component axes after the lane axis."""
+    """Lane block with ``gap`` singleton component axes after the lane axis; a window's stay a window."""
+    if type(lanes) is _Window:
+        block = lanes.block
+        return lanes.like(block.reshape(block.shape[:1] + (1,) * gap + block.shape[1:]))
     return lanes.reshape(lanes.shape[:1] + (1,) * gap + lanes.shape[1:])
 
 

@@ -159,6 +159,12 @@ def test_default_chunks_set_the_pass_count():
     counted = EvalCounter(rosenbrock)
     hessian(counted, x)
     assert counted.count == 1
+    # a default Hessian's outer lanes are one band on every component: ceil(k / N)
+    # passes at N = default_chunk(k, 2), not its square (36 and 900 before)
+    for k, passes in ((100, 6), (300, 30)):
+        counted = EvalCounter(rosenbrock)
+        hessian(counted, np.linspace(-0.9, 0.9, k))
+        assert counted.count == passes == math.ceil(k / default_chunk(k, 2))
     counted = EvalCounter(ackley)
     gradient(counted, np.linspace(-0.9, 0.9, 1000))
     assert counted.count == 1  # one band pass on all 1000 components (before: 3, with 32-lane ends)

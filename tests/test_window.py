@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from dualgrad import ChunkConfig, EvalCounter, ackley, default_chunk, gradient, hessian, jacobian
-from dualgrad import drivers, pool, rosenbrock
+from dualgrad import drivers, pool, rosenbrock, third_order_tensor, vector
+from dualgrad.vector import DualVector, NestedDualVector
 from dualgrad.drivers import LANE_BLOCK_BYTES, WIDE_CHUNK, _plan
 
 K = 3000  # chunk 8 and 10 lane blocks are 192 and 240 KB, above POOL_MIN_BYTES
@@ -153,11 +154,31 @@ def test_windows_only_on_large_first_order_lane_blocks():
     seen = []
 
     def recorded(v):
-        seen.append(pool._Window in (type(v.values.partials), type(v.partials.partials)))
+        seen.append(_holds_a_window(v))
         return rosenbrock(v)
 
     hessian(recorded, _point(120), 30, 30)  # 30 x 120 and 30 x 30 x 120 lanes
     assert len(seen) == 16 and not any(seen)
+    # explicit chunks keep the dense plan, and so does every third-order tensor
+    seen.clear()
+    hessian(recorded, _point(120), 120, 8)
+    third_order_tensor(recorded, _point(8))
+    third_order_tensor(recorded, _point(8), (8, 1, 8))
+    assert len(seen) == 15 + 1 + 8 and not any(seen)
+    # a default Hessian keeps its outer lanes in band from k=27, where that is faster
+    seen.clear()
+    hessian(recorded, _point(26))
+    hessian(recorded, _point(27))
+    hessian(recorded, _point(100))
+    assert seen == [False, True] + [True] * 6
+
+
+def _holds_a_window(v):
+    """Whether a lane block of v, at any nesting level, is a lane window."""
+    if type(v) is pool._Window:
+        return True
+    nested = isinstance(v, (DualVector, NestedDualVector))
+    return nested and (_holds_a_window(v.values) or _holds_a_window(v.partials))
 
 
 def test_window_slices_match_the_dense_block():
@@ -625,10 +646,12 @@ def _checked_band_views(monkeypatch):
     inside its array."""
     views, band = [], pool._band
 
-    def checked(a, start, dt, dn, shape):
-        ends = [start + dt * t + dn * n for t in (0, shape[0] - 1) for n in (0, shape[1] - 1)]
-        views.append(not math.prod(shape) or 0 <= min(ends) and max(ends) < a.size)
-        return band(a, start, dt, dn, shape)
+    def checked(a, start, dt, dn, shape, *de):
+        # the first and the last entry the view reaches, along each axis by its step
+        reach = [step * (size - 1) for step, size in zip((dt, *de, dn), shape)]
+        first, last = start + sum(min(r, 0) for r in reach), start + sum(max(r, 0) for r in reach)
+        views.append(not math.prod(shape) or 0 <= first and last < a.size)
+        return band(a, start, dt, dn, shape, *de)
 
     monkeypatch.setattr(pool, "_band", checked)
     return views
@@ -663,14 +686,18 @@ def test_a_band_may_overhang_both_ends_of_its_columns(monkeypatch, skew, lo):
         got = win[(pool._EVERY_LANE, i)]
         assert got.skew == skew * (i.step or 1) and np.array_equal(np.asarray(got), full[:, i])
     assert views and all(views)
+    # pinned before with a 3-D block: blocks with component axes before the lanes' are windows
+    # now (a Hessian's second-order lanes), so the rejected block is 1-D
     with pytest.raises(ValueError, match="w x N block"):
-        pool._Window(np.ones((2, 5, 1)), 4, BAND_K, 1)
+        pool._Window(np.ones(5), 4, BAND_K, 1)
 
 
 def test_no_band_view_reads_outside_its_array(monkeypatch):
     views = _checked_band_views(monkeypatch)
     for f in list(TARGETS.values()) + [_program(seed) for seed in (0, 2, 5)]:
         gradient(f, _point(K))
+    for f in HESSIAN_BAND.values():  # second-order lanes: views with a step along extra axes
+        hessian(f, _point(30))
     assert views and all(views)
 
 
@@ -928,3 +955,200 @@ def test_every_window_of_a_band_pass_holds_a_c_contiguous_block(monkeypatch):
     for f in TARGETS.values():
         gradient(f, _point(K))
     assert built and all(built)
+
+
+# ----------------------------------------------------------------------
+# extra axes: the second-order lanes of a Hessian's band pass, full shape
+# (N, E, k), are a w x E x N window, entry (t, e, n) at lane n's (e, lo + skew * n + t)
+# ----------------------------------------------------------------------
+
+
+def _extra_window(skew, lo, k, extra, negative=(1,), seed=3):
+    """A w x extra x N window (w = 3, N = 5) of nonzero entries but -0.0 on the diagonals
+    ``negative`` and +0.0 outside [0, k), and its full N x extra x k block."""
+    rng = np.random.default_rng(seed)
+    block = rng.uniform(0.5, 2.0, (3, extra, 5)) * np.array([1.0, -1.0, 1.0])[:, None, None]
+    block[list(negative)] = -0.0
+    full = np.zeros((5, extra, k))
+    for t in range(3):
+        for n in range(5):
+            col = lo + skew * n + t
+            if 0 <= col < k:
+                full[n, :, col] = block[t, :, n]
+            else:
+                block[t, :, n] = 0.0
+    return pool._Window(block, lo, k, skew), full
+
+
+def _coefficients(k, extra):
+    """Positive coefficients of every shape a rule on (N, extra, k) lanes may scale them by
+    (a positive one leaves the full block's zeros +0.0, as the window reads them)."""
+    rng = np.random.default_rng(k + extra)
+    row, rows = rng.uniform(0.5, 2.0, k), rng.uniform(0.5, 2.0, (extra, k))
+    yield from (2.5, np.array(3.0), np.array([0.75]), row, rows, row[None], rows[:, :1])
+    yield np.broadcast_to(row, (extra, k))  # a stride of 0 along the extra axis
+    yield rng.uniform(0.5, 2.0, (4, k))  # wider than a (w, 1, N) block: it broadcasts
+
+
+@pytest.mark.parametrize("extra", [4, 1])
+@pytest.mark.parametrize("skew, lo, k", LAYOUTS)
+def test_every_read_of_a_window_with_extra_axes_gives_the_bytes_of_its_full_block(skew, lo, k, extra):
+    win, full = _extra_window(skew, lo, k, extra)
+    assert win.shape == full.shape
+    assert win.full().tobytes() == np.asarray(win).tobytes() == full.tobytes()
+    cols = win.columns()
+    assert cols.skew == 0 and np.asarray(cols).tobytes() == full.tobytes()
+    assert cols.block.flags.c_contiguous and cols.block.shape == (cols.hi - cols.lo, extra, 5)
+    every = (pool._EVERY_LANE, pool._EVERY_LANE)
+    for i in range(-k, k):
+        assert win[every + (i,)].tobytes() == full[:, :, i].tobytes(), i
+    for a in (None, 0, 1, 3, k - 2, -1):
+        for b in (None, 0, 2, k - 1, -3):
+            for step in (None, -1):
+                got = win[every + (slice(a, b, step),)]
+                assert got.block.flags.c_contiguous, (a, b, step)
+                assert np.asarray(got).tobytes() == full[..., a:b:step].tobytes(), (a, b, step)
+    for c in _coefficients(k, extra):
+        if np.shape(c)[:1] == (4,) and extra == 4:
+            continue  # the same shape as rows
+        for op, ufunc in ((pool._WINDOW_OPS.mul, np.multiply), (pool._WINDOW_OPS.div, np.divide)):
+            got = op(win, c)
+            assert type(got) is pool._Window and got.block.flags.c_contiguous, np.shape(c)
+            assert np.asarray(got).tobytes() == ufunc(full, c).tobytes(), np.shape(c)
+    # one diagonal on: its -0.0 diagonals 0 and 1 meet our diagonals 1 (-0.0) and 2
+    other, other_full = _extra_window(skew, lo + 1, k, extra, (0, 1), seed=5)
+    empty = pool._Window(np.empty((0, extra, 5)), 0, k)  # a Hessian band pass's seeded lanes
+    zeros = np.zeros_like(full)
+    for op, ufunc in ((pool._WINDOW_OPS.add, np.add), (pool._WINDOW_OPS.sub, np.subtract)):
+        got = op(win, other)
+        assert (got.skew, got.lo, got.block.shape) == (skew, lo, (4, extra, 5))
+        assert np.asarray(got).tobytes() == ufunc(full, other_full).tobytes()
+        for a, b, dense in ((win, empty, (full, zeros)), (empty, win, (zeros, full))):
+            got = op(a, b)
+            assert type(got) is pool._Window and got.block.shape == win.block.shape
+            assert np.asarray(got).tobytes() == ufunc(*dense).tobytes(), (op, a is win)
+        # full lanes as the other operand give the full block, outside a guarded pass
+        lanes = np.random.default_rng(9).uniform(-1.0, 1.0, full.shape)
+        for a, b, dense in ((win, lanes, (full, lanes)), (lanes, empty, (lanes, zeros))):
+            assert op(a, b).tobytes() == ufunc(*dense).tobytes(), (op, a is win)
+
+
+@pytest.mark.parametrize("extra", [4, 1])
+@pytest.mark.parametrize("skew, lo, k", LAYOUTS)
+def test_window_sums_and_widening_with_extra_axes_give_the_bytes_of_the_full_block(skew, lo, k, extra):
+    two, two_full = _extra_window(skew, lo, k, extra)  # diagonal 1 is -0.0: two nonzeros a lane
+    three, three_full = _extra_window(skew, lo, k, extra, negative=())
+    assert np.add.reduce(two.block != 0, 0).max() <= 2 < np.add.reduce(three.block != 0, 0).max()
+    for win, full in ((two, two_full), (three, three_full)):
+        got = win.sum(axis=-1)
+        assert got.shape == (5, extra) and got.tobytes() == full.sum(axis=-1).tobytes()
+    # a first-order window widened to meet second-order lanes, as DualVector._operands does
+    flat, flat_full = _signed_window(skew, lo, k)
+    wide = vector._widen(flat, 1)
+    assert type(wide) is pool._Window and wide.block.shape == (3, 1, 5)
+    assert np.asarray(wide).tobytes() == flat_full[:, None].tobytes()
+    for c in _coefficients(k, extra):
+        got = pool._WINDOW_OPS.mul(wide, c)
+        assert np.asarray(got).tobytes() == (flat_full[:, None] * c).tobytes(), np.shape(c)
+    wider = vector._widen(three, 2)
+    assert np.asarray(wider).tobytes() == three_full[:, None, None].tobytes()
+
+
+def test_a_sum_with_extra_axes_takes_tiles_of_the_lane_block_budget(monkeypatch):
+    k, extra, rows = 1000, 4, 127  # a tile is 8 lanes of 4 x 1000 entries, the last 7
+    scales = 1e3 ** np.arange(3)[:, None, None]  # three nonzeros a lane, of different sizes
+    block = np.random.default_rng(1).uniform(-1.0, 1.0, (3, extra, rows)) * scales
+    win = pool._Window(block, 0, k, 1)
+    want = np.asarray(win).sum(axis=-1)
+    built = []
+    empty = pool._pooled_empty
+    monkeypatch.setattr(pool, "_pooled_empty", lambda shape: built.append(shape) or empty(shape))
+    got, left = pool.in_band(lambda w: w.sum(axis=-1), win)
+    assert left is None and got.tobytes() == want.tobytes()
+    assert built == [(8, extra, k)] * 15 + [(7, extra, k)]
+    assert 8 * extra * k * 8 <= LANE_BLOCK_BYTES
+
+
+# ----------------------------------------------------------------------
+# a default Hessian: every pass seeds all k components on its outer lanes
+# as one band, its inner lanes dense in default_chunk(k, 2) blocks
+# ----------------------------------------------------------------------
+
+HESSIAN_BAND = {
+    "rosenbrock": rosenbrock,
+    "ackley": ackley,
+    "stencil": TARGETS["three-nonzeros"],
+    "quotient": lambda v: np.sum((v[1:] - 1.0) / (v[:-1] * v[:-1] + 2.0)) + np.sum(np.sin(v) / 3.0),
+    "integer": lambda v: v[5] * v[-1] + v[np.int64(2)] ** 3 + np.sum(v * v),
+}
+# each leaves the band in its pass 0, which runs again dense at N0 x N0: the
+# dense plan's passes and one more.  (point, component set to a bad value)
+HESSIAN_STOPPING = {
+    "reversed": (lambda v: np.sum(v * v[::-1]), None),
+    "centred": (lambda v: np.sum((v - v.mean()) ** 2), None),
+    "scalar-dual": (lambda v: np.sum(v * v[0]), None),
+    "integer-array": (lambda v: np.sum(v[[3, 7, 2]] ** 2) + np.sum(v * v), None),
+    "sqrt-zero": (lambda v: np.sum(np.sqrt(abs(v))), 0.0),
+    "log-negative": (lambda v: np.sum(np.log(abs(v) + v)), -0.5),
+}
+
+
+@pytest.mark.parametrize("k", [27, 30, 33, 100, 300])
+@pytest.mark.parametrize("name", list(HESSIAN_BAND))
+def test_a_default_hessian_runs_in_band_and_equals_explicit_chunks(name, k):
+    f, x = HESSIAN_BAND[name], _point(k)
+    counted = EvalCounter(f)
+    got = hessian(counted, x)
+    assert counted.count == math.ceil(k / default_chunk(k, 2))  # was its square
+    for chunks in ((8, 8), (7, 5)):
+        want = hessian(f, x, *chunks)
+        assert got.entries.tobytes() == want.entries.tobytes(), chunks
+        assert got.gradient.tobytes() == want.gradient.tobytes() and got.f_value == want.f_value
+
+
+@pytest.mark.parametrize("k", [30, 100])
+@pytest.mark.parametrize("name", list(HESSIAN_STOPPING))
+def test_a_default_hessian_that_leaves_the_band_keeps_the_dense_plan(name, k):
+    f, bad = HESSIAN_STOPPING[name]
+    x = _point(k)
+    if bad is not None:
+        x[4] = bad
+    n0 = default_chunk(k, 2)
+    counted = EvalCounter(f)
+    got, want = hessian(counted, x), hessian(f, x, n0, n0)
+    assert counted.count == 1 + math.ceil(k / n0) ** 2
+    assert got.entries.tobytes() == want.entries.tobytes()
+    assert got.gradient.tobytes() == want.gradient.tobytes()
+    assert np.float64(got.f_value).tobytes() == np.float64(want.f_value).tobytes()
+
+
+def test_a_later_hessian_pass_that_leaves_the_band_runs_its_block_again_dense():
+    # reshape builds the full block, so passes 2 on stop; each runs its inner block
+    # again at N0 x N, dense, and the bytes stay the dense plan's
+    k, calls = 100, []
+    n = default_chunk(k, 2)
+
+    def late(v):
+        calls.append(_holds_a_window(v))
+        return rosenbrock(v.reshape((k,)) if len(calls) > 2 else v)
+
+    x = _point(k)
+    got = hessian(late, x)
+    passes = math.ceil(k / n)
+    assert calls == [True] * 3 + ([False] * passes + [True]) * (passes - 3) + [False] * passes
+    want = hessian(rosenbrock, x, 8, 8)
+    assert got.entries.tobytes() == want.entries.tobytes()
+    assert got.gradient.tobytes() == want.gradient.tobytes() and got.f_value == want.f_value
+
+
+def test_every_window_of_a_hessian_band_pass_holds_a_c_contiguous_block(monkeypatch):
+    built, init = [], pool._Window.__init__
+
+    def recorded(self, block, lo, k, skew=0):
+        init(self, block, lo, k, skew)
+        built.append((block.ndim, block.flags.c_contiguous))
+
+    monkeypatch.setattr(pool._Window, "__init__", recorded)
+    for f in HESSIAN_BAND.values():
+        hessian(f, _point(30))
+    assert {ndim for ndim, _ in built} == {2, 3} and all(c for _, c in built)
