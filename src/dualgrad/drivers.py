@@ -27,19 +27,16 @@ columns it skips (Rosenbrock at chunk 64, median of 5 interleaved runs:
 
 At the default chunk N0 = default_chunk(k), where windows pay, pass 0 is
 a band pass itself: on ``_plan``'s first block of up to 32768 components
-for a gradient (all of them up to k = 32768, so one pass for Rosenbrock
-at k=3000, not 300), on N0 for a Jacobian, whose outputs size the later
-blocks.  f runs it ``pool.in_band``, where a coefficient that would turn
-the left-out zeros into NaN stops the pass: that stands in for the dense
-pass 0's finiteness test.  So does a band that f would turn into the
-full N x k block (fancy indexes, reshape, a dense vector or scalar dual
-operand), and in a pass wider than WIDE_CHUNK one it would turn into a
-window on its columns (a reversed operand) or a union across a wide gap.
-A slice that cuts a band leaves it overhanging, still a band.  A stopped
-pass 0 runs again dense on N0 lanes, and the rest in windowed blocks
-where those fallbacks stay small: WIDE_CHUNK = 512 lanes after a column
-window, N0 after a full block or an unsafe coefficient.  Later blocks
-wider than WIDE_CHUNK stay guarded and run again narrow if they stop.
+for a gradient (one pass for Rosenbrock at k=3000, not 300), on N0 for a
+Jacobian, whose outputs size the later blocks.  f runs it
+``pool.in_band``, where a coefficient that would turn the left-out zeros
+into NaN stops the pass, standing in for the dense pass 0's finiteness
+test.  So does a band that f would turn into the full N x k block (fancy
+indexes, reshape, a dense vector or scalar dual operand), and in a pass
+wider than WIDE_CHUNK one it would turn into a window on its columns (a
+reversed operand) or a union across a wide gap.  A stopped pass 0 runs
+again dense on N0 lanes, and the rest in windowed blocks where those
+fallbacks stay small (``_passes``).
 
 Higher-order drivers nest duals (forward-over-forward).  For a Hessian
 each pass seeds a block of M components on the float64 lanes of a
@@ -56,29 +53,28 @@ pass's inner block at N0 x N.  Every level is float64 arrays, and one pass
 loop, one seeding helper and one runner serve all orders, the Jacobian
 and every thread count; only the reader of the target's result differs.
 
-Every evaluation of the target runs under ``np.errstate(all="ignore")``:
-out-of-domain points give inf/nan derivatives and never warn, in worker
-threads too (numpy's error state is per thread, so each thread that runs
-passes enters it once).  Outside a driver, dual arithmetic follows
-numpy's current error state like ndarray arithmetic does.
-
-Each thread that runs passes does so inside a ``pool.lane_pool``:
-float64 rule results of at least 64 KiB go into buffers reused from
-earlier passes and calls of that thread, once nothing refers to their old
-contents, instead of fresh allocations that glibc returns to the OS and
-the next pass page-faults in again; a worker thread's pool ends with it.
+Each thread that runs passes enters ``np.errstate(all="ignore")`` once
+a call (numpy's error state is per thread), so out-of-domain points give
+inf/nan derivatives and never warn; outside a driver, dual arithmetic
+follows numpy's error state like ndarray arithmetic does.  It also enters
+a ``pool.lane_pool``: float64 rule results of at least 64 KiB go into
+buffers reused from earlier passes and calls of that thread, once nothing
+refers to their old contents, not fresh ones that glibc returns to the OS
+and the next pass page-faults in again; a worker's pool ends with it.
 
 All drivers require a pure target function: same input, same output.
-Each pass compares its value channel (every output, for a Jacobian)
-with pass 0's as soon as it has read it; a difference raises
-ImpureTargetError, and no thread starts another pass.  The runner runs
-passes 0 and 1 on the caller and the rest in one static block per thread,
-the caller's first, so a serial call is the one-thread case (as is a
-band target's default gradient up to k = 32768: one pass).  With more
-threads f must be safely callable from several threads at once; a worker
-running below break-even (measured against the faster of the caller's
-first two passes) hands its block's rest back to the caller, and passes
-write disjoint slices.
+Each later pass compares its value channel (every output, for a
+Jacobian) with pass 0's as soon as it has read it; a difference raises
+ImpureTargetError, and no thread starts another pass.  One runner runs
+every call: passes 0 and 1 on the caller, then the rest in one static
+block per thread, the caller's first, so a serial call is the one-thread
+case.  With more threads f must be safely callable from several threads
+at once; a worker running below break-even (measured against the faster
+of the caller's first two passes) hands its block's rest back to the
+caller, and passes write disjoint slices.  Besides its passes a call does
+only what its result needs: a band target's default gradient up to
+k = 32768, one pass, plans no further pass, splits no blocks, fills no
+array it drops and reads the clock only around that pass.
 """
 
 from __future__ import annotations
@@ -118,17 +114,14 @@ __all__ = [
 # whose lane block (N**levels * k float64 lanes at nesting depth levels)
 # fits LANE_BLOCK_BYTES.  chunk-sweep on a 2-CPU x86 host, min of 7, at
 # N = 8 / 16 / 32 / 64: Ackley at k=1000 took 11.3 / 8.3 / 6.2 / 9.1 ms;
-# Rosenbrock at k=3000 took 67 / 78 / 80 / 94 ms and peaked at 35.6 /
-# 37.2 / 39.9 / 45.9 MiB of RSS, as the pool keeps wider blocks, so the
-# budget stops at N=10 there.  The floor of 8 keeps k >= 4096 as it was:
-# at k=12000, N=64 ran Ackley 2.2-2.4x faster but peaked at 61.7 MiB, not 38.
+# Rosenbrock at k=3000 peaked at 35.6 / 37.2 / 39.9 / 45.9 MiB of RSS, as
+# the pool keeps wider blocks.  The floor of 8 keeps k >= 4096 as it was.
 # A default gradient's band passes hold a few entries a lane whatever their
 # width, so they take up to 32768 lanes (``_plan``).  A band that meets a
 # reversed one falls back to a window of N lanes by up to 2N columns, so a
-# pass that wide stops there, and the rest runs WIDE_CHUNK lanes a pass
-# (``_passes``): at 128 / 256 / 512 / 1024 lanes such a fallback (then also
-# a slice's, np.sum(v[k//3:2*k//3]**2)) peaked at 35.7 / 36.6 / 39.4 /
-# 51.1 MiB at k=3000.
+# pass that wide stops there, and the rest runs WIDE_CHUNK lanes a pass:
+# at 128 / 256 / 512 / 1024 lanes that fallback peaked at 35.7 / 36.6 /
+# 39.4 / 51.1 MiB at k=3000.
 DEFAULT_CHUNK_LIMIT = 8
 WIDE_CHUNK = 512
 
@@ -336,15 +329,15 @@ def _seeded(x, blocks, windowed=False):
     Level 0 is a float64 DualVector; every further level wraps the one
     below in a NestedDualVector whose unit lanes are constants of the
     levels below.  A windowed input keeps its level-0 unit lanes as the
-    ``pool._Window`` band of ones, one entry a lane; a windowed Hessian's
-    inner unit lanes are dense, and their zero level-0 lanes a window
-    without entries.  Every other input, a dense pass 0's included, gets
-    the full blocks as ndarrays.
+    ``pool._Window`` band of ones; a windowed Hessian's inner unit lanes
+    are dense, their zero level-0 lanes a window without entries.  Any
+    other input gets the full blocks as ndarrays.
     """
-    k, widths = x.shape[0], [b.stop - b.start for b in blocks]
-    out = x
+    k, widths, out = x.shape[0], [b.stop - b.start for b in blocks], x
     for d, block in enumerate(blocks):
-        unit = _Window(np.ones((1, widths[d])), block.start, k, 1)
+        ones = np.empty((1, widths[d]))
+        ones.fill(1.0)  # np.ones without its wrapper, a third of the seeding's time
+        unit = _Window(ones, block.start, k, 1)
         if not windowed:
             unit = _constant(unit.full(), widths[:d])
         elif d:  # a Hessian's inner units are dense, their outer lanes an empty window
@@ -389,19 +382,30 @@ def _check_pure(first, value, p):
 
 
 def _run_passes(run, count, threads):
-    """run(p) for every pass: passes 0 and 1 on the caller, the rest in static blocks.
+    """run(p) for every pass: passes 0 and 1 on the caller, alone, then ``_fan_out`` the rest.
 
-    count() is the number of passes, read after pass 0, which plans the
-    passes after it.  With threads=1, or one pass left, no thread starts.
-    A worker whose passes, timed from the fan-out, average over threads *
-    t_ref hands its block's rest back for the caller to run after the
-    join: all threads together then finish fewer passes per second than
-    the caller alone would.  t_ref is the lesser time of passes 0 and 1:
-    either may be slower than the rest (pass 0 may stop and run again
-    without lane windows, a collection may land in one), which would make
-    the budget lenient.  Each thread enters its own lane pool and
-    ``np.errstate(all="ignore")`` once.  Passes stop at the first failure,
-    re-raised.
+    count() is read after pass 0, which plans the others, so a call of one or two passes
+    ends with its last one.  t_ref, the lesser time of passes 0 and 1, budgets the workers:
+    either may be slow (pass 0 may stop and run again, a collection may land in one).
+    """
+    with lane_pool(), np.errstate(all="ignore"):
+        t_ref = math.inf
+        for p in range(2):
+            if p < count():
+                start = time.perf_counter()
+                run(p)
+                t_ref = min(t_ref, time.perf_counter() - start)
+        if count() > 2:
+            _fan_out(run, range(2, count()), threads, t_ref)
+
+
+def _fan_out(run, passes, threads, t_ref):
+    """run(p) for each of passes in one static block per thread, the caller's first.
+
+    With threads=1, or one pass, no thread starts.  A worker whose passes, timed from the
+    fan-out, average over threads * t_ref hands its block's rest back for the caller to run
+    after the join: all threads together then finish fewer passes per second than the caller
+    alone would.  Passes stop at the first failure, re-raised.
     """
     failures, handed_back = [], []
 
@@ -423,33 +427,23 @@ def _run_passes(run, count, threads):
         with lane_pool(), np.errstate(all="ignore"):
             work(block, len(blocks))
 
-    with lane_pool(), np.errstate(all="ignore"):
-        t_ref = math.inf
-        for p in range(2):  # alone: pass 0 plans the passes after it
-            if p < count():
-                start = time.perf_counter()
-                run(p)
-                t_ref = min(t_ref, time.perf_counter() - start)
-        n_passes = count()
-        first = min(2, n_passes)  # the passes left start here
-        n_blocks = max(1, min(threads, n_passes - first))
-        size, extra = divmod(n_passes - first, n_blocks)  # np.array_split's blocks
-        ends = [first + i * size + min(i, extra) for i in range(n_blocks + 1)]
-        blocks = [range(lo, hi) for lo, hi in zip(ends, ends[1:])]
-        workers = [threading.Thread(target=worker, args=(block,)) for block in blocks[1:]]
-        go = threading.Event() if workers else None  # a serial call needs none
-        try:
-            for w in workers:
-                w.start()
-        finally:  # if a start fails, the workers already started must not wait forever
-            fanned_out = time.perf_counter()
-            if workers:
-                go.set()
-        work(blocks[0], math.inf)
+    n_blocks = min(threads, len(passes))
+    size, extra = divmod(len(passes), n_blocks)  # np.array_split's blocks
+    ends = [passes.start + i * size + min(i, extra) for i in range(n_blocks + 1)]
+    blocks = [range(lo, hi) for lo, hi in zip(ends, ends[1:])]
+    workers = [threading.Thread(target=worker, args=(block,)) for block in blocks[1:]]
+    go = threading.Event()
+    try:
         for w in workers:
-            w.join()
-        for tail in handed_back:
-            work(tail, math.inf)
+            w.start()
+    finally:  # if a start fails, the workers already started must not wait forever
+        fanned_out = time.perf_counter()
+        go.set()
+    work(blocks[0], math.inf)
+    for w in workers:
+        w.join()
+    for tail in handed_back:
+        work(tail, math.inf)
     if failures:
         raise failures[0]
 
@@ -457,32 +451,28 @@ def _run_passes(run, count, threads):
 def _passes(f, x, chunks, threads=1, read=_scalar_output, lead=None):
     """One pass through f per combination of lane blocks, one block per level.
 
-    chunks holds the lanes per pass at each nesting level, level 0 first.
-    read(y, widths) turns f's result into (f value, the outermost level's
-    first-order lanes or None, lane block of shape (outputs..., *widths)).
-    Pass 0 seeds each level's first block, dense, and then plans the other
-    passes, the product of each level's blocks.  Given ``lead`` (at the
-    default chunk N0 of a first-order call where windows pay, or of a
-    Hessian in band), pass 0 instead seeds ``lead`` outer lanes and runs
-    ``pool.in_band``, and so does every later block wider than
-    WIDE_CHUNK, in ``_wide(outputs)`` outer blocks; every pass of a
-    Hessian is guarded.  Where f would leave a band that wide, or meets an
-    unsafe coefficient in any guarded pass, the pass stops and its result
-    is dropped.  A stopped pass 0 runs again dense at N0 and the rest in
-    windowed blocks: WIDE_CHUNK lanes after a column window, N0 after a
-    full block or an unsafe coefficient, or dense ones if pass 0's lanes
-    are not finite (a Hessian: the dense plan).  A stopped later block
-    runs again in those narrow blocks, in the same call of ``run``.
-    Returns (derivative array of shape (outputs...,) + (k,) * len(chunks),
-    gradient from those first-order lanes, f value).
+    chunks holds the lanes per pass at each nesting level, level 0 first.  read(y, widths)
+    turns f's result into (f value, the outermost level's first-order lanes or None, lane
+    block of shape (outputs..., *widths)).  Pass 0 seeds each level's first block, dense; it
+    sizes the result and, unless it covered every component, plans the other passes, the
+    product of each level's blocks.  Given ``lead`` (at the default chunk N0 of a first-order
+    call where windows pay, or of a Hessian in band), pass 0 seeds ``lead`` outer lanes
+    ``pool.in_band``, as does every later block wider than WIDE_CHUNK, in ``_wide(outputs)``
+    outer blocks, and every pass of a Hessian.  A guarded pass stops, its result dropped,
+    where f would leave a band that wide or meets an unsafe coefficient.  A stopped pass 0
+    runs again dense at N0 and the rest in windowed blocks: WIDE_CHUNK lanes after a column
+    window, N0 after a full block or an unsafe coefficient, or dense ones if pass 0's lanes
+    are not finite (a Hessian: the dense plan); a stopped later block runs again in those
+    narrow blocks, in the same call of ``run``.  Later passes are checked against pass 0's
+    value and output count.  Returns (derivative array of shape (outputs...,) + (k,) *
+    len(chunks), a Hessian's gradient or None, f value).
     """
     k, n = x.shape[0], chunks[0]
     # later first-order passes run on lane windows if they pay and pass 0's lanes are finite
     windowed = len(chunks) == 1 and _windows_pay(n, k)
     guarded = lead is not None  # whether wide passes run in band: until pass 0 stops
-    combos = [(slice(0, min(k, lead if guarded else n)), *(slice(0, c) for c in chunks[1:]))]
-    grad = np.empty(k)
-    f0 = out = narrow = None  # pass 0's f value, the result array it sizes, lanes after a stop
+    combos = [(slice(0, min(k, lead if guarded else n)), *[slice(0, c) for c in chunks[1:]])]
+    f0 = out = grad = narrow = None  # pass 0's f value, the arrays it sizes, lanes after a stop
 
     def run(p):
         """Pass p, in band where guarded; a stopped pass runs again in narrow blocks."""
@@ -504,24 +494,26 @@ def _passes(f, x, chunks, threads=1, read=_scalar_output, lead=None):
             record(p, (b, *blocks[1:]), f(_seeded(x, (b, *blocks[1:]), windowed)))
 
     def record(p, blocks, y):
-        """Read pass p's result y, check it and write it out; pass 0 also plans the rest."""
-        nonlocal windowed, f0, out
-        widths = tuple(b.stop - b.start for b in blocks)
+        """Read pass p's result y, check it and copy it out; pass 0 sizes and plans the rest."""
+        nonlocal windowed, f0, out, grad
+        widths = tuple([b.stop - b.start for b in blocks])
         value, first, top = read(y, widths)
         outputs = top.shape[: top.ndim - len(widths)]
         if p == 0:  # pass 0 runs first and alone
             windowed = windowed and (guarded or bool(np.isfinite(top).all()))
             f0, out = value, np.empty(outputs + (k,) * len(widths))
-            width = _wide(math.prod(outputs)) if guarded else narrow if narrow and windowed else n
-            firsts = [blocks[0], *_blocks(k, width, widths[0])]
-            combos[1:] = list(itertools.product(firsts, *[_blocks(k, c) for c in chunks[1:]]))[1:]
-        if outputs != out.shape[: len(outputs)]:
+            grad = np.empty(k) if len(widths) == 2 else None  # only a Hessian returns it
+            if widths != (k,) * len(widths):
+                width = _wide(math.prod(outputs)) if guarded else narrow if narrow and windowed else n
+                firsts = [blocks[0], *_blocks(k, width, widths[0])]
+                combos[1:] = list(itertools.product(firsts, *[_blocks(k, c) for c in chunks[1:]]))[1:]
+        elif outputs != out.shape[: len(outputs)]:
             raise ValueError(
-                f"target function changed output length between passes: "
-                f"{out.shape[0]} then {outputs[0]}"
+                f"target function changed output length between passes: {out.shape[0]} then {outputs[0]}"
             )
-        _check_pure(f0, value, p)
-        if first is not None:
+        else:
+            _check_pure(f0, value, p)
+        if grad is not None:
             grad[blocks[-1]] = first
         out[(..., *blocks)] = top
 
@@ -542,16 +534,16 @@ def _as_input_vector(x):
 
 
 def _first_order(f, x, cfg, read=_scalar_output):
-    """``_passes`` of a gradient or Jacobian: cfg (None for the defaults) and x checked, and
-    at the default chunk a band pass 0 on ``_plan``'s first block for a gradient, on N0
-    lanes for a Jacobian, whose pass 0 reads the outputs that size the later blocks."""
-    if not isinstance(cfg, (ChunkConfig, type(None))):
+    """``_passes`` of a gradient or Jacobian, cfg (None for the defaults) and x checked: at the default
+    chunk a band pass 0 on ``_plan``'s first block, or on N0 lanes for a Jacobian's outputs."""
+    if cfg is not None and not isinstance(cfg, ChunkConfig):
         raise ValueError(f"cfg must be a ChunkConfig or None, got {cfg!r}")
-    cfg, x = cfg or ChunkConfig(), _as_input_vector(x)
-    n = cfg.resolve(x.shape[0])
-    band = cfg.chunk_size is None and _windows_pay(n, x.shape[0])
+    chunk, threads = (None, 1) if cfg is None else (cfg.chunk_size, cfg.threads)
+    x = _as_input_vector(x)
+    n = _resolve("chunk_size", chunk, x.shape[0])
+    band = chunk is None and _windows_pay(n, x.shape[0])
     lead = (_wide() if read is _scalar_output else n) if band else None
-    return _passes(f, x, (n,), cfg.threads, read, lead)
+    return _passes(f, x, (n,), threads, read, lead)
 
 
 def gradient(f, x, cfg=None):
@@ -568,16 +560,10 @@ def gradient(f, x, cfg=None):
 
 
 def gradient_threaded(f, x, cfg=None):
-    """Gradient with chunk passes split across cfg.threads threads.
+    """``gradient``, passes 2.. split across cfg.threads threads (``_fan_out``), bitwise equal.
 
-    The caller runs passes 0 and 1 alone (pass 0 plans the others), and
-    passes 2..P-1 go in contiguous blocks, one per thread.  At the default
-    chunk a band target takes one pass up to k = 32768, so no thread
-    starts; one whose band pass stops runs pass 0 again, dense, and fans
-    out the narrow passes after it.  A worker whose passes, timed from the
-    fan-out, average over threads * t_ref (``_run_passes``) hands the rest
-    back to the caller.  The result equals the serial gradient bitwise.
-    The target must tolerate concurrent calls.
+    At the default chunk a band target takes one pass up to k = 32768 and
+    starts no thread.  The target must tolerate concurrent calls.
     """
     return gradient(f, x, cfg)
 
@@ -628,15 +614,13 @@ def jacobian(f, x, cfg=None):
 def hessian(f, x, outer_chunk=None, inner_chunk=None):
     """Dense Hessian by forward-over-forward differentiation.
 
-    Each pass seeds M = outer_chunk components on the float64 lanes and
-    N = inner_chunk components on the nested lanes, filling the k x k
-    matrix in ceil(k/M) * ceil(k/N) passes through f.  The first-order
-    gradient and f(x) come from the same evaluations.  A chunk left None is
-    ``default_chunk(k, 2)``: k up to k=32 (one pass), 18 at k=100, 8 from k=405.
-    With both left None, from k = 27 every pass seeds all k components on
-    the outer lanes as one guarded band (``_passes``): ceil(k/N) passes, 6
-    at k=100 and 30 at k=300, with the dense plan's bytes.  A target that
-    leaves the band takes the dense plan and one more evaluation.
+    Each pass seeds M = outer_chunk components on the float64 lanes and N = inner_chunk
+    on the nested lanes, filling the k x k matrix in ceil(k/M) * ceil(k/N) passes through
+    f, which also give the gradient and f(x).  A chunk left None is ``default_chunk(k, 2)``:
+    k up to k=32 (one pass), 18 at k=100, 8 from k=405.  With both left None, from k = 27
+    every pass seeds all k components on the outer lanes as one guarded band (``_passes``):
+    ceil(k/N) passes, 30 at k=300, with the dense plan's bytes.  A target that leaves the
+    band takes the dense plan and one more evaluation.
     """
     x = _as_input_vector(x)
     k = x.shape[0]

@@ -39,7 +39,7 @@ import math
 
 import numpy as np
 
-from .pool import _ELEMENTARY, _PLAIN_OPS, _ieee_div, ops
+from .pool import _ELEMENTARY, _FLOAT64, _PLAIN_OPS, _ieee_div, ops
 
 __all__ = [
     "Dual",
@@ -108,7 +108,7 @@ class Partials(tuple):
     __slots__ = ()
 
     def __new__(cls, entries):
-        row = type(entries) is np.ndarray and entries.ndim == 1 and entries.dtype == np.float64
+        row = type(entries) is np.ndarray and entries.ndim == 1 and entries.dtype == _FLOAT64
         self = entries if row else super().__new__(cls, entries)
         if len(self) == 0:
             raise ValueError("Partials needs at least one lane")

@@ -6,21 +6,19 @@ Blocks of ``POOL_MIN_BYTES`` and more are the ones glibc hands back to the
 OS when they are freed, so without reuse the next pass page-faults them
 in again: a 3000-component Rosenbrock gradient at chunk 8 took about 140
 minor faults per pass.  The drivers' pass runner therefore enters a
-``lane_pool()`` in each thread that runs passes.  Each dual rule (one
-body serves ``Dual``, ``DualVector`` and ``NestedDualVector``) asks
-``ops`` once for the operations it computes with: while a pool is active
-and the rule's lanes are a float64 array that large, these write their
-results through ``pooled``, which hands out a buffer of the same shape
-that nothing outside the pool refers to any more.  ``out=`` gives the
-same values as a fresh ufunc result, so pooling never changes a number.
-Any other lanes (a scalar ``Dual``'s float64 row or tuple, a nested
-vector's duals) get the plain operations, Python's operators where there is one.
-A thread keeps its pool across driver calls: one pool per call faulted
-its blocks in anew, 275 minor faults a call for a one-pass k=30 Hessian.
-No lane window's block is pooled: their shapes change from pass to pass,
-and keeping them all took a reversed-slice gradient at k=12000 to a
-1164 MiB peak.  Only the k-column ndarrays that a window builds are (its
-full block, the row tiles of its sums).
+``lane_pool()`` in each thread that runs passes.  Each dual rule (one body
+serves ``Dual``, ``DualVector`` and ``NestedDualVector``) asks ``ops``
+once for the operations it computes with: while a pool is active and the
+rule's lanes are a float64 array that large, these write their results
+through ``pooled``, into a buffer of the same shape that nothing outside
+the pool refers to any more, which never changes a number.  Other lanes
+(a scalar ``Dual``'s row or tuple, a nested vector's duals) get the plain
+operations.  A thread keeps its pool across driver calls: one pool per
+call faulted its blocks in anew, 275 minor faults a call for a one-pass
+k=30 Hessian.  No lane window's block is pooled: their shapes change from
+pass to pass, and keeping them all took a reversed-slice gradient at
+k=12000 to a 1164 MiB peak.  Only the k-column ndarrays that a window
+builds are (its full block, the row tiles of its sums).
 
 A ``_Window`` is a lane block that holds only the entries its seeds can
 reach.  The N unit lanes of a first-order pass are one diagonal of its
@@ -32,21 +30,21 @@ a diagonal, so each ufunc of a rule runs over w rows of N lanes, not N
 rows of w.  A band may overhang [0, k), as one that a slice cuts does;
 its entries there are zero.  ``ops`` hands the rules on a window
 operations that compute its entries only, each value-shaped coefficient
-cut to them as a strided w x N view.  A Hessian's band pass keeps its
-N x E x k second-order lanes (E inner lanes, dense) as a w x E x N
-window, which starts without entries; a coefficient of shape (E, k)
-or (k,) is cut to it along the same diagonals.
-The rule bodies stay the same.  A band that meets the other skew
-becomes a window on the columns it spans; what cannot stay in those
-(fancy indexes, a reshape, ``np.asarray``, full lanes as the other
-operand) builds the full N x k block.  Both are cheap at a few hundred
-lanes and not at tens of thousands, so the drivers run wide passes
-through ``in_band``: there the first such step raises before it builds
-anything.  So do a union of bands far apart and a coefficient that would
-turn the left-out zeros into NaN in a dense pass, which is what lets a
-band pass stand in for a dense one.  A sum over rows of more than two
-nonzeros builds its full rows in tiles of at most LANE_BLOCK_BYTES and
-stays allowed.
+cut to them as a strided w x N view; the value channel takes the pooled
+operations directly.  A Hessian's band pass keeps its N x E x k
+second-order lanes (E inner lanes, dense) as a w x E x N window, which
+starts without entries; a coefficient of shape (E, k) or (k,) is cut to
+it along the same diagonals.  A band that meets the other skew becomes a
+window on the columns it spans; what cannot stay in those (fancy
+indexes, a reshape, ``np.asarray``, full lanes as the other operand)
+builds the full N x k block.  Both are cheap at a few hundred lanes and
+not at tens of thousands, so the drivers run wide passes through
+``in_band``: there the first such step raises before it builds anything.
+So do a union of bands far apart and a coefficient that would turn the
+left-out zeros into NaN in a dense pass, which is what lets a band pass
+stand in for a dense one.  A sum over rows of more than two nonzeros
+builds its full rows in tiles of at most LANE_BLOCK_BYTES and stays
+allowed.
 """
 
 from __future__ import annotations
@@ -79,6 +77,7 @@ _FLOAT64 = np.dtype(np.float64)
 _POOL_SCALARS = (float, int, np.float64)
 # The lanes of first-order vectors; a nested vector's lanes are duals.
 _ndarray = np.ndarray
+_new = object.__new__
 
 
 class _Pool:
@@ -336,8 +335,12 @@ class _Window:
         return self.lo + min(reach, 0), self.hi + max(reach, 0)
 
     def like(self, block):
-        """A window on the same entries holding ``block``."""
-        return _Window(block, self.lo, self.k, self.skew)
+        """A window on the same entries holding ``block``, a rule's result with as many rows, built
+        without ``__init__``: the shape is this one's, or anew where extra axes may broadcast."""
+        out = _new(_Window)
+        out.block, out.lo, out.hi, out.k, out.skew = block, self.lo, self.hi, self.k, self.skew
+        out.shape = self.shape if block.ndim == 2 else (block.shape[-1], *block.shape[1:-1], self.k)
+        return out
 
     def copy(self):
         """A window on the same entries; a target may copy ``v.partials``."""
@@ -457,7 +460,7 @@ class _Window:
         """
         block, skew = self.block, self.skew
         if block.shape[0] <= 2 or np.add.reduce(block != 0, 0).max() <= 2:
-            rows = block.sum(axis=0)
+            rows = np.add.reduce(block, 0)  # block.sum(axis=0) without its wrapper
             return rows if block.ndim == 2 else _lanes_first(rows)
         lanes, extra = block.shape[-1], block.shape[1:-1]
         rows = max(1, LANE_BLOCK_BYTES // (8 * self.k * math.prod(extra)))
@@ -522,8 +525,8 @@ def _cut(c, win):
         return None
     if not win.skew:
         return c[win.lo : win.hi, None]
-    first, stop = win.span()
-    under, over = max(0, -first), max(0, stop - win.k)
+    reach = win.skew * (win.block.shape[-1] - 1)  # span() inline: the columns the entries lie in
+    under, over = max(0, -win.lo - min(reach, 0)), max(0, win.hi + max(reach, 0) - win.k)
     if under or over:  # ones where the band overhangs [0, k), whose entries are zero
         padded = np.empty(under + win.k + over)
         padded[:under] = padded[under + win.k :] = 1.0
@@ -556,6 +559,15 @@ def _cut_extra(c, win):
     return _band(c.reshape(-1), win.lo + under, 1, win.skew, (block.shape[0], *lead, block.shape[-1]), *de)
 
 
+def _safe(b, factor):
+    """Whether b, a factor or a divisor of lanes, keeps a dense pass's left-out zeros zero: finite,
+    and a divisor without a zero.  ``math`` checks a scalar, one C reduction each an array."""
+    if type(b) in _POOL_SCALARS:
+        return math.isfinite(b) and (factor or b != 0)
+    b, every = np.asarray(b), np.logical_and.reduce
+    return every(np.isfinite(b), axis=None) and (factor or every(b, axis=None))
+
+
 def _scale(ufunc):
     """mul or div of lanes by a coefficient: a window scales its entries only.
 
@@ -566,13 +578,15 @@ def _scale(ufunc):
     """
 
     def op(a, b):
-        if type(a) is _Window and (c := _cut(b, a)) is not None:
-            if _active.guard and not (np.isfinite(b).all() and (ufunc is np.multiply or np.all(b))):
+        if type(a) is not _Window:  # a value channel, or full lanes over a window's
+            return pooled(ufunc, a, _full(b))
+        if (c := _cut(b, a)) is not None:
+            if _active.guard and not _safe(b, ufunc is np.multiply):
                 _leave("unsafe")
             if a.block.ndim == 2:
                 return a.like(ufunc(a.block, c))
             return a.like(ufunc(a.block, c, order="C"))  # not the cut's order, which may step back
-        return pooled(ufunc, _full(a), _full(b))
+        return pooled(ufunc, np.asarray(a), _full(b))
 
     return op
 
@@ -582,6 +596,8 @@ def _join(ufunc):
 
     def op(a, b):
         wa, wb = type(a) is _Window, type(b) is _Window
+        if not (wa or wb):  # a value channel, or full lanes
+            return pooled(ufunc, a, b)
         same = wa and wb and a.shape == b.shape
         if same and not (a.block.size and b.block.size):
             # a slice that missed the entries: the other's, with a dense block's signed zeros

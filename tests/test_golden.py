@@ -87,6 +87,11 @@ CASES = {
         lambda: _gradient(3000, None),
         "04f3a9aac70267f4ca7e4bcec6d56b3b4b852fa8d880baff1b29929ef6c5c956",
     ),
+    # the default plan on two threads: still one band pass, which starts no thread
+    "gradient-k3000-default-2threads": (
+        lambda: _gradient(3000, ChunkConfig(None, 2)),
+        "04f3a9aac70267f4ca7e4bcec6d56b3b4b852fa8d880baff1b29929ef6c5c956",
+    ),
     "gradient-k3000-n24-2threads": (
         lambda: _gradient(3000, ChunkConfig(24, 2)),
         "04f3a9aac70267f4ca7e4bcec6d56b3b4b852fa8d880baff1b29929ef6c5c956",

@@ -180,6 +180,38 @@ def test_a_large_jacobian_value_survives_the_call():
     assert np.array_equal(res.f_value, x * 2.0 + x[::-1])
 
 
+def _rational(v):
+    return (v * v[::-1] - 1.0) / (2.0 + v * v)
+
+
+# name -> (k, driver call): every plan a call may take, one band pass or many dense ones
+OWNED = {
+    "gradient-k1000-default": (1000, lambda x: gradient(ackley, x)),
+    "gradient-k1000-n8": (1000, lambda x: gradient(ackley, x, ChunkConfig(8))),
+    # one dense pass whose result's lanes are a view of the pooled unit lanes
+    "gradient-k100-n100-index": (100, lambda x: gradient(lambda v: v[3], x, ChunkConfig(100))),
+    "jacobian-k300-default": (300, lambda x: jacobian(_rational, x)),
+    "jacobian-k300-identity": (300, lambda x: jacobian(lambda v: v, x)),  # its value is x
+    "jacobian-k300-n64": (300, lambda x: jacobian(_rational, x, ChunkConfig(64))),
+    "hessian-k30-default": (30, lambda x: hessian(rosenbrock, x)),
+    "hessian-k30-8x8": (30, lambda x: hessian(rosenbrock, x, 8, 8)),
+}
+
+
+@pytest.mark.parametrize("name", OWNED)
+def test_results_own_their_memory(name):
+    # no array of a result is x, a pooled buffer or another call's array, so that a
+    # later call can neither overwrite nor be overwritten by a result the caller keeps
+    k, call = OWNED[name]
+    x = _point(k)
+    arrays = [a for res in (call(x), call(x)) for a in vars(res).values() if isinstance(a, np.ndarray)]
+    kept = pool._active.kept
+    buffers = [] if kept is None else [b for same in kept.buffers.values() for b in same]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1 :] + [x] + buffers:
+            assert not np.shares_memory(a, b), (name, a.shape, b.shape)
+
+
 def test_a_target_keeping_many_intermediates_leaves_the_pool_bounded(monkeypatch):
     # 128 passes keeping 16 results each: 2048 lane blocks of 8 x 1024
     # float64, just at POOL_MIN_BYTES, alive until the call returns

@@ -288,7 +288,8 @@ def test_default_jacobian_plan_equals_every_chunk_size_and_threads(name):
 
 def test_a_default_gradient_plans_its_passes_once_after_pass_0(monkeypatch):
     # pass 0 seeds its own block alone, so the ceil(K / N0) blocks of the
-    # default chunk, which the band plan replaces, are never built
+    # default chunk, which the band plan replaces, are never built; where
+    # pass 0 covers every component, no block list is built at all
     longest = len(_plan(K, None))
     built, blocks = [], drivers._blocks
 
@@ -300,8 +301,9 @@ def test_a_default_gradient_plans_its_passes_once_after_pass_0(monkeypatch):
     monkeypatch.setattr(drivers, "_blocks", recorded)
     counted = EvalCounter(rosenbrock)
     gradient(counted, _point(K))
-    assert counted.count == longest == BAND_PASSES
-    assert built and max(built) <= longest
+    assert counted.count == longest == BAND_PASSES and built == []
+    gradient(counted, _point(40000))  # two band passes: pass 0 plans the second one's block
+    assert counted.count == BAND_PASSES + 2 and built == [1]
 
 
 def test_reading_a_windowed_vector_result_does_not_count_as_widening():
@@ -728,6 +730,44 @@ def test_in_band_stops_at_the_first_step_out_and_drops_what_follows():
     assert np.array_equal(np.asarray(win), full)  # outside in_band nothing stops
 
 
+def _coefficient_kinds(value, k, extra=3):
+    """``value`` as each kind of coefficient a band op meets, by name: on a first-order
+    band a scalar or a (k,) row, on a Hessian's second-order lanes an (E, k) block.  In an
+    array it sits on one entry, the others 1.5."""
+    row, rows = np.full(k, 1.5), np.full((extra, k), 1.5)
+    row[k // 2] = rows[1, 3] = value
+    return {
+        "float": float(value),
+        "float64": np.float64(value),
+        "0-d": np.array(value),
+        "(k,)": row,
+        "(E, k)": rows,
+    }
+
+
+@pytest.mark.parametrize("kind", ["float", "float64", "0-d", "(k,)", "(E, k)"])
+@pytest.mark.parametrize(
+    "name, value, op",
+    [("inf", np.inf, "mul"), ("nan", np.nan, "mul"), ("inf", np.inf, "div"), ("zero", 0.0, "div")],
+)
+def test_a_guarded_band_pass_stops_unsafe_on_every_kind_of_coefficient(kind, name, value, op):
+    k, extra = 40, 3
+    if kind == "(E, k)":  # the second-order lanes of a Hessian's band pass: a w x E x N window
+        win, full = _extra_window(1, 2, k, extra)
+        v = DualVector(np.ones((extra, k)), win)
+    else:
+        v = drivers._seeded(_point(k), (slice(0, k),), True)
+        full = np.eye(k)
+    rule = (lambda a, b: a * b) if op == "mul" else (lambda a, b: a / b)
+    bad, good = _coefficient_kinds(value, k, extra)[kind], _coefficient_kinds(0.75, k, extra)[kind]
+    assert pool.in_band(lambda w: rule(w, bad), v) == (None, "unsafe")
+    got, left = pool.in_band(lambda w: rule(w, good), v)
+    assert left is None and type(got.partials) is pool._Window
+    ufunc = np.multiply if op == "mul" else np.divide
+    assert np.asarray(got.partials).tobytes() == ufunc(full, good).tobytes()
+    assert pool._active.guard == () and pool._active.left is None
+
+
 def test_in_band_takes_the_stops_it_is_given_and_restores_the_guard():
     win, full = _band_window(1, 4)
     coeff = np.linspace(-1.0, 1.0, BAND_K)
@@ -945,13 +985,18 @@ def test_every_read_of_a_window_gives_the_bytes_of_its_full_block(skew, lo, k):
 
 
 def test_every_window_of_a_band_pass_holds_a_c_contiguous_block(monkeypatch):
-    built, init = [], pool._Window.__init__
+    built, init, like = [], pool._Window.__init__, pool._Window.like
 
     def recorded(self, block, lo, k, skew=0):
         init(self, block, lo, k, skew)
         built.append(block.flags.c_contiguous)
 
+    def recorded_like(self, block):  # a rule's result, built without the constructor
+        built.append(block.flags.c_contiguous)
+        return like(self, block)
+
     monkeypatch.setattr(pool._Window, "__init__", recorded)
+    monkeypatch.setattr(pool._Window, "like", recorded_like)
     for f in TARGETS.values():
         gradient(f, _point(K))
     assert built and all(built)
@@ -1012,9 +1057,10 @@ def test_every_read_of_a_window_with_extra_axes_gives_the_bytes_of_its_full_bloc
         if np.shape(c)[:1] == (4,) and extra == 4:
             continue  # the same shape as rows
         for op, ufunc in ((pool._WINDOW_OPS.mul, np.multiply), (pool._WINDOW_OPS.div, np.divide)):
-            got = op(win, c)
+            got, want = op(win, c), ufunc(full, c)
             assert type(got) is pool._Window and got.block.flags.c_contiguous, np.shape(c)
-            assert np.asarray(got).tobytes() == ufunc(full, c).tobytes(), np.shape(c)
+            assert got.shape == want.shape, np.shape(c)  # a coefficient may broadcast the block
+            assert np.asarray(got).tobytes() == want.tobytes(), np.shape(c)
     # one diagonal on: its -0.0 diagonals 0 and 1 meet our diagonals 1 (-0.0) and 2
     other, other_full = _extra_window(skew, lo + 1, k, extra, (0, 1), seed=5)
     empty = pool._Window(np.empty((0, extra, 5)), 0, k)  # a Hessian band pass's seeded lanes
@@ -1142,13 +1188,18 @@ def test_a_later_hessian_pass_that_leaves_the_band_runs_its_block_again_dense():
 
 
 def test_every_window_of_a_hessian_band_pass_holds_a_c_contiguous_block(monkeypatch):
-    built, init = [], pool._Window.__init__
+    built, init, like = [], pool._Window.__init__, pool._Window.like
 
     def recorded(self, block, lo, k, skew=0):
         init(self, block, lo, k, skew)
         built.append((block.ndim, block.flags.c_contiguous))
 
+    def recorded_like(self, block):  # a rule's result, built without the constructor
+        built.append((block.ndim, block.flags.c_contiguous))
+        return like(self, block)
+
     monkeypatch.setattr(pool._Window, "__init__", recorded)
+    monkeypatch.setattr(pool._Window, "like", recorded_like)
     for f in HESSIAN_BAND.values():
         hessian(f, _point(30))
     assert {ndim for ndim, _ in built} == {2, 3} and all(c for _, c in built)
