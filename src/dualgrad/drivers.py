@@ -66,14 +66,15 @@ All drivers require a pure target function: same input, same output.
 Each later pass compares its value channel (every output, for a
 Jacobian) with pass 0's as soon as it has read it; a difference raises
 ImpureTargetError, and no thread starts another pass.  One runner runs
-every call: passes 0 and 1 on the caller, then the rest in one static
-block per thread, the caller's first, so a serial call is the one-thread
-case.  With more threads f must be safely callable from several threads
-at once; a worker running below break-even (measured against the faster
-of the caller's first two passes) hands its block's rest back to the
-caller, and passes write disjoint slices.  Besides its passes a call does
+every call: passes 0 and 1 on the caller, then the rest from one queue
+that the caller and the workers draw from in order, the caller first, so
+a serial call is the one-thread case.  With more threads f must be safely
+callable from several threads at once; a worker running below break-even
+(measured against the faster of the caller's first two passes) stops
+drawing and leaves the rest to the caller, passes write disjoint slices,
+and no worker outlives its call.  Besides its passes a call does
 only what its result needs: a band target's default gradient up to
-k = 32768, one pass, plans no further pass, splits no blocks, fills no
+k = 32768, one pass, plans no further pass, starts no thread, fills no
 array it drops and reads the clock only around that pass.
 """
 
@@ -382,11 +383,18 @@ def _check_pure(first, value, p):
 
 
 def _run_passes(run, count, threads):
-    """run(p) for every pass: passes 0 and 1 on the caller, alone, then ``_fan_out`` the rest.
+    """run(p) for every pass: passes 0 and 1 on the caller, alone, then the rest from one queue.
 
     count() is read after pass 0, which plans the others, so a call of one or two passes
-    ends with its last one.  t_ref, the lesser time of passes 0 and 1, budgets the workers:
-    either may be slow (pass 0 may stop and run again, a collection may land in one).
+    ends with its last one and starts no thread.  The caller and up to threads - 1 workers
+    draw passes 2.. in order from one iterator under a lock, the caller first.  t_ref, the
+    lesser time of passes 0 and 1 (either may be slow: pass 0 may stop and run again, a
+    collection may land in one), budgets the workers: one whose passes, timed from the
+    fan-out, average over threads * t_ref stops drawing, as all threads together then finish
+    fewer passes per second than the caller alone would, and the caller draws the rest.
+    The first failure stops all drawing and is re-raised after the join; a failed start's
+    error is re-raised once the caller has drained the queue and joined the workers that did
+    start, so no worker outlives its call.
     """
     with lane_pool(), np.errstate(all="ignore"):
         t_ref = math.inf
@@ -395,57 +403,44 @@ def _run_passes(run, count, threads):
                 start = time.perf_counter()
                 run(p)
                 t_ref = min(t_ref, time.perf_counter() - start)
-        if count() > 2:
-            _fan_out(run, range(2, count()), threads, t_ref)
+        if count() <= 2:
+            return
+        queue, lock, failures, started = iter(range(2, count())), threading.Lock(), [], []
+        threads = min(threads, count() - 2)
 
+        def work(budget):
+            """Draw and run passes until the queue is empty, a pass fails or they average over budget."""
+            try:
+                for i in itertools.count(1):
+                    with lock:
+                        p = None if failures else next(queue, None)
+                    if p is None:
+                        return
+                    run(p)
+                    if time.perf_counter() - fanned_out > i * budget * t_ref:
+                        return
+            except BaseException as exc:  # re-raised after the join barrier
+                failures.append(exc)
 
-def _fan_out(run, passes, threads, t_ref):
-    """run(p) for each of passes in one static block per thread, the caller's first.
+        def worker():
+            go.wait()  # the caller draws first
+            with lane_pool(), np.errstate(all="ignore"):
+                work(threads)
 
-    With threads=1, or one pass, no thread starts.  A worker whose passes, timed from the
-    fan-out, average over threads * t_ref hands its block's rest back for the caller to run
-    after the join: all threads together then finish fewer passes per second than the caller
-    alone would.  Passes stop at the first failure, re-raised.
-    """
-    failures, handed_back = [], []
-
-    def work(block, budget):
-        """Run block's passes; hand the rest back once they average over budget * t_ref."""
+        go = threading.Event()
         try:
-            for i, p in enumerate(block):
-                if failures:
-                    return
-                run(p)
-                if time.perf_counter() - fanned_out > (i + 1) * budget * t_ref:
-                    handed_back.append(block[i + 1 :])
-                    return
-        except BaseException as exc:  # re-raised after the join barrier
-            failures.append(exc)
-
-    def worker(block):
-        go.wait()  # the caller starts its block first
-        with lane_pool(), np.errstate(all="ignore"):
-            work(block, len(blocks))
-
-    n_blocks = min(threads, len(passes))
-    size, extra = divmod(len(passes), n_blocks)  # np.array_split's blocks
-    ends = [passes.start + i * size + min(i, extra) for i in range(n_blocks + 1)]
-    blocks = [range(lo, hi) for lo, hi in zip(ends, ends[1:])]
-    workers = [threading.Thread(target=worker, args=(block,)) for block in blocks[1:]]
-    go = threading.Event()
-    try:
-        for w in workers:
-            w.start()
-    finally:  # if a start fails, the workers already started must not wait forever
-        fanned_out = time.perf_counter()
-        go.set()
-    work(blocks[0], math.inf)
-    for w in workers:
-        w.join()
-    for tail in handed_back:
-        work(tail, math.inf)
-    if failures:
-        raise failures[0]
+            for _ in range(threads - 1):
+                w = threading.Thread(target=worker)
+                w.start()
+                started.append(w)
+        finally:  # a failed start still drains the queue and joins the workers it left
+            fanned_out = time.perf_counter()
+            go.set()
+            work(math.inf)
+            for w in started:
+                w.join()
+        if failures:
+            raise failures[0]
 
 
 def _passes(f, x, chunks, threads=1, read=_scalar_output, lead=None):
@@ -560,7 +555,7 @@ def gradient(f, x, cfg=None):
 
 
 def gradient_threaded(f, x, cfg=None):
-    """``gradient``, passes 2.. split across cfg.threads threads (``_fan_out``), bitwise equal.
+    """``gradient``, passes 2.. drawn by cfg.threads threads from one queue (``_run_passes``), bitwise equal.
 
     At the default chunk a band target takes one pass up to k = 32768 and
     starts no thread.  The target must tolerate concurrent calls.

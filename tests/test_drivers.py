@@ -523,6 +523,7 @@ def test_threaded_jacobian_equals_serial_and_runs_passes_on_a_worker():
 
     def vec(x):
         idents.append(threading.get_ident())
+        time.sleep(0.002)  # releases the GIL, so a worker draws passes before the caller drains them
         return np.sin(x) * x[::-1] + np.sqrt(np.abs(x)) - x / (1.0 + x * x)
 
     x = np.random.default_rng(37).uniform(-1, 1, 40)
@@ -966,23 +967,45 @@ def test_every_pass_runs_once_under_fast_thread_switching():
 
 
 @pytest.mark.parametrize("n_passes, threads", [(1, 1), (1, 4), (2, 4), (7, 3), (10, 4), (9, 1)])
-def test_workers_run_prefixes_of_array_split_blocks(n_passes, threads):
-    by_thread = {}
+def test_every_pass_runs_once_passes_0_and_1_first_on_the_caller(n_passes, threads):
+    ran, before = [], threading.active_count()
 
     def run(p):
-        time.sleep(0.002)  # releases the GIL, so workers start their blocks
-        by_thread.setdefault(threading.get_ident(), []).append(p)
+        time.sleep(0.002)  # releases the GIL, so workers draw passes
+        ran.append((threading.get_ident(), p))
 
     dualgrad.drivers._run_passes(run, lambda: n_passes, threads)
-    assert sorted(itertools.chain(*by_thread.values())) == list(range(n_passes))
-    # passes 0 and 1 run on the caller, alone
-    assert by_thread[threading.get_ident()][:2] == list(range(min(2, n_passes)))
-    n_blocks = max(1, min(threads, n_passes - 2))
-    blocks = [b.tolist() for b in np.array_split(range(2, n_passes), n_blocks)]
-    workers = [ps for ident, ps in by_thread.items() if ident != threading.get_ident()]
-    assert len(workers) <= len(blocks) - 1
-    for ps in workers:  # a worker may hand its block's rest back to the caller
-        assert any(ps == block[: len(ps)] for block in blocks[1:]), ps
+    assert sorted(p for _, p in ran) == list(range(n_passes))
+    # passes 0 and 1 run on the caller, before any other pass
+    caller = threading.get_ident()
+    assert ran[:2] == [(caller, p) for p in range(min(2, n_passes))]
+    by_thread = {}
+    for ident, p in ran:
+        by_thread.setdefault(ident, []).append(p)
+    assert len(by_thread) - 1 <= max(0, min(threads, n_passes - 2) - 1)
+    for ps in by_thread.values():  # every thread draws from one queue, in order
+        assert ps == sorted(ps), ps
+    assert threading.active_count() == before
+
+
+def test_no_worker_outlives_a_call_whose_thread_start_fails(monkeypatch):
+    start, starts = threading.Thread.start, itertools.count()
+
+    def second_start_fails(thread):
+        if next(starts) == 1:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    def sleepy(x):
+        time.sleep(0.002)  # releases the GIL, so the started worker draws passes
+        return np.sum(x * x)
+
+    before = threading.active_count()
+    monkeypatch.setattr(threading.Thread, "start", second_start_fails)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        gradient(sleepy, np.ones(40), ChunkConfig(1, 3))
+    assert threading.active_count() == before
+    assert next(starts) == 2  # one worker started, the second failed
 
 
 def test_more_threads_than_passes():
