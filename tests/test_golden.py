@@ -45,6 +45,16 @@ def _branchy(v):
     return out
 
 
+def _stencil(v):
+    """Three diagonals that overhang both ends of the columns, summed in tiles."""
+    return np.sum(v[:-2] * v[1:-1] * v[2:])
+
+
+def _negated(v):
+    """A negation and a negative constant after slices that cut the band."""
+    return np.sum(-2.0 * (1.0 - v[:-1]) * v[1:])
+
+
 def _digest(*arrays):
     h = hashlib.sha256()
     for a in arrays:
@@ -65,6 +75,12 @@ def _jacobian(k, cfg):
 def _hessian(k, chunks):
     res = hessian(rosenbrock, _point(k), *chunks)
     return _digest(res.entries, res.gradient, res.f_value)
+
+
+def _default(f, at):
+    """The default gradient at k=3000 and default Hessian at k=30 of f, at ``at(k)``."""
+    g, h = gradient(f, at(3000)), hessian(f, at(30))
+    return _digest(g.values, g.f_value, h.entries, h.gradient, h.f_value)
 
 
 def _tensor(k):
@@ -120,6 +136,24 @@ CASES = {
     "hessian-k300-default": (
         lambda: _hessian(300, (None, None)),
         "14928af48c48d5b82bc6070453e3cb2892dd5686f9f3c016f7ca47fe0a9d1733",
+    ),
+    # band passes whose diagonals a slice cuts, at scrambled points and at
+    # ones, where the lanes of (1 - v) are exact zeros
+    "stencil-default": (
+        lambda: _default(_stencil, _point),
+        "5f6e1c287f05f702a2996dde97b480f35383ae06c60eac7e1ad40ac78759d0d8",
+    ),
+    "stencil-default-ones": (
+        lambda: _default(_stencil, np.ones),
+        "3cde01135e9b171ddebc51f4a922ed46277b19f0cca0154256279cd180d2e920",
+    ),
+    "negated-default": (
+        lambda: _default(_negated, _point),
+        "7b841f16d4423b18fe30a4f338f6e7c9b929c762ef84dfa76c1780cc67e35a69",
+    ),
+    "negated-default-ones": (
+        lambda: _default(_negated, np.ones),
+        "0e3b8ea9a7368f6d9a6c0bed621b15074c1206e7a308dbe0df5657e211527974",
     ),
     "tensor-k6": (
         lambda: _tensor(6),
