@@ -23,28 +23,25 @@ builds are (its full block, the row tiles of its sums).
 A ``_Window`` is a lane block that holds only the entries its seeds can
 reach.  The N unit lanes of a first-order pass are one diagonal of its
 N x k block, and elementwise rules and shifted slices keep each lane on
-a few diagonals, so a window holds them as a band: a w x N block whose
-entry (t, n) is lane n's column lo + skew * n + t, skew 1 or -1 (a
-reversed slice flips it); at skew 0 it holds w whole columns.  A row is
-a diagonal, so each ufunc of a rule runs over w rows of N lanes, not N
-rows of w.  A band may overhang [0, k), as one that a slice cuts does;
-its entries there are zero.  ``ops`` hands the rules on a window
-operations that compute its entries only, each value-shaped coefficient
-cut to them as a strided w x N view; the value channel takes the pooled
-operations directly.  A Hessian's band pass keeps its N x E x k
-second-order lanes (E inner lanes, dense) as a w x E x N window, which
-starts without entries; a coefficient of shape (E, k) or (k,) is cut to
-it along the same diagonals.  A band that meets the other skew becomes a
-window on the columns it spans; what cannot stay in those (fancy
-indexes, a reshape, ``np.asarray``, full lanes as the other operand)
-builds the full N x k block.  Both are cheap at a few hundred lanes and
-not at tens of thousands, so the drivers run wide passes through
-``in_band``: there the first such step raises before it builds anything.
-So do a union of bands far apart and a coefficient that would turn the
-left-out zeros into NaN in a dense pass, which is what lets a band pass
-stand in for a dense one.  A sum over rows of more than two nonzeros
-builds its full rows in tiles of at most LANE_BLOCK_BYTES and stays
-allowed.
+a few diagonals, so a window holds them as a band: w diagonals, lane n's
+entry t at column lo + skew * n + t, skew 1 or -1 (a reversed slice
+flips it), in a w x C block over the C columns in [0, k) it spans, one
+row a diagonal, where a position whose lane is not one of the N is never
+read; at skew 0 it holds w whole columns.  So each ufunc of a rule runs
+over w rows, a value-shaped coefficient (k,) or (E, k) scales a band by
+broadcasting its own columns, and a slice that cuts a band, leaving it
+overhanging [0, k), is a view of the block's columns.  A Hessian's band pass keeps its N x E x k second-order
+lanes (E inner lanes, dense) as a w x E x C window, which starts without
+entries.  A band that meets the other skew becomes a window on the
+columns it spans; what cannot stay in those (fancy indexes, a reshape,
+``np.asarray``, full lanes as the other operand) builds the full N x k
+block.  Both are cheap at a few hundred lanes and not at tens of
+thousands, so the drivers run wide passes through ``in_band``: there the
+first such step raises before it builds anything.  So do a union of
+bands far apart and a coefficient that would turn the left-out zeros
+into NaN in a dense pass, which is what lets a band pass stand in for a
+dense one.  A sum over rows of more than two nonzeros builds its full
+rows in tiles of at most LANE_BLOCK_BYTES and stays allowed.
 """
 
 from __future__ import annotations
@@ -288,39 +285,44 @@ def _lanes_first(a):
 
 
 class _Window:
-    """Lane block of full shape ``(N, k)`` that is zero outside the entries
-    that ``block`` holds: its entry ``(t, n)`` is lane n's column ``lo + skew * n + t``.
+    """Lane block of full shape ``(N, k)`` that is zero outside the entries that ``block`` holds.
 
-    ``block`` is ``(w, N)`` and C-contiguous, one row a diagonal, so that
-    every rule runs its ufunc over rows of N.  A lane block with component
-    axes before the last, ``(N, *extra, k)``, is a ``(w, *extra, N)``
-    block whose entry ``(t, *e, n)`` is lane n's ``(*e, lo + skew * n + t)``:
-    the second-order lanes of a Hessian's band pass.  At skew 0 it holds the w
-    columns ``[lo, hi)``; at skew 1 or -1 it holds w diagonals, a band,
-    whose entries outside ``[0, k)`` are zero: a slice that cuts a band
-    leaves it overhanging.  The drivers seed a first-order pass with a
-    band of one diagonal, its N unit lanes, and elementwise rules and
-    step-1 or step-(-1) slices keep them there.  ``ops`` gives the rules
-    on a window operations that cut value-shaped coefficients to its
-    entries.  A band that cannot stay one (another skew or full lanes as
-    the other operand) first becomes a window on the columns in ``[0, k)``
-    it spans (``columns``).  What cannot stay in those (another slice
-    step, fancy indexes, a reshape) gives the full block, which
-    ``np.asarray`` builds.
+    At skew 1 or -1 it holds w diagonals, a band: lane n's entry t is its
+    column ``lo + skew * n + t``.  ``block`` is ``(w, C)`` over the
+    columns ``[c0, c0 + C)`` that the band spans in ``[0, k)``, one row a
+    diagonal, so its entry ``(t, j - c0)`` is lane ``skew * (j - lo - t)``'s.
+    A position whose lane falls outside ``[0, N)`` holds no lane and is
+    never read: reads that need lanes (``sum``, an integer index, ``full``,
+    ``columns``) take each diagonal's run of lanes (``_rows``).  At skew 0
+    it holds the w columns ``[lo, hi)``, a ``(w, N)`` block whose entry
+    ``(t, n)`` is lane n's column ``lo + t``.  A lane block with component
+    axes before the last, ``(N, *extra, k)``, has a ``(w, *extra, C)``
+    block (``(w, *extra, N)`` at skew 0): the second-order lanes of a
+    Hessian's band pass.  The drivers seed a first-order pass with a band
+    of one diagonal, its N unit lanes; elementwise rules and step-1 or
+    step-(-1) slices keep them there.  A band that cannot stay one
+    (another skew or full lanes as the other operand) first becomes a
+    window on the columns it spans (``columns``).  What cannot stay in
+    those (another slice step, fancy indexes, a reshape) gives the full
+    block, which ``np.asarray`` builds.
     """
 
-    __slots__ = ("block", "lo", "hi", "k", "skew", "shape")
+    __slots__ = ("block", "lo", "hi", "k", "skew", "shape", "c0")
 
-    def __init__(self, block, lo, k, skew=0):
+    def __init__(self, block, lo, k, skew=0, lanes=None):
         dims = block.shape
         if len(dims) < 2:
             raise ValueError(f"a window holds a w x N block, or w x ... x N, not {dims}")
-        self.shape = (dims[1], k) if len(dims) == 2 else (dims[-1], *dims[1:-1], k)  # the full block's
+        n = dims[-1] if lanes is None else lanes
+        self.shape = (n, k) if len(dims) == 2 else (n, *dims[1:-1], k)  # the full block's
         self.block = block
         self.lo = lo
         self.hi = lo + dims[0]
         self.k = k
         self.skew = skew
+        # a band block's column 0, its first in [0, k): span() inline, but min and max cost 2x
+        first = lo if skew >= 0 else lo - n + 1
+        self.c0 = first if skew and first > 0 else 0
 
     # read through to the block, for code that inspects lane arrays: the
     # dtype a scalar Dual's lanes take on, sizes for allocation counters
@@ -331,26 +333,51 @@ class _Window:
 
     def span(self):
         """The columns ``[first, stop)`` that the entries lie in."""
-        reach = self.skew * (self.block.shape[-1] - 1)
+        reach = self.skew * (self.shape[0] - 1)
         return self.lo + min(reach, 0), self.hi + max(reach, 0)
 
     def like(self, block):
         """A window on the same entries holding ``block``, a rule's result with as many rows, built
         without ``__init__``: the shape is this one's, or anew where extra axes may broadcast."""
         out = _new(_Window)
-        out.block, out.lo, out.hi, out.k, out.skew = block, self.lo, self.hi, self.k, self.skew
-        out.shape = self.shape if block.ndim == 2 else (block.shape[-1], *block.shape[1:-1], self.k)
+        out.block, out.lo, out.hi, out.k, out.skew, out.c0 = block, self.lo, self.hi, self.k, self.skew, self.c0
+        out.shape = self.shape if block.ndim == 2 else (self.shape[0], *block.shape[1:-1], self.k)
         return out
 
     def copy(self):
         """A window on the same entries; a target may copy ``v.partials``."""
         return self.like(self.block.copy())
 
+    def _rows(self):
+        """``(t, first, stop, entries)`` for each diagonal t of a band whose lanes ``[first, stop)``
+        have columns in the block: ``entries`` is the ``(*extra, stop - first)`` view of them."""
+        block, lanes, rows = self.block, self.shape[0], []
+        cols, at = block.shape[-1], self.lo - self.c0  # lane 0's position on diagonal 0
+        for t in range(block.shape[0]):
+            d = at + t  # lane n's position on diagonal t is d + skew * n
+            if self.skew > 0:
+                first, stop = max(0, -d), min(lanes, cols - d)
+                run = block[t, ..., d + first : d + stop]
+            else:
+                first, stop = max(0, d + 1 - cols), min(lanes, d + 1)
+                run = block[t, ..., d + 1 - stop : d + 1 - first][..., ::-1]
+            if first < stop:
+                rows.append((t, first, stop, run))
+        return rows
+
+    def _lanes(self):
+        """The block lane by lane, ``(w, *extra, N)``, where it is one already: at skew 0, and as a
+        view for one diagonal inside [0, k); None for any other band."""
+        block = self.block
+        if not self.skew:
+            return block
+        return block[..., :: self.skew] if block.shape[0] == 1 and block.shape[-1] == self.shape[0] else None
+
     def _spread(self, cols, first=0, by_column=False):
         """Lanes on the columns [first, first + cols), zero but its entries: N x cols, or cols x N
         (N x extra x cols, or cols x extra x N)."""
-        block = self.block
-        rows, extra = block.shape[-1], block.shape[1:-1]
+        block, rows = self.block, self.shape[0]
+        extra = block.shape[1:-1]
         shape = (cols, *extra, rows) if by_column else (rows, *extra, cols)
         out = pooled_zeros(shape) if cols == self.k else np.zeros(shape)
         # entry (t, *e, n) goes to column lo + skew * n + t of lane n; the steps are out's
@@ -359,16 +386,12 @@ class _Window:
         size = unit * math.prod(extra)
         dt, dn = (size, self.skew * size + 1) if by_column else (1, size + self.skew)
         flat, start = out.reshape(-1), (self.lo - first) * dt
-        lo, stop = self.span()
-        if first <= lo and stop <= first + cols:
-            _band(flat, start, dt, dn, block.shape, *de)[...] = block
+        lanes = self._lanes()
+        if lanes is not None:
+            _band(flat, start, dt, dn, lanes.shape, *de)[...] = lanes
             return out
-        # an overhang, whose entries are zero: each diagonal's lanes inside the columns are a run
-        for t, c in enumerate(range(self.lo, self.hi)):
-            n, end = self._run(c, first, first + cols)
-            if n < end:
-                view = _band(flat, start + t * dt + n * dn, dt, dn, (1, *extra, end - n), *de)
-                view[...] = block[t : t + 1, ..., n:end]
+        for t, n, end, entries in self._rows():
+            _band(flat, start + t * dt + n * dn, dt, dn, (1, *extra, end - n), *de)[...] = entries
         return out
 
     def full(self):
@@ -381,23 +404,17 @@ class _Window:
         if not self.skew:
             return self
         _leave("columns")
-        first, stop = self.span()
-        first, stop = max(first, 0), min(stop, self.k)
-        return _Window(self._spread(stop - first, first, True), first, self.k)
+        return _Window(self._spread(self.block.shape[-1], self.c0, True), self.c0, self.k)
 
-    def _run(self, c, a, b):
-        """The lanes ``[first, stop)`` whose entry on the diagonal at column c (lane 0's) lies in [a, b)."""
-        ends = (a - c, b - c) if self.skew > 0 else (c - b + 1, c - a + 1)
-        rows = self.block.shape[-1]
-        return [min(max(e, 0), rows) for e in ends]
-
-    def _inside(self, a, b):
-        """The block with every entry whose column is outside [a, b) set to zero."""
-        out = self.block.copy()
-        for t, c in enumerate(range(self.lo, self.hi)):  # diagonal t: the lanes inside are a run
-            first, stop = self._run(c, a, b)
-            out[t, ..., :first] = out[t, ..., stop:] = 0.0
-        return out
+    def _tile(self, first, stop):
+        """The window of the lanes [first, stop)."""
+        block, skew, c0 = self.block, self.skew, self.c0
+        if not skew:
+            return _Window(block[..., first:stop], self.lo, self.k)
+        lo = self.lo + skew * first
+        low = lo + min(skew * (stop - first - 1), 0)  # the tile's span, clipped to [0, k)
+        a, b = max(low, 0), min(low + stop - first + block.shape[0] - 1, self.k)
+        return _Window(block[..., a - c0 : max(a, b) - c0], lo, self.k, skew, stop - first)
 
     def __array__(self, dtype=None, copy=None):
         return self.full() if dtype is None else self.full().astype(dtype, copy=False)
@@ -418,17 +435,21 @@ class _Window:
             ours = all(e is _EVERY_LANE for e in idx[1:-1])
         i = idx[-1] if ours else None
         if type(i) is int or isinstance(i, np.integer):
-            # DualVector indexed its values first, so i is in range; the
-            # entries (t, n) in column i have t + skew * n == j
+            # DualVector indexed its values first, so i is in range
             j = i - self.lo + (self.k if i < 0 else 0)
             if not skew:
                 return _lanes_first(block[j] if 0 <= j < block.shape[0] else np.zeros(block.shape[1:]))
-            # at most w of them, on one diagonal of the block or of its mirror
-            off = j if skew < 0 else block.shape[0] - 1 - j
-            entries = np.diagonal(block if skew < 0 else block[::-1], -off, 0, block.ndim - 1)
-            out = np.zeros(block.shape[1:])
-            out[..., max(0, -off) :][..., : entries.shape[-1]] = entries
-            return _lanes_first(out)
+            # diagonal t holds lane skew * (j - t) in this column, a run of at most w lanes
+            lanes, w = self.shape[0], block.shape[0]
+            out = _lanes_first(np.zeros((*block.shape[1:-1], lanes)))
+            t0, t1 = (max(0, j - lanes + 1), min(w, j + 1)) if skew > 0 else (max(0, j), min(w, j + lanes))
+            if t0 < t1:
+                entries = block[t0:t1, ..., j + self.lo - self.c0]
+                if skew > 0:
+                    out[j - t1 + 1 : j - t0 + 1] = entries[::-1]
+                else:
+                    out[t0 - j : t1 - j] = entries
+            return out
         if type(i) is slice and (taken := range(self.k)[i]).step in (1, -1):
             # the columns [a, b) that the slice takes
             if taken.step == 1:
@@ -437,17 +458,17 @@ class _Window:
                 a, b = taken.stop + 1, taken.start + 1
             first, stop = self.span()
             if min(b, stop) <= max(a, first):
-                return _Window(block[:0], 0, len(taken))
-            if skew:  # a band keeps its lanes and overhangs the slice, zero outside it
-                lo, hi = self.lo, self.hi
-                if first < a or b < stop:
-                    block = self._inside(a, b)
+                return _Window(np.empty((0, *block.shape[1:-1], self.shape[0])), 0, len(taken))
+            if skew:  # a band keeps its lanes; the block keeps the columns in [a, b)
+                first, stop = max(self.c0, a), min(self.c0 + block.shape[-1], b)
+                block, lo, hi = block[..., first - self.c0 : stop - self.c0], self.lo, self.hi
             else:
                 lo, hi = max(self.lo, a), min(self.hi, b)
                 block = block[lo - self.lo : hi - self.lo]
             if taken.step == 1:
-                return _Window(block, lo - taken.start, len(taken), skew)
-            return _Window(np.ascontiguousarray(block[::-1]), taken.start - (hi - 1), len(taken), -skew)
+                return _Window(block, lo - a, len(taken), skew, self.shape[0])
+            flipped = block[::-1, ..., ::-1] if skew else block[::-1]
+            return _Window(np.ascontiguousarray(flipped), b - hi, len(taken), -skew, self.shape[0])
         return np.asarray(self)[idx]
 
     def sum(self, axis):
@@ -458,16 +479,25 @@ class _Window:
         row, in numpy's pairwise order, built in tiles of lanes of at most
         LANE_BLOCK_BYTES.  Neither leaves the band (``in_band``).
         """
-        block, skew = self.block, self.skew
-        if block.shape[0] <= 2 or np.add.reduce(block != 0, 0).max() <= 2:
-            rows = np.add.reduce(block, 0)  # block.sum(axis=0) without its wrapper
-            return rows if block.ndim == 2 else _lanes_first(rows)
-        lanes, extra = block.shape[-1], block.shape[1:-1]
+        block, lanes = self.block, self._lanes()
+        if lanes is None and block.shape[0] <= 2:  # each lane adds its entries to +0.0, as np.add.reduce does
+            out = np.zeros((*block.shape[1:-1], self.shape[0]))
+            for _, first, stop, entries in self._rows():
+                part = out[..., first:stop]
+                np.add(part, entries, out=part)
+            return _lanes_first(out)
+        if lanes is None:  # lane by lane, zero where a diagonal has no column
+            lanes = np.zeros((*block.shape[:-1], self.shape[0]))
+            for t, first, stop, entries in self._rows():
+                lanes[t, ..., first:stop] = entries
+        if lanes.shape[0] <= 2 or np.add.reduce(lanes != 0, 0).max() <= 2:
+            rows = np.add.reduce(lanes, 0)  # lanes.sum(axis=0) without its wrapper
+            return rows if lanes.ndim == 2 else _lanes_first(rows)
+        count, extra = self.shape[0], lanes.shape[1:-1]
         rows = max(1, LANE_BLOCK_BYTES // (8 * self.k * math.prod(extra)))
-        out = np.empty((lanes, *extra))
-        for r in range(0, lanes, rows):
-            tile = _Window(np.ascontiguousarray(block[..., r : r + rows]), self.lo + skew * r, self.k, skew)
-            out[r : r + rows] = tile._spread(self.k).sum(axis=-1)
+        out = np.empty((count, *extra))
+        for r in range(0, count, rows):
+            out[r : r + rows] = self._tile(r, min(r + rows, count))._spread(self.k).sum(axis=-1)
         return out
 
 
@@ -511,54 +541,6 @@ def _full(a):
     return np.asarray(a) if type(a) is _Window else a
 
 
-def _cut(c, win):
-    """Coefficient ``c`` on the entries of ``win``, shaped to its block, or None unless c is 1-D
-    of k (on a block with extra axes, ``(*lead, k)`` or ``(*lead, 1)``, lead no more axes than those)."""
-    if type(c) in _POOL_SCALARS:
-        return c
-    c = np.asarray(c)
-    if c.ndim == 0 or c.shape == (1,):
-        return c
-    if win.block.ndim > 2:
-        return _cut_extra(c, win)
-    if c.shape != (win.k,):
-        return None
-    if not win.skew:
-        return c[win.lo : win.hi, None]
-    reach = win.skew * (win.block.shape[-1] - 1)  # span() inline: the columns the entries lie in
-    under, over = max(0, -win.lo - min(reach, 0)), max(0, win.hi + max(reach, 0) - win.k)
-    if under or over:  # ones where the band overhangs [0, k), whose entries are zero
-        padded = np.empty(under + win.k + over)
-        padded[:under] = padded[under + win.k :] = 1.0
-        padded[under : under + win.k] = c
-        c = padded
-    return _band(c, win.lo + under, 1, win.skew, win.block.shape)
-
-
-def _cut_extra(c, win):
-    """``_cut`` on a ``(w, *extra, N)`` block: a ``(w, *lead, N)`` view of c, lead padded with 1s."""
-    block, k = win.block, win.k
-    gap = block.ndim - 1 - c.ndim  # the extra axes that c leaves to broadcasting
-    if gap < 0 or c.shape[-1] not in (1, k):
-        return None
-    if c.shape[-1] == 1:  # the same on every column: broadcasts as it is
-        return c
-    lead = (1,) * gap + c.shape[:-1]
-    if not win.skew:
-        return _lanes_first(c[..., win.lo : win.hi]).reshape((win.hi - win.lo, *lead, 1))
-    first, stop = win.span()
-    under, over = max(0, -first), max(0, stop - k)
-    if under or over:  # ones where the band overhangs [0, k), whose entries are zero
-        padded = np.empty(c.shape[:-1] + (under + k + over,))
-        padded[..., :under] = padded[..., under + k :] = 1.0
-        padded[..., under : under + k] = c
-        c = padded
-    c = np.ascontiguousarray(c)
-    # a step of 0 along the axes that c lacks, the rows of c along its own
-    de = [0] * gap + [s // c.itemsize for s in c.strides[:-1]]
-    return _band(c.reshape(-1), win.lo + under, 1, win.skew, (block.shape[0], *lead, block.shape[-1]), *de)
-
-
 def _safe(b, factor):
     """Whether b, a factor or a divisor of lanes, keeps a dense pass's left-out zeros zero: finite,
     and a divisor without a zero.  ``math`` checks a scalar, one C reduction each an array."""
@@ -571,22 +553,35 @@ def _safe(b, factor):
 def _scale(ufunc):
     """mul or div of lanes by a coefficient: a window scales its entries only.
 
-    Every rule puts its lanes on the left, so a window on the right reads
-    its full block (as a divisor, its zeros give c / 0 outside the entries).
-    A coefficient that would turn the zeros it leaves out into NaN in a
-    dense pass (non-finite, or a divisor with a zero) stops ``in_band``.
+    A scalar, 0-d or ``(1,)`` coefficient, or one of shape ``(*lead, k)``
+    or ``(*lead, 1)`` with no more axes than the block's extra ones,
+    broadcasts over a band's block as its columns ``[c0, c0 + C)``, and
+    over a column window's rows as its columns ``[lo, hi)``.  Every rule
+    puts its lanes on the left, so a window on the right reads its full
+    block (as a divisor, its zeros give c / 0 outside the entries), and so
+    does one that meets any other coefficient.  A coefficient that would
+    turn the zeros it leaves out into NaN in a dense pass (non-finite, or
+    a divisor with a zero) stops ``in_band``.
     """
 
     def op(a, b):
         if type(a) is not _Window:  # a value channel, or full lanes over a window's
             return pooled(ufunc, a, _full(b))
-        if (c := _cut(b, a)) is not None:
-            if _active.guard and not _safe(b, ufunc is np.multiply):
-                _leave("unsafe")
-            if a.block.ndim == 2:
-                return a.like(ufunc(a.block, c))
-            return a.like(ufunc(a.block, c, order="C"))  # not the cut's order, which may step back
-        return pooled(ufunc, np.asarray(a), _full(b))
+        block = a.block
+        c = part = b if type(b) in _POOL_SCALARS else np.asarray(b)
+        if type(c) is _ndarray and c.ndim:
+            if c.ndim >= block.ndim or c.shape[-1] not in (1, a.k):
+                return pooled(ufunc, np.asarray(a), c)
+            if not a.skew and c.shape[-1] != 1:  # the block's rows are the columns [lo, hi)
+                lead = (1,) * (block.ndim - 1 - c.ndim) + c.shape[:-1]
+                part = _lanes_first(c[..., a.lo : a.hi]).reshape((a.hi - a.lo, *lead, 1))
+            elif a.skew and c.shape[-1] == a.k != block.shape[-1]:  # one that spans [0, k) takes c whole
+                part = c[..., a.c0 : a.c0 + block.shape[-1]]
+        if _active.guard and not _safe(c, ufunc is np.multiply):
+            _leave("unsafe")
+        if block.ndim == 2:
+            return a.like(ufunc(block, part))
+        return a.like(ufunc(block, part, order="C"))  # not an order that broadcasting picks
 
     return op
 
@@ -610,14 +605,17 @@ def _join(ufunc):
             if a.lo == b.lo and a.hi == b.hi:
                 return a.like(ufunc(a.block, b.block))
             lo, hi = min(a.lo, b.lo), max(a.hi, b.hi)
-            union = (hi - lo) * (a.block.nbytes // a.block.shape[0])
-            if union > max(LANE_BLOCK_BYTES, a.block.nbytes + b.block.nbytes):
+            row = 8 * math.prod(a.shape[:-1])  # a diagonal's or a column's lanes
+            if (hi - lo) * row > max(LANE_BLOCK_BYTES, (a.hi - a.lo + b.hi - b.lo) * row):
                 _leave("columns")  # a union that pays for a wide gap between the entries
-            out = np.zeros((hi - lo, *a.block.shape[1:]))
-            out[a.lo - lo : a.hi - lo] = a.block
-            part = out[b.lo - lo : b.hi - lo]
+            # a band's rows take the columns of both; at skew 0 both are all N lanes
+            ca, cb = a.block.shape[-1], b.block.shape[-1]
+            c0 = min(a.c0, b.c0)
+            out = np.zeros((hi - lo, *a.block.shape[1:-1], max(a.c0 + ca, b.c0 + cb) - c0))
+            out[a.lo - lo : a.hi - lo, ..., a.c0 - c0 : a.c0 - c0 + ca] = a.block
+            part = out[b.lo - lo : b.hi - lo, ..., b.c0 - c0 : b.c0 - c0 + cb]
             ufunc(part, b.block, out=part)
-            return _Window(out, lo, a.k, a.skew)
+            return _Window(out, lo, a.k, a.skew, a.shape[0])
         if wa != wb:  # full lanes (a dense vector's, a scalar Dual's) and a window
             _leave("full")
             win, full = (a.columns(), b) if wa else (b.columns(), a)

@@ -26,7 +26,9 @@ reductions.
 The lanes of a first-order vector that ``gradient`` or ``jacobian``
 seeds in a windowed pass may be a ``pool._Window``: only the entries
 where they can be nonzero, a band of a few diagonals or the columns
-``[lo, hi)`` of the last component axis, the rest being zero.  So may
+``[lo, hi)`` of the last component axis, the rest being zero.  A band's
+rows, its diagonals, span its columns in ``[0, k)``, which a coefficient
+scales by broadcasting; a position without a lane is never read.  So may
 the outer lanes of a default Hessian's vectors, at both levels: their
 second-order lanes are a window with the inner lanes as an extra axis,
 and ``_widen`` keeps a window a window.

@@ -104,8 +104,8 @@ def test_narrow_window_blocks_stay_out_of_the_pool(monkeypatch):
     narrow = set()
     init = pool._Window.__init__
 
-    def recorded(self, block, lo, k, skew=0):
-        init(self, block, lo, k, skew)
+    def recorded(self, block, lo, k, skew=0, lanes=None):
+        init(self, block, lo, k, skew, lanes)
         if (skew or block.shape[0] < k) and block.nbytes >= POOL_MIN_BYTES:
             narrow.add(block.shape)
 

@@ -607,18 +607,36 @@ def test_a_scalar_dual_operand_stops_the_band_pass_before_its_full_block():
 
 
 # ----------------------------------------------------------------------
-# bands: a window of skew 1 or -1 holds diagonals, entry (t, n) at
-# column lo + skew * n + t
+# bands: a window of skew 1 or -1 holds diagonals, lane n's entry t at
+# column lo + skew * n + t; its block holds the columns it spans in [0, k)
 # ----------------------------------------------------------------------
 
 BAND_K = 20
+
+
+def _from_lanes(lanes, lo, k, skew):
+    """The window whose entry (t, *e, n) of ``lanes``, a (w, *extra, N) block, is lane n's
+    column lo + skew * n + t; entries outside [0, k) are dropped.  A band's block holds the
+    columns it spans in [0, k), and NaN where a diagonal has no lane, which no read may see."""
+    if not skew:
+        return pool._Window(lanes, lo, k)
+    w, n = lanes.shape[0], lanes.shape[-1]
+    reach = skew * (n - 1)
+    c0, stop = max(lo + min(reach, 0), 0), min(lo + w + max(reach, 0), k)
+    block = np.full((*lanes.shape[:-1], max(stop - c0, 0)), np.nan)
+    for t in range(w):
+        for m in range(n):
+            col = lo + skew * m + t
+            if 0 <= col < k:
+                block[t, ..., col - c0] = lanes[t, ..., m]
+    return pool._Window(block, lo, k, skew, n)
 
 
 def _band_window(skew, lo, rows=5, w=3, seed=3):
     """A band of w x rows random nonzero entries and its full block."""
     signs = np.where(np.arange(w) % 2, -1.0, 1.0)
     lanes = np.random.default_rng(seed).uniform(0.5, 2.0, (rows, w)) * signs
-    win = pool._Window(np.ascontiguousarray(lanes.T), lo, BAND_K, skew)
+    win = _from_lanes(np.ascontiguousarray(lanes.T), lo, BAND_K, skew)
     full = np.zeros((rows, BAND_K))
     for n in range(rows):
         full[n, lo + skew * n : lo + skew * n + w] = lanes[n]
@@ -638,9 +656,7 @@ def _overhanging(skew, lo, k=4, rows=5, w=3):
             col = lo + skew * n + t
             if 0 <= col < k:
                 full[n, col] = block[t, n]
-            else:
-                block[t, n] = 0.0
-    return pool._Window(block, lo, k, skew), full
+    return _from_lanes(block, lo, k, skew), full
 
 
 def _checked_band_views(monkeypatch):
@@ -662,25 +678,24 @@ def _checked_band_views(monkeypatch):
 @pytest.mark.parametrize("skew, lo", [(1, -2), (-1, 3)])
 def test_a_band_may_overhang_both_ends_of_its_columns(monkeypatch, skew, lo):
     # pinned before (as test_a_band_must_lie_inside_its_columns): a band whose
-    # entries left [0, k) raised ValueError.  It now overhangs, zero there, and
-    # no strided view of its block or of a coefficient reads outside its array.
+    # entries left [0, k) raised ValueError.  It now overhangs, and no strided
+    # view of its block reads outside its array.  Pinned before: a coefficient
+    # was cut to the lane-aligned block, ones where the band overhangs; the
+    # block now holds the columns [0, k) only, and takes the coefficient whole.
     win, full = _overhanging(skew, lo)
     first, stop = win.span()
     assert first < 0 and stop > win.k  # both ends
+    assert (win.c0, win.block.shape) == (0, (3, win.k))
     views = _checked_band_views(monkeypatch)
     assert np.array_equal(np.asarray(win), full)
     cols = win.columns()
     assert cols.skew == 0 and (cols.lo, cols.hi) == (0, win.k)
     assert np.array_equal(np.asarray(cols), full)
     coeff = np.array([0.5, -2.0, 4.0, 0.25])
-    cut = pool._cut(coeff, win)
-    for n in range(5):
-        for t in range(3):
-            col = lo + skew * n + t
-            assert cut[t, n] == (coeff[col] if 0 <= col < win.k else 1.0)  # ones outside
     for op, ufunc in ((pool._WINDOW_OPS.mul, np.multiply), (pool._WINDOW_OPS.div, np.divide)):
         got = op(win, coeff)
         assert type(got) is pool._Window and np.array_equal(np.asarray(got), ufunc(full, coeff))
+        assert np.array_equal(got.block, ufunc(win.block, coeff), equal_nan=True)
     assert np.array_equal(win.sum(axis=-1), full.sum(axis=-1))
     for i in range(-win.k, win.k):
         assert np.array_equal(win[(pool._EVERY_LANE, i)], full[:, i])
@@ -820,7 +835,10 @@ def test_band_slices_match_the_full_block(skew, lo):
                 taken = range(BAND_K)[i]
                 inside = all(c in taken for c in range(first, stop))
                 if got.block.size:  # the band stays one, mirrored by a reversal
-                    assert got.skew == skew * taken.step and got.block.shape == win.block.shape, i
+                    # pinned before: the block kept its shape, zero outside the slice; it
+                    # keeps its diagonals and the columns of the slice that the band spans
+                    spanned = sum(max(first, 0) <= c < min(stop, BAND_K) for c in taken)
+                    assert got.skew == skew * taken.step and got.block.shape == (3, spanned), i
                     kept += inside
                     cut += not inside  # it cuts the band's edge, and overhangs the slice
     assert kept and cut
@@ -830,11 +848,10 @@ def test_band_slices_match_the_full_block(skew, lo):
 def test_band_products_quotients_and_coefficients_match_the_full_block(skew, lo):
     win, full = _band_window(skew, lo)
     coeff = np.linspace(-1.0, 1.0, BAND_K) ** 3 + 0.25
-    w, rows = win.block.shape
-    cut = pool._cut(coeff, win)
-    assert cut.shape == (w, rows)
-    for n in range(rows):
-        assert np.array_equal(cut[:, n], coeff[lo + skew * n : lo + skew * n + w])
+    # pinned before: the coefficient was cut to a (w, N) view, entry (t, n) at lane n's
+    # column; the block's columns now take the coefficient's own by broadcasting
+    cols = coeff[win.c0 : win.c0 + win.block.shape[1]]
+    assert np.array_equal(pool._WINDOW_OPS.mul(win, coeff).block, win.block * cols, equal_nan=True)
     for c in (coeff[::-1], coeff.repeat(2)[::2]):  # strided coefficients
         assert np.array_equal(np.asarray(pool._WINDOW_OPS.mul(win, c)), full * c)
     for op, ufunc in ((pool._WINDOW_OPS.mul, np.multiply), (pool._WINDOW_OPS.div, np.divide)):
@@ -844,7 +861,8 @@ def test_band_products_quotients_and_coefficients_match_the_full_block(skew, lo)
             assert np.array_equal(np.asarray(got), ufunc(full, c)), (op, c)
     neg = pool._WINDOW_OPS.neg(win)
     assert neg.skew == skew and np.array_equal(np.asarray(neg), -full)
-    assert pool._cut(np.ones((2, BAND_K)), win) is None  # read as the full block
+    # pinned before as pool._cut(...) is None: any other shape reads the full block
+    assert pool.in_band(lambda w: pool._WINDOW_OPS.mul(w, np.ones((2, BAND_K))), win) == (None, "full")
 
 
 @pytest.mark.parametrize("skew, lo", BANDS)
@@ -875,7 +893,7 @@ def test_a_window_without_entries_joins_as_the_dense_block_would(skew, lo):
     block[1] = -0.0  # signed zeros that a dense zero operand turns to +0.0
     win = win.like(block)
     full = np.asarray(win)
-    empty = pool._Window(block[:0], 0, BAND_K)  # what a slice that misses the entries gives
+    empty = pool._Window(np.empty((0, 5)), 0, BAND_K)  # what a slice that misses the entries gives
     zeros = np.zeros_like(full)
     for op, ufunc in ((pool._WINDOW_OPS.add, np.add), (pool._WINDOW_OPS.sub, np.subtract)):
         for a, b, dense in ((win, empty, (full, zeros)), (empty, win, (zeros, full))):
@@ -890,7 +908,7 @@ def test_band_copies_and_sums_match_the_full_block(skew, lo):
     win, full = _band_window(skew, lo)
     copy = win.copy()
     assert copy.skew == skew and copy.block is not win.block
-    assert np.array_equal(copy.block, win.block)
+    assert np.array_equal(copy.block, win.block, equal_nan=True)
     for w in (1, 2, 3):  # at most 2 nonzeros a row, or 3 summed over the full rows
         band, band_full = _band_window(skew, lo, w=w)
         assert band.sum(axis=-1).tobytes() == band_full.sum(axis=-1).tobytes(), w
@@ -904,7 +922,7 @@ def test_sums_over_full_rows_take_tiles_of_the_lane_block_budget(monkeypatch, k,
     w = min(k, 5)
     rows = 127 if skew == 0 else min(127, k - w + 1)  # 127 leaves a short last tile at k=12000
     lanes = np.random.default_rng(k).uniform(-1.0, 1.0, (rows, w)) * 1e3 ** np.arange(w)
-    win = pool._Window(np.ascontiguousarray(lanes.T), 0 if skew == 1 else k - w, k, skew)
+    win = _from_lanes(np.ascontiguousarray(lanes.T), 0 if skew == 1 else k - w, k, skew)
     want = np.asarray(win).sum(axis=-1)
     built = []
     empty = pool._pooled_empty
@@ -922,21 +940,29 @@ def test_rosenbrock_wide_passes_sum_bands_of_at_most_three_entries_a_lane(monkey
     plain = pool._Window.sum
 
     def recorded(self, axis):
-        summed.append((self.block.shape[1], self.block.size, self.span()))
+        summed.append((self.shape[0], self.block.shape, self.span()))
         return plain(self, axis)
 
     monkeypatch.setattr(pool._Window, "sum", recorded)
     x = _point(K)
     got = gradient(rosenbrock, x)
-    (rows, size, span), = summed  # one band pass; x[1:] and x[:-1] overhang [0, K - 1)
-    assert rows == K and size == 2 * K and span == (-1, K)
+    (rows, shape, span), = summed  # one band pass; x[1:] and x[:-1] overhang [0, K - 1)
+    # pinned before as a lane-aligned block of 2 x K entries; it now holds the K - 1
+    # columns of x[1:] - x[:-1] ** 2 on its two diagonals
+    assert rows == K and shape == (2, K - 1) and span == (-1, K)
     assert np.array_equal(got.values, gradient(rosenbrock, x, ChunkConfig(K)).values)
 
 
 # ----------------------------------------------------------------------
-# the layout: a window's block is w x N and C-contiguous, one diagonal a
-# row, so that every rule runs its ufunc over rows of N lanes
+# the layout: a band's block is w x C over the C columns it spans in
+# [0, k), one diagonal a row, so that every rule runs its ufunc over rows
+# of columns and takes a coefficient's own columns; a rule's result is
+# C-contiguous, and a slice is a view whose rows are contiguous
 # ----------------------------------------------------------------------
+
+
+def _contiguous_rows(block):
+    return block.flags.c_contiguous or block.strides[-1] == block.itemsize
 
 # (skew, lo, k) of 5 lanes on 3 diagonals: inside [0, k), overhanging its left
 # end, its right end, and both; and column windows, which never overhang
@@ -945,8 +971,8 @@ LAYOUTS += [(1, -2, 4), (-1, 3, 4), (0, 6, 20), (0, 0, 20), (0, 16, 20)]
 
 
 def _signed_window(skew, lo, k, negative=(1,), seed=3):
-    """A w x N window of nonzero entries but -0.0 on the diagonals ``negative`` and
-    +0.0 outside [0, k), and its full block."""
+    """A window of w x N nonzero entries but -0.0 on the diagonals ``negative``, none
+    outside [0, k), and its full block."""
     block = np.random.default_rng(seed).uniform(0.5, 2.0, (3, 5)) * [[1.0], [-1.0], [1.0]]
     block[list(negative)] = -0.0
     full = np.zeros((5, k))
@@ -955,9 +981,7 @@ def _signed_window(skew, lo, k, negative=(1,), seed=3):
             col = lo + skew * n + t
             if 0 <= col < k:
                 full[n, col] = block[t, n]
-            else:
-                block[t, n] = 0.0
-    return pool._Window(block, lo, k, skew), full
+    return _from_lanes(block, lo, k, skew), full
 
 
 @pytest.mark.parametrize("skew, lo, k", LAYOUTS)
@@ -974,22 +998,26 @@ def test_every_read_of_a_window_gives_the_bytes_of_its_full_block(skew, lo, k):
         for b in (None, 0, 2, k - 1, -3):
             for step in (None, -1):
                 got = win[(pool._EVERY_LANE, slice(a, b, step))]
-                assert got.block.flags.c_contiguous, (a, b, step)
+                assert _contiguous_rows(got.block), (a, b, step)  # was a C-contiguous block
                 assert np.asarray(got).tobytes() == full[:, a:b:step].tobytes(), (a, b, step)
     # one diagonal on: its -0.0 diagonals 0 and 1 meet our diagonals 1 (-0.0) and 2
     other, other_full = _signed_window(skew, lo + 1, k, (0, 1), seed=5)
     for op, ufunc in ((pool._WINDOW_OPS.add, np.add), (pool._WINDOW_OPS.sub, np.subtract)):
         got = op(win, other)
-        assert (got.skew, got.lo, got.block.shape) == (skew, lo, (4, 5))
+        first, stop = got.span()  # was a (4, 5) block for every skew
+        cols = min(stop, k) - max(first, 0) if skew else 5
+        assert (got.skew, got.lo, got.block.shape) == (skew, lo, (4, cols))
         assert np.asarray(got).tobytes() == ufunc(full, other_full).tobytes()
 
 
 def test_every_window_of_a_band_pass_holds_a_c_contiguous_block(monkeypatch):
     built, init, like = [], pool._Window.__init__, pool._Window.like
 
-    def recorded(self, block, lo, k, skew=0):
-        init(self, block, lo, k, skew)
-        built.append(block.flags.c_contiguous)
+    # pinned before: every block C-contiguous.  A slice, and a tile of a sum
+    # over full rows, is now a view of its window's columns, whose rows are
+    def recorded(self, block, lo, k, skew=0, lanes=None):
+        init(self, block, lo, k, skew, lanes)
+        built.append(_contiguous_rows(block))
 
     def recorded_like(self, block):  # a rule's result, built without the constructor
         built.append(block.flags.c_contiguous)
@@ -1004,13 +1032,13 @@ def test_every_window_of_a_band_pass_holds_a_c_contiguous_block(monkeypatch):
 
 # ----------------------------------------------------------------------
 # extra axes: the second-order lanes of a Hessian's band pass, full shape
-# (N, E, k), are a w x E x N window, entry (t, e, n) at lane n's (e, lo + skew * n + t)
+# (N, E, k), are a w x E x C window, lane n's entry (t, e) at its (e, lo + skew * n + t)
 # ----------------------------------------------------------------------
 
 
 def _extra_window(skew, lo, k, extra, negative=(1,), seed=3):
-    """A w x extra x N window (w = 3, N = 5) of nonzero entries but -0.0 on the diagonals
-    ``negative`` and +0.0 outside [0, k), and its full N x extra x k block."""
+    """A window of w x extra x N (w = 3, N = 5) nonzero entries but -0.0 on the diagonals
+    ``negative``, none outside [0, k), and its full N x extra x k block."""
     rng = np.random.default_rng(seed)
     block = rng.uniform(0.5, 2.0, (3, extra, 5)) * np.array([1.0, -1.0, 1.0])[:, None, None]
     block[list(negative)] = -0.0
@@ -1020,9 +1048,7 @@ def _extra_window(skew, lo, k, extra, negative=(1,), seed=3):
             col = lo + skew * n + t
             if 0 <= col < k:
                 full[n, :, col] = block[t, :, n]
-            else:
-                block[t, :, n] = 0.0
-    return pool._Window(block, lo, k, skew), full
+    return _from_lanes(block, lo, k, skew), full
 
 
 def _coefficients(k, extra):
@@ -1051,7 +1077,7 @@ def test_every_read_of_a_window_with_extra_axes_gives_the_bytes_of_its_full_bloc
         for b in (None, 0, 2, k - 1, -3):
             for step in (None, -1):
                 got = win[every + (slice(a, b, step),)]
-                assert got.block.flags.c_contiguous, (a, b, step)
+                assert _contiguous_rows(got.block), (a, b, step)  # was a C-contiguous block
                 assert np.asarray(got).tobytes() == full[..., a:b:step].tobytes(), (a, b, step)
     for c in _coefficients(k, extra):
         if np.shape(c)[:1] == (4,) and extra == 4:
@@ -1067,7 +1093,9 @@ def test_every_read_of_a_window_with_extra_axes_gives_the_bytes_of_its_full_bloc
     zeros = np.zeros_like(full)
     for op, ufunc in ((pool._WINDOW_OPS.add, np.add), (pool._WINDOW_OPS.sub, np.subtract)):
         got = op(win, other)
-        assert (got.skew, got.lo, got.block.shape) == (skew, lo, (4, extra, 5))
+        first, stop = got.span()  # was a (4, extra, 5) block for every skew
+        cols = min(stop, k) - max(first, 0) if skew else 5
+        assert (got.skew, got.lo, got.block.shape) == (skew, lo, (4, extra, cols))
         assert np.asarray(got).tobytes() == ufunc(full, other_full).tobytes()
         for a, b, dense in ((win, empty, (full, zeros)), (empty, win, (zeros, full))):
             got = op(a, b)
@@ -1084,14 +1112,15 @@ def test_every_read_of_a_window_with_extra_axes_gives_the_bytes_of_its_full_bloc
 def test_window_sums_and_widening_with_extra_axes_give_the_bytes_of_the_full_block(skew, lo, k, extra):
     two, two_full = _extra_window(skew, lo, k, extra)  # diagonal 1 is -0.0: two nonzeros a lane
     three, three_full = _extra_window(skew, lo, k, extra, negative=())
-    assert np.add.reduce(two.block != 0, 0).max() <= 2 < np.add.reduce(three.block != 0, 0).max()
+    # pinned before on the lane-aligned blocks; the full blocks hold the same entries
+    assert (two_full != 0).sum(-1).max() <= 2 < (three_full != 0).sum(-1).max()
     for win, full in ((two, two_full), (three, three_full)):
         got = win.sum(axis=-1)
         assert got.shape == (5, extra) and got.tobytes() == full.sum(axis=-1).tobytes()
     # a first-order window widened to meet second-order lanes, as DualVector._operands does
     flat, flat_full = _signed_window(skew, lo, k)
     wide = vector._widen(flat, 1)
-    assert type(wide) is pool._Window and wide.block.shape == (3, 1, 5)
+    assert type(wide) is pool._Window and wide.block.shape == (3, 1, flat.block.shape[-1])  # was (3, 1, 5)
     assert np.asarray(wide).tobytes() == flat_full[:, None].tobytes()
     for c in _coefficients(k, extra):
         got = pool._WINDOW_OPS.mul(wide, c)
@@ -1104,7 +1133,7 @@ def test_a_sum_with_extra_axes_takes_tiles_of_the_lane_block_budget(monkeypatch)
     k, extra, rows = 1000, 4, 127  # a tile is 8 lanes of 4 x 1000 entries, the last 7
     scales = 1e3 ** np.arange(3)[:, None, None]  # three nonzeros a lane, of different sizes
     block = np.random.default_rng(1).uniform(-1.0, 1.0, (3, extra, rows)) * scales
-    win = pool._Window(block, 0, k, 1)
+    win = _from_lanes(block, 0, k, 1)
     want = np.asarray(win).sum(axis=-1)
     built = []
     empty = pool._pooled_empty
@@ -1190,9 +1219,9 @@ def test_a_later_hessian_pass_that_leaves_the_band_runs_its_block_again_dense():
 def test_every_window_of_a_hessian_band_pass_holds_a_c_contiguous_block(monkeypatch):
     built, init, like = [], pool._Window.__init__, pool._Window.like
 
-    def recorded(self, block, lo, k, skew=0):
-        init(self, block, lo, k, skew)
-        built.append((block.ndim, block.flags.c_contiguous))
+    def recorded(self, block, lo, k, skew=0, lanes=None):  # a slice's: see above
+        init(self, block, lo, k, skew, lanes)
+        built.append((block.ndim, _contiguous_rows(block)))
 
     def recorded_like(self, block):  # a rule's result, built without the constructor
         built.append((block.ndim, block.flags.c_contiguous))
