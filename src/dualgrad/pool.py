@@ -542,12 +542,12 @@ def _full(a):
 
 
 def _safe(b, factor):
-    """Whether b, a factor or a divisor of lanes, keeps a dense pass's left-out zeros zero: finite,
-    and a divisor without a zero.  ``math`` checks a scalar, one C reduction each an array."""
+    """Whether b, a factor or a divisor of lanes (a scalar or an ndarray), keeps a dense pass's
+    left-out zeros zero: finite, and a divisor without a zero.  An array counts its finite entries:
+    half the cost of a ufunc reduction, such as a sum, which also warns on overflow or inf - inf."""
     if type(b) in _POOL_SCALARS:
         return math.isfinite(b) and (factor or b != 0)
-    b, every = np.asarray(b), np.logical_and.reduce
-    return every(np.isfinite(b), axis=None) and (factor or every(b, axis=None))
+    return np.count_nonzero(np.isfinite(b)) == b.size and (factor or np.logical_and.reduce(b, axis=None))
 
 
 def _scale(ufunc):

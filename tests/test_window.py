@@ -781,6 +781,13 @@ def test_a_guarded_band_pass_stops_unsafe_on_every_kind_of_coefficient(kind, nam
     ufunc = np.multiply if op == "mul" else np.divide
     assert np.asarray(got.partials).tobytes() == ufunc(full, good).tobytes()
     assert pool._active.guard == () and pool._active.left is None
+    if np.ndim(good):  # finite entries whose sum overflows stay in band; inf and -inf stop
+        huge = np.full(np.shape(good), 1e307)
+        assert huge.size * 1e307 == math.inf  # their sum
+        mixed = huge.copy()
+        mixed.flat[0], mixed.flat[-1] = np.inf, -np.inf
+        assert pool.in_band(lambda w: rule(w, huge), v)[1] is None
+        assert pool.in_band(lambda w: rule(w, mixed), v) == (None, "unsafe")
 
 
 def test_in_band_takes_the_stops_it_is_given_and_restores_the_guard():
