@@ -30,18 +30,19 @@ row a diagonal, where a position whose lane is not one of the N is never
 read; at skew 0 it holds w whole columns.  So each ufunc of a rule runs
 over w rows, a value-shaped coefficient (k,) or (E, k) scales a band by
 broadcasting its own columns, and a slice that cuts a band, leaving it
-overhanging [0, k), is a view of the block's columns.  A Hessian's band pass keeps its N x E x k second-order
-lanes (E inner lanes, dense) as a w x E x C window, which starts without
-entries.  A band that meets the other skew becomes a window on the
-columns it spans; what cannot stay in those (fancy indexes, a reshape,
-``np.asarray``, full lanes as the other operand) builds the full N x k
-block.  Both are cheap at a few hundred lanes and not at tens of
-thousands, so the drivers run wide passes through ``in_band``: there the
-first such step raises before it builds anything.  So do a union of
-bands far apart and a coefficient that would turn the left-out zeros
-into NaN in a dense pass, which is what lets a band pass stand in for a
-dense one.  A sum over rows of more than two nonzeros builds its full
-rows in tiles of at most LANE_BLOCK_BYTES and stays allowed.
+overhanging [0, k), is a view of the block's columns.  A Hessian's band
+pass keeps its N x E x k second-order lanes (E inner lanes, dense) as a
+w x E x C window, which starts without entries.  A band that meets the
+other skew becomes a window on the columns it spans; what cannot stay
+in those (fancy indexes, a reshape, ``np.asarray``, full lanes as the
+other operand) builds the full N x k block.  Both are cheap at a few
+hundred lanes and not at tens of thousands, so the drivers run wide
+passes through ``in_band``: there the first such step raises before it
+builds anything.  So do a union of bands far apart and a coefficient
+that would turn the left-out zeros into NaN in a dense pass, which is
+what lets a band pass stand in for a dense one.  A sum over rows of more
+than two nonzeros builds its full rows in tiles of at most
+LANE_BLOCK_BYTES and stays allowed.
 """
 
 from __future__ import annotations
@@ -312,7 +313,7 @@ class _Window:
     def __init__(self, block, lo, k, skew=0, lanes=None):
         dims = block.shape
         if len(dims) < 2:
-            raise ValueError(f"a window holds a w x N block, or w x ... x N, not {dims}")
+            raise ValueError(f"a window holds a w x C or w x N block, or w x ... x C or N, not {dims}")
         n = dims[-1] if lanes is None else lanes
         self.shape = (n, k) if len(dims) == 2 else (n, *dims[1:-1], k)  # the full block's
         self.block = block
@@ -376,8 +377,7 @@ class _Window:
     def _spread(self, cols, first=0, by_column=False):
         """Lanes on the columns [first, first + cols), zero but its entries: N x cols, or cols x N
         (N x extra x cols, or cols x extra x N)."""
-        block, rows = self.block, self.shape[0]
-        extra = block.shape[1:-1]
+        block, rows, extra = self.block, self.shape[0], self.block.shape[1:-1]
         shape = (cols, *extra, rows) if by_column else (rows, *extra, cols)
         out = pooled_zeros(shape) if cols == self.k else np.zeros(shape)
         # entry (t, *e, n) goes to column lo + skew * n + t of lane n; the steps are out's

@@ -5,7 +5,8 @@ sympy expression and once as the numeric code it stands for.  Orders 1
 and 2 come from four sources: ``derivative`` and ``second_derivative``;
 ``gradient`` at the default chunk (one band pass at ``K_BAND``) and at
 chunk 3; and ``hessian`` at the default (band passes at ``K_HESS``) and
-at (3, 2).  The reference is the sympy derivative evaluated by mpmath at
+at (3, 2).  Order 3 comes from ``third_order_tensor`` at the default
+(one pass) and at (2, 3, 2).  The reference is the sympy derivative evaluated by mpmath at
 50 digits, and a result may differ from it by ``ULPS`` units in the last
 place of its condition number: the expression evaluated with every term
 of every sum taken by magnitude, so a derivative that cancels to zero
@@ -18,6 +19,7 @@ A scalar target gets the second dual as ``2 * t``, which is exact.
 """
 
 import functools
+import itertools
 import math
 
 import mpmath
@@ -26,11 +28,13 @@ import pytest
 import sympy as sp
 
 from dualgrad import ChunkConfig, EvalCounter, default_chunk, derivative, gradient, hessian, second_derivative
+from dualgrad import third_order_tensor
 from dualgrad.dual import _RULES
 
 ULPS = 4
 EPS = np.finfo(np.float64).eps
 K_BAND, K_HESS, K_SMALL = 300, 40, 7  # a one-pass band gradient, band Hessian passes, chunks 3 and (3, 2)
+K_TENSOR = 5  # third_order_tensor's default is one pass; (2, 3, 2) takes 3 x 2 x 3
 C = 0.3  # not a dyadic rational, so a constant operand rounds
 a, b = sp.symbols("a b", real=True)
 _C = sp.Rational(C)  # the double nearest 0.3, exactly
@@ -109,7 +113,7 @@ def _partials(name):
     """{derivative orders: (value, magnitude)} of a case's rule as mpmath functions of (a, b)."""
     expr = CASES[name][1]
     orders = {(): expr}
-    for wrt in ((a,), (b,), (a, a), (a, b), (b, b)):
+    for wrt in ((a,), (b,), (a, a), (a, b), (b, b), (a, a, a), (a, a, b), (a, b, b), (b, b, b)):
         orders[wrt] = sp.diff(orders[wrt[:-1]], wrt[-1])
     out = {}
     for wrt, e in orders.items():
@@ -177,6 +181,23 @@ def _hessian_reference(name, x):
     return want
 
 
+def _tensor_reference(name, x):
+    """Order 3 of the vector target at x: the diagonal, and each pair's 2 x 2 x 2 block for two duals."""
+    k, zero = len(x), (mpmath.mpf(0), mpmath.mpf(0))
+    terms = {}
+    for i in range(k):
+        if not _binary(name):
+            terms[i, i, i] = [(1, (a, a, a), x[i], 0)]
+            continue
+        for index in itertools.product((i, i + 1), repeat=3) if i < k - 1 else ():
+            wrt = (a,) * index.count(i) + (b,) * index.count(i + 1)
+            terms.setdefault(index, []).append((1, wrt, x[i], x[i + 1]))
+    want = np.empty((k, k, k), dtype=object)
+    for index in np.ndindex(k, k, k):
+        want[index] = _reference(name, terms[index]) if index in terms else zero
+    return want
+
+
 def _as_array(entries):
     """A 1-D object array of (value, magnitude) pairs, which ``_check`` indexes."""
     want = np.empty(len(entries), dtype=object)
@@ -231,6 +252,35 @@ def test_hessians_match_the_oracle(name):
         got = hessian(f, x, *chunks)
         _check(got.gradient, _gradient_reference(name, x), f"{name} hessian {chunks} gradient")
         _check(got.entries, _hessian_reference(name, x), f"{name} hessian {chunks}")
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_third_order_tensors_match_the_oracle(name):
+    f, x = _vector_target(name), _point(CASES[name][2], K_TENSOR, 6)
+    want = _tensor_reference(name, x)
+    for chunks in (None, (2, 3, 2)):
+        _check(third_order_tensor(f, x, chunks), want, f"{name} tensor {chunks}")
+
+
+@pytest.mark.parametrize("name", ["abs", "sign", "pow-0"])
+def test_kinks_and_x_to_the_0_match_the_oracle_at_0(name):
+    # at 0, abs's derivative is the subgradient 0, sympy's sign(0); every higher order of
+    # abs and every order of sign is the one-sided limit, 0, with sympy's DiracDelta
+    # dropped; 0 ** 0 is 1, flat on either side
+    rule, f = CASES[name][0], _vector_target(name)
+    for order, driver in ((1, derivative), (2, second_derivative)):
+        want = _as_array([_reference(name, [(1, (a,) * order, 0.0, 0.0)])])
+        _check([driver(rule, 0.0)], want, f"{name} order {order} at 0")
+    x = _point("real", K_BAND, 7)
+    x[::3] = 0.0
+    _check(gradient(f, x).values, _gradient_reference(name, x), f"{name} default gradient")
+    for k, chunks in ((K_HESS, (None, None)), (K_SMALL, (3, 2))):
+        got = hessian(f, x[:k], *chunks)
+        _check(got.gradient, _gradient_reference(name, x[:k]), f"{name} hessian {chunks} gradient")
+        _check(got.entries, _hessian_reference(name, x[:k]), f"{name} hessian {chunks}")
+    for chunks in (None, (2, 3, 2)):
+        tensor = third_order_tensor(f, x[:K_TENSOR], chunks)
+        _check(tensor, _tensor_reference(name, x[:K_TENSOR]), f"{name} tensor {chunks}")
 
 
 @pytest.mark.xfail(

@@ -969,7 +969,9 @@ def test_rosenbrock_wide_passes_sum_bands_of_at_most_three_entries_a_lane(monkey
 
 
 def _contiguous_rows(block):
+    """A rule's result is C-contiguous; a slice of a band is a view of its columns, row by row."""
     return block.flags.c_contiguous or block.strides[-1] == block.itemsize
+
 
 # (skew, lo, k) of 5 lanes on 3 diagonals: inside [0, k), overhanging its left
 # end, its right end, and both; and column windows, which never overhang
