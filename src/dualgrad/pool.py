@@ -294,18 +294,19 @@ class _Window:
     diagonal, so its entry ``(t, j - c0)`` is lane ``skew * (j - lo - t)``'s.
     A position whose lane falls outside ``[0, N)`` holds no lane and is
     never read: reads that need lanes (``sum``, an integer index, ``full``,
-    ``columns``) take each diagonal's run of lanes (``_rows``).  At skew 0
-    it holds the w columns ``[lo, hi)``, a ``(w, N)`` block whose entry
-    ``(t, n)`` is lane n's column ``lo + t``.  A lane block with component
-    axes before the last, ``(N, *extra, k)``, has a ``(w, *extra, C)``
-    block (``(w, *extra, N)`` at skew 0): the second-order lanes of a
-    Hessian's band pass.  The drivers seed a first-order pass with a band
-    of one diagonal, its N unit lanes; elementwise rules and step-1 or
-    step-(-1) slices keep them there.  A band that cannot stay one
-    (another skew or full lanes as the other operand) first becomes a
-    window on the columns it spans (``columns``).  What cannot stay in
-    those (another slice step, fancy indexes, a reshape) gives the full
-    block, which ``np.asarray`` builds.
+    ``columns``) take each diagonal's run of lanes (``_rows``), or a lane
+    by lane view of a band inside [0, k) (``_lanes``).  At skew 0 it holds
+    the w columns ``[lo, hi)``, a ``(w, N)`` block whose entry ``(t, n)``
+    is lane n's column ``lo + t``.  A lane block with component axes
+    before the last, ``(N, *extra, k)``, has a ``(w, *extra, C)`` block
+    (``(w, *extra, N)`` at skew 0): the second-order lanes of a Hessian's
+    band pass.  The drivers seed a first-order pass with a band of one
+    diagonal, its N unit lanes; elementwise rules and step-1 or step-(-1)
+    slices keep them there.  A band that cannot stay one (another skew or
+    full lanes as the other operand) first becomes a window on the columns
+    it spans (``columns``).  What cannot stay in those (another slice
+    step, fancy indexes, a reshape) gives the full block, which
+    ``np.asarray`` builds.
     """
 
     __slots__ = ("block", "lo", "hi", "k", "skew", "shape", "c0")
@@ -351,28 +352,31 @@ class _Window:
 
     def _rows(self):
         """``(t, first, stop, entries)`` for each diagonal t of a band whose lanes ``[first, stop)``
-        have columns in the block: ``entries`` is the ``(*extra, stop - first)`` view of them."""
+        have columns in the block: ``entries`` is the ``(1, *extra, stop - first)`` view of them."""
         block, lanes, rows = self.block, self.shape[0], []
         cols, at = block.shape[-1], self.lo - self.c0  # lane 0's position on diagonal 0
         for t in range(block.shape[0]):
             d = at + t  # lane n's position on diagonal t is d + skew * n
             if self.skew > 0:
                 first, stop = max(0, -d), min(lanes, cols - d)
-                run = block[t, ..., d + first : d + stop]
+                run = block[t : t + 1, ..., d + first : d + stop]
             else:
                 first, stop = max(0, d + 1 - cols), min(lanes, d + 1)
-                run = block[t, ..., d + 1 - stop : d + 1 - first][..., ::-1]
+                run = block[t : t + 1, ..., d + 1 - stop : d + 1 - first][..., ::-1]
             if first < stop:
                 rows.append((t, first, stop, run))
         return rows
 
     def _lanes(self):
-        """The block lane by lane, ``(w, *extra, N)``, where it is one already: at skew 0, and as a
-        view for one diagonal inside [0, k); None for any other band."""
-        block = self.block
-        if not self.skew:
-            return block
-        return block[..., :: self.skew] if block.shape[0] == 1 and block.shape[-1] == self.shape[0] else None
+        """The block lane by lane, ``(w, *extra, N)``, where a view gives it: at skew 0, and for a band
+        inside [0, k) of one diagonal or without extra axes (of a C-order copy if need be); else None."""
+        block, skew, lanes = self.block, self.skew, self.shape[0]
+        w, cols = block.shape[0], block.shape[-1]
+        if not skew or cols != lanes + w - 1:
+            return None if skew else block
+        if w == 1:  # a plain slice is cheapest
+            return block[..., ::skew]
+        return _band(block.reshape(-1), self.lo - self.c0, cols + 1, skew, (w, lanes)) if block.ndim == 2 else None
 
     def _spread(self, cols, first=0, by_column=False):
         """Lanes on the columns [first, first + cols), zero but its entries: N x cols, or cols x N
@@ -386,12 +390,9 @@ class _Window:
         size = unit * math.prod(extra)
         dt, dn = (size, self.skew * size + 1) if by_column else (1, size + self.skew)
         flat, start = out.reshape(-1), (self.lo - first) * dt
-        lanes = self._lanes()
-        if lanes is not None:
-            _band(flat, start, dt, dn, lanes.shape, *de)[...] = lanes
-            return out
-        for t, n, end, entries in self._rows():
-            _band(flat, start + t * dt + n * dn, dt, dn, (1, *extra, end - n), *de)[...] = entries
+        lanes = self._lanes()  # all diagonals as one run where they are lane-aligned
+        for t, n, _, entries in self._rows() if lanes is None else [(0, 0, rows, lanes)]:
+            _band(flat, start + t * dt + n * dn, dt, dn, entries.shape, *de)[...] = entries
         return out
 
     def full(self):
@@ -483,13 +484,12 @@ class _Window:
         if lanes is None and block.shape[0] <= 2:  # each lane adds its entries to +0.0, as np.add.reduce does
             out = np.zeros((*block.shape[1:-1], self.shape[0]))
             for _, first, stop, entries in self._rows():
-                part = out[..., first:stop]
-                np.add(part, entries, out=part)
+                out[..., first:stop] += entries[0]
             return _lanes_first(out)
         if lanes is None:  # lane by lane, zero where a diagonal has no column
             lanes = np.zeros((*block.shape[:-1], self.shape[0]))
             for t, first, stop, entries in self._rows():
-                lanes[t, ..., first:stop] = entries
+                lanes[t : t + 1, ..., first:stop] = entries
         if lanes.shape[0] <= 2 or np.add.reduce(lanes != 0, 0).max() <= 2:
             rows = np.add.reduce(lanes, 0)  # lanes.sum(axis=0) without its wrapper
             return rows if lanes.ndim == 2 else _lanes_first(rows)

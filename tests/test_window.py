@@ -1009,6 +1009,7 @@ def test_every_read_of_a_window_gives_the_bytes_of_its_full_block(skew, lo, k):
                 got = win[(pool._EVERY_LANE, slice(a, b, step))]
                 assert _contiguous_rows(got.block), (a, b, step)  # was a C-contiguous block
                 assert np.asarray(got).tobytes() == full[:, a:b:step].tobytes(), (a, b, step)
+                assert got.sum(axis=-1).tobytes() == full[:, a:b:step].sum(axis=-1).tobytes(), (a, b, step)
     # one diagonal on: its -0.0 diagonals 0 and 1 meet our diagonals 1 (-0.0) and 2
     other, other_full = _signed_window(skew, lo + 1, k, (0, 1), seed=5)
     for op, ufunc in ((pool._WINDOW_OPS.add, np.add), (pool._WINDOW_OPS.sub, np.subtract)):
