@@ -6,11 +6,11 @@ and 2 come from four sources: ``derivative`` and ``second_derivative``;
 ``gradient`` at the default chunk (one band pass at ``K_BAND``) and at
 chunk 3; and ``hessian`` at the default (band passes at ``K_HESS``) and
 at (3, 2).  Order 3 comes from ``third_order_tensor`` at the default
-(one pass) and at (2, 3, 2).  The reference is the sympy derivative evaluated by mpmath at
-50 digits, and a result may differ from it by ``ULPS`` units in the last
-place of its condition number: the expression evaluated with every term
-of every sum taken by magnitude, so a derivative that cancels to zero
-still allows the rounding of its terms.
+(one pass) and at (2, 3, 2).  The reference is the sympy derivative
+evaluated by mpmath at 50 digits, and a result may differ from it by
+``ULPS`` units in the last place of its condition number: the expression
+evaluated with every term of every sum taken by magnitude, so a
+derivative that cancels to zero still allows the rounding of its terms.
 
 Vector targets sum the rule over components: ``np.sum(rule(v))`` for a
 rule of one operand, ``np.sum(rule(v[:-1], v[1:]))`` for a rule of two

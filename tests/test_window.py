@@ -1025,6 +1025,7 @@ def test_every_window_of_a_band_pass_holds_a_c_contiguous_block(monkeypatch):
 
     # pinned before: every block C-contiguous.  A slice, and a tile of a sum
     # over full rows, is now a view of its window's columns, whose rows are
+    # contiguous; a rule's result still is C-contiguous
     def recorded(self, block, lo, k, skew=0, lanes=None):
         init(self, block, lo, k, skew, lanes)
         built.append(_contiguous_rows(block))
