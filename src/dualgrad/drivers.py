@@ -8,35 +8,34 @@ other component as a plain value; the output lanes of that pass are the
 partial derivatives of the seeded components.  A trailing chunk narrower
 than N seeds only the remaining components.  Lanes propagate independently,
 so the assembled gradient is identical, bit for bit, for every chunk size
-(the sign of an exactly-zero entry aside, see below).
+(the sign of an exactly-zero entry aside, see below).  Lanes are NaN-safe:
+a zero lane entry stays zero under mul and div, so an inf or NaN partial
+(sqrt at 0) leaves the others exact.  A pass whose output lanes are not
+all finite runs once more, on ``pool._Masked`` seeds.
 
 Every level's unit lanes are built one way, as a ``pool._Window`` band of
 ones on the block's diagonal, which a dense pass 0 (every driver's, unless
 it runs in band, below) reads as the full N x k lane block.  When the
 lanes a window would skip, N x (k - 2N) float64, come to at least
-POOL_MIN_BYTES and pass 0's output lanes are all finite, every later pass
-of a gradient or Jacobian keeps the band: only the entries its N seeds can
-reach are computed, so a Rosenbrock pass does N x 2 lane work (N lanes by
-the band's width) instead of N x k.  The entries it leaves out are exact
-zeros in a dense pass, because a coefficient that is non-finite on a
-column reaching the result would have made pass 0's lanes non-finite too;
-a zero derivative entry may come out as +0.0 where a dense pass gave
--0.0.  Below the gate a window's per-op bookkeeping costs more than the
-columns it skips (Rosenbrock at chunk 64, median of 5 interleaved runs:
-1.05x dense at k=140, 1.16x at k=200, 0.78x at k=256).
+POOL_MIN_BYTES, every later pass of a gradient or Jacobian keeps the
+band: only the entries its N seeds can reach are computed, so a
+Rosenbrock pass does N x 2 lane work (N lanes by the band's width)
+instead of N x k.  The entries it leaves out are the NaN-safe dense
+pass's exact zeros; a zero derivative entry may come out as +0.0 where a
+dense pass gave -0.0.  Below the gate a window's per-op bookkeeping costs
+more than the columns it skips (Rosenbrock at chunk 64, median of 5
+interleaved runs: 1.05x dense at k=140, 1.16x at k=200, 0.78x at k=256).
 
 At the default chunk N0 = default_chunk(k), where windows pay, pass 0 is
 a band pass itself: on ``_plan``'s first block of up to 32768 components
 for a gradient (one pass for Rosenbrock at k=3000, not 300), on N0 for a
 Jacobian, whose outputs size the later blocks.  f runs it
-``pool.in_band``, where a coefficient that would turn the left-out zeros
-into NaN stops the pass, standing in for the dense pass 0's finiteness
-test.  So does a band that f would turn into the full N x k block (fancy
-indexes, reshape, a dense vector or scalar dual operand), and in a pass
-wider than WIDE_CHUNK one it would turn into a window on its columns (a
-reversed operand) or a union across a wide gap.  A stopped pass 0 runs
-again dense on N0 lanes, and the rest in windowed blocks where those
-fallbacks stay small (``_passes``).
+``pool.in_band``, where a band that f would turn into the full N x k
+block (fancy indexes, reshape, a dense vector or scalar dual operand)
+stops the pass, and in a pass wider than WIDE_CHUNK one it would turn
+into a window on its columns (a reversed operand) or a union across a
+wide gap.  A stopped pass 0 runs again dense on N0 lanes, and the rest
+in windowed blocks where those fallbacks stay small (``_passes``).
 
 Higher-order drivers nest duals (forward-over-forward).  For a Hessian
 each pass seeds a block of M components on the float64 lanes of a
@@ -90,7 +89,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import Dual, _DualKind, base_value
-from .pool import LANE_BLOCK_BYTES, POOL_MIN_BYTES, _Window, in_band, lane_pool, pooled_zeros
+from .pool import LANE_BLOCK_BYTES, POOL_MIN_BYTES, _like, _Masked, _Window, in_band, lane_pool, pooled_zeros
 from .vector import DualVector, NestedDualVector
 
 __all__ = [
@@ -180,9 +179,9 @@ class ChunkConfig:
     passes.  None picks ``default_chunk(k)`` = N0 (k up to k=181, 32 at
     k=1000, 8 from k=4096 on), and where lane windows pay, one band pass
     per 32768 components for a gradient (``_plan``).  Where f would leave
-    the lanes' band or scale them by an unsafe coefficient, pass 0 runs
-    again dense on N0 lanes and the rest WIDE_CHUNK or N0 lanes a pass
-    (``_passes``).
+    the lanes' band, pass 0 runs again dense on N0 lanes and the rest
+    WIDE_CHUNK or N0 lanes a pass (``_passes``).  A pass whose output
+    lanes are not all finite takes one more evaluation, NaN-safe.
     threads: worker count for the chunk scheduler; 1 means serial.
     """
 
@@ -268,9 +267,7 @@ def _check_scalar(name, x):
 def derivative(f, x):
     """First derivative of a scalar function at x via a single-lane dual."""
     _check_scalar("derivative", x)
-    with np.errstate(all="ignore"):
-        y = f(Dual(x, (1.0,)))
-    return float(base_value(_lane(y, 0)))
+    return _scalar_lane(f, lambda one, zero: Dual(x, (one,)), 1)
 
 
 def second_derivative(f, x):
@@ -280,9 +277,22 @@ def second_derivative(f, x):
     partial-of-partial of the result.
     """
     _check_scalar("second_derivative", x)
+    return _scalar_lane(f, lambda one, zero: Dual(Dual(x, (one,)), (Dual(one, (zero,)),)), 2)
+
+
+def _scalar_lane(f, seed, depth):
+    """Lane 0, ``depth`` levels down, of f at ``seed(one, zero)`` with float unit and zero lane
+    entries; if that is not finite, of f at masked (NaN-safe) ones, which must give the same value."""
     with np.errstate(all="ignore"):
-        y = f(Dual(Dual(x, (1.0,)), (Dual(1.0, (0.0,)),)))
-    return float(base_value(_lane(_lane(y, 0), 0)))
+        y = lane = f(seed(1.0, 0.0))
+        for _ in range(depth):
+            lane = _lane(lane, 0)
+        if not math.isfinite(base_value(lane)):
+            lane = again = f(seed(*[np.array(e).view(_Masked) for e in (1.0, 0.0)]))
+            _check_pure(base_value(y), base_value(again), "0 run again")
+            for _ in range(depth):
+                lane = _lane(lane, 0)
+    return float(base_value(lane))
 
 
 def _lane(v, i):
@@ -320,11 +330,11 @@ def _constant(values, widths):
     if not widths:
         return values
     *inner, width = widths
-    zeros = pooled_zeros((width,) + values.shape)
+    zeros = _like(pooled_zeros((width,) + values.shape), values)
     return _vector(_constant(values, inner), _constant(zeros, inner))
 
 
-def _seeded(x, blocks, windowed=False):
+def _seeded(x, blocks, windowed=False, kind=np.ndarray):
     """Input of one pass: x with unit lanes on the components in blocks[d] at level d.
 
     Level 0 is a float64 DualVector; every further level wraps the one
@@ -332,17 +342,17 @@ def _seeded(x, blocks, windowed=False):
     levels below.  A windowed input keeps its level-0 unit lanes as the
     ``pool._Window`` band of ones; a windowed Hessian's inner unit lanes
     are dense, their zero level-0 lanes a window without entries.  Any
-    other input gets the full blocks as ndarrays.
+    other input gets the full blocks as ndarrays, of ``kind`` (``pool._Masked``: NaN-safe).
     """
     k, widths, out = x.shape[0], [b.stop - b.start for b in blocks], x
     for d, block in enumerate(blocks):
-        ones = np.empty((1, widths[d]))
+        ones = kind((1, widths[d]))
         ones.fill(1.0)  # np.ones without its wrapper, a third of the seeding's time
         unit = _Window(ones, block.start, k, 1)
         if not windowed:
             unit = _constant(unit.full(), widths[:d])
         elif d:  # a Hessian's inner units are dense, their outer lanes an empty window
-            unit = DualVector(unit.full(), _Window(np.empty((0, widths[d], widths[0])), 0, k))
+            unit = DualVector(unit.full(), _Window(kind((0, widths[d], widths[0])), 0, k))
         out = _vector(out, unit)
     return out
 
@@ -370,7 +380,7 @@ def _blocks(k, chunk, start=0):
 
 
 def _check_pure(first, value, p):
-    """Raise ImpureTargetError unless pass p's f value is pass 0's (NaN equals NaN)."""
+    """Raise ImpureTargetError unless pass p's f value is pass 0's (NaN equals NaN); p names the pass."""
     if isinstance(first, np.ndarray):  # a vector target's
         same = np.array_equal(value, first, equal_nan=True)
     else:
@@ -454,16 +464,15 @@ def _passes(f, x, chunks, threads=1, read=_scalar_output, lead=None):
     call where windows pay, or of a Hessian in band), pass 0 seeds ``lead`` outer lanes
     ``pool.in_band``, as does every later block wider than WIDE_CHUNK, in ``_wide(outputs)``
     outer blocks, and every pass of a Hessian.  A guarded pass stops, its result dropped,
-    where f would leave a band that wide or meets an unsafe coefficient.  A stopped pass 0
-    runs again dense at N0 and the rest in windowed blocks: WIDE_CHUNK lanes after a column
-    window, N0 after a full block or an unsafe coefficient, or dense ones if pass 0's lanes
-    are not finite (a Hessian: the dense plan); a stopped later block runs again in those
-    narrow blocks, in the same call of ``run``.  Later passes are checked against pass 0's
-    value and output count.  Returns (derivative array of shape (outputs...,) + (k,) *
-    len(chunks), a Hessian's gradient or None, f value).
+    where f would leave a band that wide.  A stopped pass 0 runs again dense at N0 and the
+    rest in windowed blocks: WIDE_CHUNK lanes after a column window, N0 after a full block (a
+    Hessian: the dense plan); a stopped later block runs again in those narrow blocks, in the
+    same call of ``run``.  A pass whose lanes are not all finite runs again masked (NaN-safe).
+    Later passes and those are checked against pass 0's value and output count.  Returns
+    (array of shape (outputs...,) + (k,) * len(chunks), a Hessian's gradient or None, f value).
     """
     k, n = x.shape[0], chunks[0]
-    # later first-order passes run on lane windows if they pay and pass 0's lanes are finite
+    # later first-order passes run on lane windows if they pay
     windowed = len(chunks) == 1 and _windows_pay(n, k)
     guarded = lead is not None  # whether wide passes run in band: until pass 0 stops
     combos = [(slice(0, min(k, lead if guarded else n)), *[slice(0, c) for c in chunks[1:]])]
@@ -475,27 +484,25 @@ def _passes(f, x, chunks, threads=1, read=_scalar_output, lead=None):
         blocks = combos[p]
         narrow_pass = windowed and blocks[0].stop - blocks[0].start <= WIDE_CHUNK
         if not guarded or p and narrow_pass:
-            return record(p, blocks, f(_seeded(x, blocks, p > 0 and windowed)))
+            return record(p, blocks, p > 0 and windowed)
         # a first-order pass no wider than WIDE_CHUNK keeps its column windows: they are small there
-        stops = ("full", "unsafe") if narrow_pass else ("columns", "full", "unsafe")
-        y, left = in_band(f, _seeded(x, blocks, True), stops)
+        y, left = in_band(f, _seeded(x, blocks, True), ("full",) if narrow_pass else ("columns", "full"))
         if not left:
-            return record(p, blocks, y)
+            return record(p, blocks, True, y)
         width = WIDE_CHUNK if left == "columns" and windowed else n
         if p == 0:  # pass 0 again, dense at N0, and the rest in blocks of width
             guarded, narrow, combos[0] = False, width, (slice(0, n), *blocks[1:])
-            return record(0, combos[0], f(_seeded(x, combos[0])))
+            return record(0, combos[0], False)
         for b in _blocks(blocks[0].stop, width, blocks[0].start):
-            record(p, (b, *blocks[1:]), f(_seeded(x, (b, *blocks[1:]), windowed)))
+            record(p, (b, *blocks[1:]), windowed)
 
-    def record(p, blocks, y):
-        """Read pass p's result y, check it and copy it out; pass 0 sizes and plans the rest."""
-        nonlocal windowed, f0, out, grad
+    def record(p, blocks, band, y=None):
+        """Pass p on blocks, a band or dense (y: f's result, if it ran), read, checked, copied out."""
+        nonlocal f0, out, grad
         widths = tuple([b.stop - b.start for b in blocks])
-        value, first, top = read(y, widths)
+        value, first, top = read(f(_seeded(x, blocks, band)) if y is None else y, widths)
         outputs = top.shape[: top.ndim - len(widths)]
         if p == 0:  # pass 0 runs first and alone
-            windowed = windowed and (guarded or bool(np.isfinite(top).all()))
             f0, out = value, np.empty(outputs + (k,) * len(widths))
             grad = np.empty(k) if len(widths) == 2 else None  # only a Hessian returns it
             if widths != (k,) * len(widths):
@@ -508,6 +515,9 @@ def _passes(f, x, chunks, threads=1, read=_scalar_output, lead=None):
             )
         else:
             _check_pure(f0, value, p)
+        if np.count_nonzero(np.isfinite(top)) < top.size:  # a non-finite gradient lane spoils top too
+            value, first, top = read(f(_seeded(x, blocks, band, _Masked)), widths)
+            _check_pure(f0, value, f"{p} run again")
         if grad is not None:
             grad[blocks[-1]] = first
         out[(..., *blocks)] = top

@@ -18,9 +18,10 @@ evaluation of the target, so they never warn.
 The arithmetic, elementary and comparison rules of ``Dual`` and its
 ``__array_ufunc__`` are the only ones in the package: ``DualVector`` and
 ``NestedDualVector`` hold the same function objects.
-Each rule reads ``values`` and ``partials``, computes with the operations
-``pool.ops`` picks for its lanes (ones that reuse buffers for large
-float64 lanes in a driver call, plain ones otherwise) and builds its
+Each rule reads ``values`` and ``partials``, computes its value channel
+and coefficients with the operations ``pool.ops`` picks for ``values`` and
+its lanes with those it picks for ``partials`` (reusing buffers for large
+float64 arrays in a driver call, NaN-safe for masked lanes) and builds its
 result with ``type(self)``.  On a ``Dual`` the lanes are a float64 row
 where it was built from one (a first-order vector's index or reduction),
 else a ``Partials`` tuple.  Python's operators serve both.
@@ -39,7 +40,7 @@ import math
 
 import numpy as np
 
-from .pool import _ELEMENTARY, _FLOAT64, _PLAIN_OPS, _ieee_div, ops
+from .pool import _ELEMENTARY, _FLOAT64, _PLAIN_OPS, _Masked, _ieee_div, ops
 
 __all__ = [
     "Dual",
@@ -90,8 +91,8 @@ def _lift(d, array):
         return d
     from .vector import DualVector  # vector.py imports this module
 
-    lanes = np.asarray(d.partials, dtype=np.float64).reshape((-1,) + (1,) * array.ndim)
-    lanes = np.broadcast_to(lanes, lanes.shape[:1] + array.shape)
+    lanes = np.asanyarray(d.partials, dtype=np.float64).reshape((-1,) + (1,) * array.ndim)
+    lanes = np.broadcast_to(lanes, lanes.shape[:1] + array.shape, subok=True)
     return DualVector(np.broadcast_to(d.value, array.shape), lanes)
 
 
@@ -108,7 +109,7 @@ class Partials(tuple):
     __slots__ = ()
 
     def __new__(cls, entries):
-        row = type(entries) is np.ndarray and entries.ndim == 1 and entries.dtype == _FLOAT64
+        row = type(entries) in (np.ndarray, _Masked) and entries.ndim == 1 and entries.dtype == _FLOAT64
         self = entries if row else super().__new__(cls, entries)
         if len(self) == 0:
             raise ValueError("Partials needs at least one lane")
@@ -161,7 +162,7 @@ class Dual(_DualKind):
         self.partials = partials
 
     def _operands(self, other):
-        """(operations, own lanes, other's value, other's lanes or None) for a binary rule.
+        """(value ops, lane ops, own lanes, other's value, other's lanes or None) for a binary rule.
 
         None for anything but a Dual or a plain scalar, which a 0-d array
         counts as: the rule returns NotImplemented.  ValueError for a Dual
@@ -173,9 +174,9 @@ class Dual(_DualKind):
             sp, op = self.partials, other.partials
             if len(sp) != len(op):  # numpy would broadcast a one-lane array
                 raise ValueError(f"lane count mismatch: {len(sp)} vs {len(op)}")
-            return _PLAIN_OPS, sp, other.value, op
+            return _PLAIN_OPS, _PLAIN_OPS, sp, other.value, op
         if isinstance(other, _PLAIN):
-            return _PLAIN_OPS, self.partials, other, None
+            return _PLAIN_OPS, _PLAIN_OPS, self.partials, other, None
         return None
 
     # ------------------------------------------------------------------
@@ -185,64 +186,63 @@ class Dual(_DualKind):
     def __add__(self, other):
         if (operands := self._operands(other)) is None:
             return NotImplemented
-        o, sp, ov, op = operands
-        lanes = sp if op is None else o.add(sp, op)
-        return type(self)(o.add(self.values, ov), lanes)
+        vo, lo, sp, ov, op = operands
+        lanes = sp if op is None else lo.add(sp, op)
+        return type(self)(vo.add(self.values, ov), lanes)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if (operands := self._operands(other)) is None:
             return NotImplemented
-        o, sp, ov, op = operands
-        lanes = sp if op is None else o.sub(sp, op)
-        return type(self)(o.sub(self.values, ov), lanes)
+        vo, lo, sp, ov, op = operands
+        lanes = sp if op is None else lo.sub(sp, op)
+        return type(self)(vo.sub(self.values, ov), lanes)
 
     def __rsub__(self, other):
         if (operands := self._operands(other)) is None:
             return NotImplemented
-        o, sp, ov, op = operands
-        lanes = o.neg(sp) if op is None else o.sub(op, sp)
-        return type(self)(o.sub(ov, self.values), lanes)
+        vo, lo, sp, ov, op = operands
+        lanes = lo.neg(sp) if op is None else lo.sub(op, sp)
+        return type(self)(vo.sub(ov, self.values), lanes)
 
     def __mul__(self, other):
         if (operands := self._operands(other)) is None:
             return NotImplemented
-        o, sp, ov, op = operands
-        lanes = o.mul(sp, ov)
+        vo, lo, sp, ov, op = operands
+        lanes = lo.mul(sp, ov)
         if op is not None:
-            lanes = o.add(lanes, o.mul(op, self.values))
-        return type(self)(o.mul(self.values, ov), lanes)
+            lanes = lo.add(lanes, lo.mul(op, self.values))
+        return type(self)(vo.mul(self.values, ov), lanes)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if (operands := self._operands(other)) is None:
             return NotImplemented
-        o, sp, ov, op = operands
+        vo, lo, sp, ov, op = operands
         v = self.values
         if op is None:
-            lanes = o.div(sp, ov)
+            lanes = lo.div(sp, ov)
         else:
-            num = o.sub(o.mul(sp, ov), o.mul(op, v))
-            lanes = o.div(num, o.mul(ov, ov))
-        return type(self)(o.div(v, ov), lanes)
+            num = lo.sub(lo.mul(sp, ov), lo.mul(op, v))
+            lanes = lo.div(num, vo.mul(ov, ov))
+        return type(self)(vo.div(v, ov), lanes)
 
     def __rtruediv__(self, other):
         if (operands := self._operands(other)) is None:
             return NotImplemented
-        o, sp, ov, op = operands
+        vo, lo, sp, ov, op = operands
         v = self.values
         if op is None:
-            num = o.mul(sp, -ov)
+            num = lo.mul(sp, -ov)
         else:
-            num = o.sub(o.mul(op, v), o.mul(sp, ov))
-        lanes = o.div(num, o.mul(v, v))
-        return type(self)(o.div(ov, v), lanes)
+            num = lo.sub(lo.mul(op, v), lo.mul(sp, ov))
+        lanes = lo.div(num, vo.mul(v, v))
+        return type(self)(vo.div(ov, v), lanes)
 
     def __neg__(self):
-        o = ops(self.partials)
-        return type(self)(o.neg(self.values), o.neg(self.partials))
+        return type(self)(ops(self.values).neg(self.values), ops(self.partials).neg(self.partials))
 
     def __pos__(self):
         return self
@@ -261,61 +261,59 @@ class Dual(_DualKind):
         if p == 2:
             return self.square()
         p = float(p)  # so that an integer value is raised as a float, not in int64
-        v, o = self.values, ops(self.partials)
-        coeff = o.mul(p, o.power(v, p - 1))
-        return type(self)(o.power(v, p), o.mul(self.partials, coeff))
+        v, vo, lo = self.values, ops(self.values), ops(self.partials)
+        coeff = vo.mul(p, vo.power(v, p - 1))
+        return type(self)(vo.power(v, p), lo.mul(self.partials, coeff))
 
     def __rpow__(self, base):
         return NotImplemented
 
     def __abs__(self):
-        v, o = self.values, ops(self.partials)
-        return type(self)(o.absolute(v), o.mul(self.partials, o.sign(v)))
+        v, vo, lo = self.values, ops(self.values), ops(self.partials)
+        return type(self)(vo.absolute(v), lo.mul(self.partials, vo.sign(v)))
 
     def sign(self):
-        o = ops(self.partials)
-        return type(self)(o.sign(self.values), o.mul(self.partials, 0.0))
+        return type(self)(ops(self.values).sign(self.values), ops(self.partials).mul(self.partials, 0.0))
 
     # elementary functions: value = f(x), lanes scaled by f'(x)
 
     def sin(self):
-        v, o = self.values, ops(self.partials)
-        return type(self)(o.sin(v), o.mul(self.partials, o.cos(v)))
+        v, vo, lo = self.values, ops(self.values), ops(self.partials)
+        return type(self)(vo.sin(v), lo.mul(self.partials, vo.cos(v)))
 
     def cos(self):
-        v, o = self.values, ops(self.partials)
-        coeff = o.neg(o.sin(v))
-        return type(self)(o.cos(v), o.mul(self.partials, coeff))
+        v, vo, lo = self.values, ops(self.values), ops(self.partials)
+        coeff = vo.neg(vo.sin(v))
+        return type(self)(vo.cos(v), lo.mul(self.partials, coeff))
 
     def tan(self):
-        v, o = self.values, ops(self.partials)
-        c = o.cos(v)
-        coeff = o.div(1.0, o.mul(c, c))
-        return type(self)(o.tan(v), o.mul(self.partials, coeff))
+        v, vo, lo = self.values, ops(self.values), ops(self.partials)
+        c = vo.cos(v)
+        coeff = vo.div(1.0, vo.mul(c, c))
+        return type(self)(vo.tan(v), lo.mul(self.partials, coeff))
 
     def exp(self):
-        o = ops(self.partials)
-        e = o.exp(self.values)
-        return type(self)(e, o.mul(self.partials, e))
+        e = ops(self.values).exp(self.values)
+        return type(self)(e, ops(self.partials).mul(self.partials, e))
 
     def log(self):
-        v, o = self.values, ops(self.partials)
+        v, vo, lo = self.values, ops(self.values), ops(self.partials)
         # negative inputs: keep the lanes non-finite, not just the value.  The
         # NaN/1.0 factor leaves other entries bitwise unchanged and scales a
         # coefficient of any dual kind; [()] turns a scalar's 0-d mask into
         # a numpy scalar, which scalar duals accept.
         mask = np.where(v < 0, np.nan, 1.0)[()]
-        coeff = o.mul(o.div(1.0, v), mask)
-        return type(self)(o.log(v), o.mul(self.partials, coeff))
+        coeff = vo.mul(vo.div(1.0, v), mask)
+        return type(self)(vo.log(v), lo.mul(self.partials, coeff))
 
     def sqrt(self):
-        o = ops(self.partials)
-        s = o.sqrt(self.values)
-        return type(self)(s, o.mul(self.partials, o.div(0.5, s)))
+        vo, lo = ops(self.values), ops(self.partials)
+        s = vo.sqrt(self.values)
+        return type(self)(s, lo.mul(self.partials, vo.div(0.5, s)))
 
     def square(self):
-        v, o = self.values, ops(self.partials)
-        return type(self)(o.mul(v, v), o.mul(self.partials, o.mul(2.0, v)))
+        v, vo, lo = self.values, ops(self.values), ops(self.partials)
+        return type(self)(vo.mul(v, v), lo.mul(self.partials, vo.mul(2.0, v)))
 
     # ------------------------------------------------------------------
     # comparisons: the value channel only; a nested value compares

@@ -7,18 +7,18 @@ OS when they are freed, so without reuse the next pass page-faults them
 in again: a 3000-component Rosenbrock gradient at chunk 8 took about 140
 minor faults per pass.  The drivers' pass runner therefore enters a
 ``lane_pool()`` in each thread that runs passes.  Each dual rule (one body
-serves ``Dual``, ``DualVector`` and ``NestedDualVector``) asks ``ops``
-once for the operations it computes with: while a pool is active and the
-rule's lanes are a float64 array that large, these write their results
-through ``pooled``, into a buffer of the same shape that nothing outside
-the pool refers to any more, which never changes a number.  Other lanes
-(a scalar ``Dual``'s row or tuple, a nested vector's duals) get the plain
-operations.  A thread keeps its pool across driver calls: one pool per
-call faulted its blocks in anew, 275 minor faults a call for a one-pass
-k=30 Hessian.  No lane window's block is pooled: their shapes change from
-pass to pass, and keeping them all took a reversed-slice gradient at
-k=12000 to a 1164 MiB peak.  Only the k-column ndarrays that a window
-builds are (its full block, the row tiles of its sums).
+serves ``Dual``, ``DualVector`` and ``NestedDualVector``) asks ``ops`` for
+the operations of its values and of its lanes: while a pool is active,
+float64 arrays that large get ones that write their results through
+``pooled``, into a buffer of the same shape that nothing outside the pool
+refers to any more, which never changes a number; anything else (smaller
+arrays, duals, tuples, masked lanes) gets Python's operators.  A
+thread keeps its pool across driver calls: one pool per call faulted its
+blocks in anew, 275 minor faults a call for a one-pass k=30 Hessian.  No lane window's block is pooled:
+their shapes change from pass to pass, and keeping them all took a
+reversed-slice gradient at k=12000 to a 1164 MiB peak.  Only the k-column
+ndarrays that a window builds are (its full block, the row tiles of its
+sums).
 
 A ``_Window`` is a lane block that holds only the entries its seeds can
 reach.  The N unit lanes of a first-order pass are one diagonal of its
@@ -38,11 +38,11 @@ in those (fancy indexes, a reshape, ``np.asarray``, full lanes as the
 other operand) builds the full N x k block.  Both are cheap at a few
 hundred lanes and not at tens of thousands, so the drivers run wide
 passes through ``in_band``: there the first such step raises before it
-builds anything.  So do a union of bands far apart and a coefficient
-that would turn the left-out zeros into NaN in a dense pass, which is
-what lets a band pass stand in for a dense one.  A sum over rows of more
-than two nonzeros builds its full rows in tiles of at most
-LANE_BLOCK_BYTES and stays allowed.
+builds anything, and so does a union of bands far apart.  A sum over
+rows of more than two nonzeros builds its full rows in tiles of at most
+LANE_BLOCK_BYTES and stays allowed.  Lanes are NaN-safe (``_Masked``),
+so the zeros a window leaves out are a dense pass's whatever the
+coefficients: 0 * inf, the NaN a dense pass had there, is 0.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ class _Active(threading.local):
     pool = None  # the thread's kept pool while a driver call runs in it
     kept = None  # the thread's pool, kept between its driver calls
     guard = ()  # the ways out of a band that raise (``in_band``); none outside it
-    left = None  # how a window left its band while guarded: "columns", "full" or "unsafe"
+    left = None  # how a window left its band while guarded: "columns" or "full"
 
 
 _active = _Active()
@@ -205,6 +205,31 @@ def pooled(ufunc, *args):
     return ufunc(*args, out=pool.take(shape))
 
 
+class _Masked(np.ndarray):
+    """Float64 lanes of a NaN-safe pass, which the drivers run only where a pass's lanes are not finite.
+
+    Every ufunc returns this kind, so lanes from masked seeds stay masked;
+    values never are.  A product, or a quotient of masked lanes, that is NaN
+    where masked lanes hold an exact zero (0 * inf, 0 / 0) is 0.0 instead.
+    """
+
+    def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+        plain = [a.view(_ndarray) if type(a) is _Masked else a for a in args]
+        if out := kwargs.get("out"):
+            kwargs["out"] = tuple(o.view(_ndarray) for o in out)
+        res = np.asarray(getattr(ufunc, method)(*plain, **kwargs))
+        if method == "__call__" and (ufunc is np.multiply or ufunc is np.true_divide):
+            for a, p in zip(args if ufunc is np.multiply else args[:1], plain):  # a quotient: its dividend
+                if type(a) is _Masked:
+                    np.copyto(res, 0.0, where=(p == 0) & np.isnan(res))
+        return out[0] if out else res.view(_Masked)
+
+
+def _like(a, lanes):
+    """Array ``a`` as lanes of the kind of the array ``lanes``: itself, or masked."""
+    return a if type(lanes) is _ndarray else a.view(_Masked)
+
+
 # name -> numpy ufunc of each generic elementary function (``dual.sin`` ...)
 _ELEMENTARY = dict(sin=np.sin, cos=np.cos, tan=np.tan, exp=np.exp, log=np.log)
 _ELEMENTARY |= dict(sqrt=np.sqrt, square=np.square)
@@ -224,21 +249,21 @@ _UFUNCS |= dict(div=np.true_divide, power=np.power, absolute=np.absolute, sign=n
 # Namespaces are classes, whose attributes are the cheapest to look up: a
 # k=30 Hessian (all small rules) ran 2% faster than with SimpleNamespace.
 _POOLED_OPS = type("PooledOps", (), {n: functools.partial(pooled, u) for n, u in _UFUNCS.items()})
-# Python's operators where there is one: nested lanes are duals and a
-# scalar Dual's may be a tuple, not arrays
+# Python's operators where there is one: nested lanes are duals, a scalar
+# Dual's may be a tuple, and masked lanes mask in their own ufuncs
 _OPERATORS = dict(add=operator.add, sub=operator.sub, mul=operator.mul, neg=operator.neg)
 _OPERATORS["div"] = _ieee_div
 _PLAIN_OPS = type("PlainOps", (), _UFUNCS | _OPERATORS)
 
 
 def ops(lanes):
-    """The operations of a rule on ``lanes``, pooled, windowed or plain.
+    """The operations of a rule on ``lanes``, or on values: pooled, windowed or plain.
 
     Pooled only for a float64 array of at least ``POOL_MIN_BYTES`` while a
-    ``lane_pool`` is active in this thread, so never for nested or scalar
-    lanes or outside a driver call; windowed for a ``_Window``.  Pooled
-    and plain give the same numbers; a window's left-out lanes read +0.0
-    where the full block may hold -0.0.
+    ``lane_pool`` is active in this thread, so never for nested, masked or
+    scalar lanes or outside a driver call; windowed for a ``_Window``.
+    Pooled and plain give the same numbers; a window's left-out lanes read
+    +0.0 where the full block may hold -0.0.
     """
     kind = type(lanes)
     if kind is _ndarray and lanes.nbytes >= POOL_MIN_BYTES:
@@ -274,10 +299,10 @@ def _band(a, start, dt, dn, shape, *de):
     steps ``de`` along the extra axes of a shape ``(w, *extra, N)``."""
     if shape[0] == 1 and not de:  # a plain slice is cheapest; a step of 0 leaves one entry
         return a[start :: dn or 1][: shape[1]][None]
-    a = np.ascontiguousarray(a)
+    kind, a = type(a), np.ascontiguousarray(a)
     size = a.itemsize
     strides = tuple(d * size for d in (dt, *de, dn)) if de else (dt * size, dn * size)
-    return np.ndarray(shape, a.dtype, a, start * size, strides)
+    return kind(shape, a.dtype, a, start * size, strides)
 
 
 def _lanes_first(a):
@@ -393,7 +418,7 @@ class _Window:
         lanes = self._lanes()  # all diagonals as one run where they are lane-aligned
         for t, n, _, entries in self._rows() if lanes is None else [(0, 0, rows, lanes)]:
             _band(flat, start + t * dt + n * dn, dt, dn, entries.shape, *de)[...] = entries
-        return out
+        return _like(out, block)
 
     def full(self):
         """The full block."""
@@ -421,7 +446,7 @@ class _Window:
         return self.full() if dtype is None else self.full().astype(dtype, copy=False)
 
     def reshape(self, shape):
-        return np.asarray(self).reshape(shape)
+        return self.full().reshape(shape)
 
     def __getitem__(self, idx):
         """Lanes at ``(_EVERY_LANE, ..., i)``, the index ``DualVector.__getitem__`` passes.
@@ -439,10 +464,11 @@ class _Window:
             # DualVector indexed its values first, so i is in range
             j = i - self.lo + (self.k if i < 0 else 0)
             if not skew:
-                return _lanes_first(block[j] if 0 <= j < block.shape[0] else np.zeros(block.shape[1:]))
+                row = block[j] if 0 <= j < block.shape[0] else _like(np.zeros(block.shape[1:]), block)
+                return _lanes_first(row)
             # diagonal t holds lane skew * (j - t) in this column, a run of at most w lanes
             lanes, w = self.shape[0], block.shape[0]
-            out = _lanes_first(np.zeros((*block.shape[1:-1], lanes)))
+            out = _lanes_first(_like(np.zeros((*block.shape[1:-1], lanes)), block))
             t0, t1 = (max(0, j - lanes + 1), min(w, j + 1)) if skew > 0 else (max(0, j), min(w, j + lanes))
             if t0 < t1:
                 entries = block[t0:t1, ..., j + self.lo - self.c0]
@@ -459,7 +485,7 @@ class _Window:
                 a, b = taken.stop + 1, taken.start + 1
             first, stop = self.span()
             if min(b, stop) <= max(a, first):
-                return _Window(np.empty((0, *block.shape[1:-1], self.shape[0])), 0, len(taken))
+                return _Window(_like(np.empty((0, *block.shape[1:-1], self.shape[0])), block), 0, len(taken))
             if skew:  # a band keeps its lanes; the block keeps the columns in [a, b)
                 first, stop = max(self.c0, a), min(self.c0 + block.shape[-1], b)
                 block, lo, hi = block[..., first - self.c0 : stop - self.c0], self.lo, self.hi
@@ -469,8 +495,8 @@ class _Window:
             if taken.step == 1:
                 return _Window(block, lo - a, len(taken), skew, self.shape[0])
             flipped = block[::-1, ..., ::-1] if skew else block[::-1]
-            return _Window(np.ascontiguousarray(flipped), b - hi, len(taken), -skew, self.shape[0])
-        return np.asarray(self)[idx]
+            return _Window(flipped.copy(), b - hi, len(taken), -skew, self.shape[0])
+        return self.full()[idx]
 
     def sum(self, axis):
         """Sum over the last axis, in the window where that gives the full block's numbers.
@@ -482,12 +508,12 @@ class _Window:
         """
         block, lanes = self.block, self._lanes()
         if lanes is None and block.shape[0] <= 2:  # each lane adds its entries to +0.0, as np.add.reduce does
-            out = np.zeros((*block.shape[1:-1], self.shape[0]))
+            out = _like(np.zeros((*block.shape[1:-1], self.shape[0])), block)
             for _, first, stop, entries in self._rows():
                 out[..., first:stop] += entries[0]
             return _lanes_first(out)
         if lanes is None:  # lane by lane, zero where a diagonal has no column
-            lanes = np.zeros((*block.shape[:-1], self.shape[0]))
+            lanes = _like(np.zeros((*block.shape[:-1], self.shape[0])), block)
             for t, first, stop, entries in self._rows():
                 lanes[t : t + 1, ..., first:stop] = entries
         if lanes.shape[0] <= 2 or np.add.reduce(lanes != 0, 0).max() <= 2:
@@ -495,7 +521,7 @@ class _Window:
             return rows if lanes.ndim == 2 else _lanes_first(rows)
         count, extra = self.shape[0], lanes.shape[1:-1]
         rows = max(1, LANE_BLOCK_BYTES // (8 * self.k * math.prod(extra)))
-        out = np.empty((count, *extra))
+        out = _like(np.empty((count, *extra)), block)
         for r in range(0, count, rows):
             out[r : r + rows] = self._tile(r, min(r + rows, count))._spread(self.k).sum(axis=-1)
         return out
@@ -509,20 +535,19 @@ class _LeftBand(BaseException):
 
 
 def _leave(how):
-    """A window leaves its band ("columns", "full" or "unsafe"): stop if guarded against that."""
+    """A window leaves its band ("columns" or "full"): stop if guarded against that."""
     if how in _active.guard:
         if _active.left in (None, "columns"):
             _active.left = how
         raise _LeftBand(how)
 
 
-def in_band(f, arg, stops=("columns", "full", "unsafe")):
+def in_band(f, arg, stops=("columns", "full")):
     """``(f(arg), None)``, or ``(None, how)`` if a lane window in f would leave its band.
 
     The first step out in ``stops`` raises before it builds anything: to
-    a column window, to the full block, or a coefficient that is "unsafe"
-    (see ``_scale``).  ``how`` names it; if f caught a "columns" stop and
-    went on to one of the others, that one.  What f then returns, or
+    a column window or to the full block.  ``how`` names it; if f caught a
+    "columns" stop and went on to the full block, "full".  What f then returns, or
     raises as an ``Exception``, is dropped.  The thread's guard and its
     record of a stop are restored on the way out, so guards nest.
     """
@@ -538,16 +563,7 @@ def in_band(f, arg, stops=("columns", "full", "unsafe")):
 
 
 def _full(a):
-    return np.asarray(a) if type(a) is _Window else a
-
-
-def _safe(b, factor):
-    """Whether b, a factor or a divisor of lanes (a scalar or an ndarray), keeps a dense pass's
-    left-out zeros zero: finite, and a divisor without a zero.  An array counts its finite entries:
-    half the cost of a ufunc reduction, such as a sum, which also warns on overflow or inf - inf."""
-    if type(b) in _POOL_SCALARS:
-        return math.isfinite(b) and (factor or b != 0)
-    return np.count_nonzero(np.isfinite(b)) == b.size and (factor or np.logical_and.reduce(b, axis=None))
+    return a.full() if type(a) is _Window else a
 
 
 def _scale(ufunc):
@@ -559,26 +575,22 @@ def _scale(ufunc):
     over a column window's rows as its columns ``[lo, hi)``.  Every rule
     puts its lanes on the left, so a window on the right reads its full
     block (as a divisor, its zeros give c / 0 outside the entries), and so
-    does one that meets any other coefficient.  A coefficient that would
-    turn the zeros it leaves out into NaN in a dense pass (non-finite, or
-    a divisor with a zero) stops ``in_band``.
+    does one that meets any other coefficient.
     """
 
     def op(a, b):
-        if type(a) is not _Window:  # a value channel, or full lanes over a window's
+        if type(a) is not _Window:  # full lanes over a window's
             return pooled(ufunc, a, _full(b))
         block = a.block
-        c = part = b if type(b) in _POOL_SCALARS else np.asarray(b)
-        if type(c) is _ndarray and c.ndim:
+        c = part = b if type(b) in _POOL_SCALARS else np.asanyarray(b)  # masked: a nested pass's lanes
+        if isinstance(c, _ndarray) and c.ndim:
             if c.ndim >= block.ndim or c.shape[-1] not in (1, a.k):
-                return pooled(ufunc, np.asarray(a), c)
+                return pooled(ufunc, a.full(), c)
             if not a.skew and c.shape[-1] != 1:  # the block's rows are the columns [lo, hi)
                 lead = (1,) * (block.ndim - 1 - c.ndim) + c.shape[:-1]
                 part = _lanes_first(c[..., a.lo : a.hi]).reshape((a.hi - a.lo, *lead, 1))
             elif a.skew and c.shape[-1] == a.k != block.shape[-1]:  # one that spans [0, k) takes c whole
                 part = c[..., a.c0 : a.c0 + block.shape[-1]]
-        if _active.guard and not _safe(c, ufunc is np.multiply):
-            _leave("unsafe")
         if block.ndim == 2:
             return a.like(ufunc(block, part))
         return a.like(ufunc(block, part, order="C"))  # not an order that broadcasting picks
@@ -611,7 +623,7 @@ def _join(ufunc):
             # a band's rows take the columns of both; at skew 0 both are all N lanes
             ca, cb = a.block.shape[-1], b.block.shape[-1]
             c0 = min(a.c0, b.c0)
-            out = np.zeros((hi - lo, *a.block.shape[1:-1], max(a.c0 + ca, b.c0 + cb) - c0))
+            out = _like(np.zeros((hi - lo, *a.block.shape[1:-1], max(a.c0 + ca, b.c0 + cb) - c0)), a.block)
             out[a.lo - lo : a.hi - lo, ..., a.c0 - c0 : a.c0 - c0 + ca] = a.block
             part = out[b.lo - lo : b.hi - lo, ..., b.c0 - c0 : b.c0 - c0 + cb]
             ufunc(part, b.block, out=part)
@@ -628,7 +640,7 @@ def _join(ufunc):
                 cols = full[..., win.lo : win.hi] if np.shape(full)[-1:] == (win.k,) else full
                 block = win.block.swapaxes(0, -1)  # lanes first, columns last
                 ufunc(block if wa else cols, cols if wa else block, out=part)
-                return out
+                return _like(out, block)
         return pooled(ufunc, _full(a), _full(b))
 
     return op

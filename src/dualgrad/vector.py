@@ -130,10 +130,10 @@ class DualVector(_DualKind):
     # ------------------------------------------------------------------
 
     def _operands(self, other):
-        """(operations, own lanes, other's values, other's lanes) for a binary rule.
+        """(value ops, lane ops, own lanes, other's values, other's lanes) for a binary rule.
 
-        The operations are the ones ``ops`` picks for the own lanes, and
-        other's lanes are None for a constant.  Lane blocks of different
+        The operations are the ones ``ops`` picks for the own values and for
+        the own lanes, and other's lanes are None for a constant.  Lane blocks of different
         component rank get singleton axes after the lane axis, so that
         (M, N, k) lanes combine with (M, k) lanes as (M, 1, k), and so do
         own lanes met by a plain array of higher rank.  Scalar ``Dual``
@@ -146,7 +146,7 @@ class DualVector(_DualKind):
         elif isinstance(other, Dual) and type(self) is DualVector:
             if type(sp) is _Window:  # the rule would build the full block: stop before it
                 _leave("full")
-            ov, op = other.value, np.asarray(other.partials, dtype=sp.dtype)
+            ov, op = other.value, np.asanyarray(other.partials, dtype=sp.dtype)
         elif isinstance(other, _DualKind):
             raise TypeError(
                 f"cannot combine {type(self).__name__} with {type(other).__name__}: "
@@ -155,7 +155,7 @@ class DualVector(_DualKind):
         else:
             if isinstance(other, np.ndarray) and other.ndim > self.ndim:
                 sp = _widen(sp, other.ndim - self.ndim)
-            return ops(sp), sp, other, None
+            return ops(self.values), ops(sp), sp, other, None
         # nested lanes are duals, whose shape is a property: read it once
         sp_shape, op_shape = sp.shape, op.shape
         if op_shape[0] != sp_shape[0]:
@@ -165,7 +165,9 @@ class DualVector(_DualKind):
             op = _widen(op, gap)
         elif gap < 0:
             sp = _widen(sp, -gap)
-        return ops(sp), sp, ov, op
+        if type(op) is _Window and type(sp) is not _Window:  # the full block, as a ufunc would read it
+            op = op.full()
+        return ops(self.values), ops(sp), sp, ov, op
 
     # ------------------------------------------------------------------
     # reductions: collapse the last component axis, keep the lanes; a

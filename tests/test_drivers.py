@@ -17,12 +17,14 @@ import pytest
 
 import checks
 import dualgrad
+from dualgrad import pool
 from dualgrad import (
     ChunkConfig,
     Dual,
     DualVector,
     EvalCounter,
     ImpureTargetError,
+    Partials,
     ackley,
     cos,
     default_chunk,
@@ -334,12 +336,18 @@ def test_purity_check_runs_under_python_O():
         import numpy as np
         from dualgrad import ChunkConfig, ImpureTargetError, gradient, hessian
 
-        for run in (lambda f: gradient(f, np.ones(4), ChunkConfig(2)),
-                    lambda f: hessian(f, np.ones(3), 1, 3)):
+        def drifting(x):
+            calls.append(1)
+            return np.sum(x**2) + len(calls)
+
+        def drifting_root(x):  # one pass, whose lanes are inf at 0: it runs again masked
+            calls.append(1)
+            return np.sum(np.sqrt(x)) + len(calls)
+
+        for run, impure in ((lambda f: gradient(f, np.ones(4), ChunkConfig(2)), drifting),
+                            (lambda f: hessian(f, np.ones(3), 1, 3), drifting),
+                            (lambda f: gradient(f, np.array([0.0, 1.0, 4.0])), drifting_root)):
             calls = []
-            def impure(x):
-                calls.append(1)
-                return np.sum(x**2) + len(calls)
             try:
                 run(impure)
             except ImpureTargetError as exc:
@@ -354,7 +362,8 @@ def test_purity_check_runs_under_python_O():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    assert done.stdout.count("caught:") == 2
+    assert done.stdout.count("caught:") == 3
+    assert "pass 0 run again gave" in done.stdout
 
 
 def test_loop_style_target_functions_work():
@@ -373,8 +382,11 @@ def test_loop_style_target_functions_work():
 
 
 def test_nonfinite_results_propagate_not_trap():
-    res = gradient(ackley, np.zeros(4))  # kink of the radial sqrt
-    assert not np.all(np.isfinite(res.values))
+    # declared fix (NaN-safe lanes): pinned before on Ackley's radial kink at 0, which was
+    # all NaN (0 * inf) and is now its zero subgradient; sqrt's own slope at 0 is inf
+    res = gradient(lambda v: np.sum(np.sqrt(v)), np.zeros(4))
+    assert np.all(np.isposinf(res.values))
+    assert gradient(ackley, np.zeros(4)).values.tobytes() == np.zeros(4).tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -731,19 +743,29 @@ _inf, _nan = math.inf, math.nan
     [
         (lambda: derivative(log, 0.0), _inf),
         (lambda: second_derivative(sqrt, -1.0), _nan),
-        (lambda: gradient(_root_sum, [0.0, 1.0, 4.0]).values, [_inf, _nan, _nan]),
+        # declared fix (NaN-safe lanes): every NaN below but the one at the bad component
+        # was 0 * inf of an exactly-zero lane, and the gradients read [inf, nan, nan]
+        (lambda: gradient(_root_sum, [0.0, 1.0, 4.0]).values, [_inf, 0.5, 0.25]),
         # pass 0 on the caller, then one block each for passes 1 and 2
-        (lambda: gradient(_root_sum, [0.0, 1.0, 4.0], ChunkConfig(1, 2)).values, [_inf, _nan, _nan]),
+        (lambda: gradient(_root_sum, [0.0, 1.0, 4.0], ChunkConfig(1, 2)).values, [_inf, 0.5, 0.25]),
         (
             lambda: jacobian(np.sqrt, [0.0, 1.0, 4.0], ChunkConfig(2)).entries,
-            [[_inf, _nan, _nan], [0.0, 0.5, 0.0], [0.0, 0.0, 0.25]],
+            [[_inf, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.25]],
         ),
-        (lambda: hessian(lambda v: np.sum(log(v)), [0.3, -0.7, 1.1]).entries, np.full((3, 3), _nan)),
-        (lambda: hessian(lambda v: np.sum(1.0 / v), [0.0, 2.0]).entries, np.full((2, 2), _nan)),
-        (lambda: third_order_tensor(_root_sum, [0.0, 1.0]), np.full((2, 2, 2), _nan)),
+        (
+            lambda: hessian(lambda v: np.sum(log(v)), [0.3, -0.7, 1.1]).entries,
+            [[-1 / (0.3 * 0.3), 0.0, 0.0], [0.0, _nan, 0.0], [0.0, 0.0, -1 / (1.1 * 1.1)]],
+        ),
+        # 1 / x at 0: its second-order lane is 0 / 0 of lanes that are exactly zero, so 0;
+        # the gradient there reads -inf
+        (lambda: hessian(lambda v: np.sum(1.0 / v), [0.0, 2.0]).entries, [[0.0, 0.0], [0.0, 0.25]]),
+        (
+            lambda: third_order_tensor(_root_sum, [0.0, 1.0]),
+            [[[_nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.375]]],
+        ),
         (
             lambda: third_order_tensor(lambda v: np.sum(np.exp(v * v)), [30.0, 1.0], (1, 1, 1)),
-            np.full((2, 2, 2), _nan),
+            [[[_inf, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 20 * math.e]]],
         ),
     ],
     ids=[
@@ -776,9 +798,79 @@ def test_worker_threads_never_warn_either():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = gradient(sleepy_root_sum, [0.0, 1.0, 4.0, 9.0], ChunkConfig(1, 2)).values
-    np.testing.assert_array_equal(got, [_inf, _nan, _nan, _nan])
+    np.testing.assert_array_equal(got, [_inf, 0.5, 0.25, 0.5 / 3.0])  # [inf, nan, nan, nan] before
     assert {ident for ident, _ in seen} - {threading.get_ident()}
     assert all(set(err.values()) == {"ignore"} for _, err in seen)
+
+
+# ----------------------------------------------------------------------
+# NaN-safe lanes: an exactly-zero lane entry stays zero under mul and div.  A pass
+# whose output lanes are not all finite runs once more on masked lanes (pool._Masked)
+# ----------------------------------------------------------------------
+
+
+def _masked(*entries):
+    return np.array(entries if len(entries) > 1 else entries[0]).view(pool._Masked)
+
+
+def test_nan_safe_scalar_derivatives():
+    # sqrt(x - x): an exactly-zero lane meets sqrt's infinite slope at 0 (0 * inf was NaN)
+    counted = EvalCounter(lambda x: np.sqrt(x - x) + 3.0 * x)
+    assert derivative(counted, 2.0) == 3.0 and counted.count == 2
+    assert second_derivative(lambda x: np.sqrt(x - x) + x**3, 1.0) == 6.0
+    assert derivative(sqrt, 0.0) == math.inf and math.isnan(second_derivative(sqrt, -1.0))
+    counted = EvalCounter(sin)
+    assert derivative(counted, 0.5) == math.cos(0.5) and counted.count == 1  # finite: one run
+
+
+def test_a_scalar_dual_masks_its_tuple_and_row_lanes():
+    with np.errstate(all="ignore"):
+        plain = np.sqrt(Dual(0.0, (1.0, 0.0)))
+        masked = np.sqrt(Dual(0.0, (_masked(1.0), _masked(0.0))))
+        row = np.sqrt(Dual(0.0, _masked(1.0, 0.0)) * 1.0)
+    assert math.isnan(plain.partials[1])
+    assert isinstance(masked.partials, Partials) and list(masked.partials) == [math.inf, 0.0]
+    assert type(row.partials) is pool._Masked and row.partials.tolist() == [math.inf, 0.0]
+    assert masked.value == row.value == 0.0
+    # a vector's index is a scalar dual on a row of lanes
+    got = gradient(lambda v: np.sqrt(v[0] * 0.0) + np.sum(v), np.ones(3)).values
+    assert got.tolist() == [1.0, 1.0, 1.0]
+
+
+def test_nan_safe_vector_lanes_and_jacobian():
+    x = np.array([0.0, 1.0, 4.0])
+    with np.errstate(all="ignore"):
+        plain, masked = (np.sqrt(DualVector(x, lanes)) for lanes in (np.eye(3), _masked(*np.eye(3))))
+    assert np.isnan(plain.partials).sum() == 2  # 0 * inf in column 0
+    assert type(masked.partials) is pool._Masked
+    assert masked.partials.tolist() == [[math.inf, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.25]]
+    assert gradient(_root_sum, x).values.tolist() == [math.inf, 0.5, 0.25]
+    counted = EvalCounter(lambda v: np.sqrt(v) + v[::-1])
+    got = jacobian(counted, x)
+    assert got.entries.tolist() == [[math.inf, 0.0, 1.0], [0.0, 1.5, 0.0], [1.0, 0.0, 0.25]]
+    assert counted.count == 2
+
+
+def test_nan_safe_hessian_and_third_order_tensor():
+    got = hessian(lambda v: np.sum(log(v)), [0.3, -0.7, 1.1]).entries
+    assert np.isnan(got[1, 1]) and np.isnan(got).sum() == 1  # NaN only in row and column 1
+    assert got[[0, 2], [0, 2]].tolist() == [-1 / (0.3 * 0.3), -1 / (1.1 * 1.1)]
+    tensor = third_order_tensor(_root_sum, [0.0, 1.0, 4.0])
+    assert np.isnan(tensor[0, 0, 0]) and np.isnan(tensor).sum() == 1
+    assert tensor[1, 1, 1] == 0.375 and tensor[2, 2, 2] == 3 / 8 / 32
+    assert np.count_nonzero(np.nan_to_num(tensor)) == 2
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_non_finite_pass_costs_one_more_evaluation(threads):
+    # chunk 10 at k=3000: pass 0 is dense, so the zero at 1500 makes its lanes NaN (0 * inf);
+    # the windowed pass 150 holds component 1500 itself (inf); the other 298 are finite
+    x = np.ones(3000)
+    x[1500] = 0.0
+    counted = EvalCounter(_root_sum)
+    got = gradient(counted, x, ChunkConfig(10, threads))
+    assert counted.count == 300 + 2
+    assert got.values.tobytes() == gradient(_root_sum, x, ChunkConfig(3000)).values.tobytes()
 
 
 def test_dual_arithmetic_outside_drivers_follows_numpy_error_state():

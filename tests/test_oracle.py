@@ -283,12 +283,8 @@ def test_kinks_and_x_to_the_0_match_the_oracle_at_0(name):
         _check(tensor, _tensor_reference(name, x[:K_TENSOR]), f"{name} tensor {chunks}")
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 5: an infinite or NaN coefficient turns the zero lanes of the other "
-    "components into NaN (0 * inf), so finite derivatives come out NaN",
-)
+# NaN-safe lanes: an infinite or NaN coefficient no longer turns the zero lanes of the other
+# components into NaN (0 * inf); these were strict xfails before
 @pytest.mark.parametrize(
     "name, x, bad, driver",
     [("sqrt", [0.0, 1.0, 4.0], 0, "gradient"), ("log", [0.3, -0.7, 1.1], 1, "hessian")],

@@ -153,6 +153,11 @@ def test_three_way_agreement_at_random_points():
         assert max_relative_error(an, fd, floor=1e-3) <= 1e-5
 
 
-def test_ackley_gradient_at_kink_is_visibly_nonfinite():
+def test_ackley_gradient_at_kink_is_the_zero_subgradient():
+    # declared fix (NaN-safe lanes), pinned before as
+    # test_ackley_gradient_at_kink_is_visibly_nonfinite: all NaN, since the radial sqrt's
+    # infinite coefficient met lanes that were exactly zero (0 * inf).  Those stay zero now,
+    # which gives 0, a subgradient of the cone at its tip, as abs at 0 does
     res = gradient(ackley, np.zeros(6), ChunkConfig(2))
-    assert np.all(np.isnan(res.values))  # not silently finite garbage
+    assert res.values.tobytes() == np.zeros(6).tobytes()
+    assert res.values.tobytes() == gradient(ackley, np.zeros(6), ChunkConfig(6)).values.tobytes()
